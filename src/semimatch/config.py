@@ -1,11 +1,15 @@
 """Plain-text ``key = value`` config files for training and data generation.
 
 One assignment per line; blank lines and ``#`` comments are ignored;
-unknown keys are errors. Keys match the corresponding dataclass field
-names exactly. List-valued generator fields use comma-separated entries.
+unknown keys are errors. The keys, and how each value is parsed, are
+derived from the fields of :class:`TrainConfig` / :class:`GeneratorConfig`
+and their annotations. List-valued generator fields use comma-separated
+entries.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from .data import GeneratorConfig
 from .errors import ConfigError
@@ -65,59 +69,24 @@ def parse_key_values(text: str) -> dict[str, str]:
     return mapping
 
 
-_TRAIN_PARSERS = {
-    "method": str,
-    "modality": str,
-    "weak_aug_kind": str,
-    "strong_aug_kind": str,
-    "weak_aug_on_unlabelled": _to_bool,
-    "epochs": _to_int,
-    "batch_size": _to_int,
-    "unlabelled_ratio": _to_float,
-    "learning_rate": _to_float,
-    "lr_decay": _to_float,
-    "tau": _to_float,
-    "sigma": _to_float,
-    "unsup_weight": _to_float,
-    "negative_weight": _to_float,
-    "entropy_weight": _to_float,
-    "intent_weight": _to_float,
-    "hidden_size": _to_int,
-    "seed": _to_int,
-    "train_frac": _to_float,
-    "valid_frac": _to_float,
-    "test_frac": _to_float,
-    "signal_bins": _to_int,
-    "token_max_len": _to_int,
-    "flip_max_seconds": _to_float,
-    "time_mask_max_frames": _to_int,
-    "pitch_max_steps": _to_int,
-    "noise_scale": _to_float,
-    "swap_count": _to_int,
-    "delete_prob": _to_float,
-    "synonym_prob": _to_float,
-    "contextual_prob": _to_float,
-    "contextual_neighbors": _to_int,
-}
-
-_GENERATOR_PARSERS = {
-    "emotion_counts": _to_int_list,
-    "intent_counts": _to_int_list,
-    "unlabelled_count": _to_int,
-    "min_len": _to_int,
-    "max_len": _to_int,
-    "separation": _to_float,
-    "correlation": _to_float,
-    "modality_mix": _to_float,
-    "sample_rate": _to_int,
-    "vocab_size": _to_int,
-    "embedding_dim": _to_int,
-    "seed": _to_int,
-    "emotion_names": _to_str_list,
-    "intent_names": _to_str_list,
+# dataclass field annotation -> parser of its config value
+_PARSER_BY_TYPE = {
+    "str": str,
+    "str | None": str,
+    "bool": _to_bool,
+    "int": _to_int,
+    "float": _to_float,
+    "tuple[int, ...]": _to_int_list,
+    "tuple[str, ...] | None": _to_str_list,
 }
 
 
+def _parsers(config_class) -> dict:
+    return {f.name: _PARSER_BY_TYPE[f.type] for f in fields(config_class)}
+
+
+_TRAIN_PARSERS = _parsers(TrainConfig)
+_GENERATOR_PARSERS = _parsers(GeneratorConfig)
 TRAIN_CONFIG_KEYS = tuple(_TRAIN_PARSERS)
 GENERATOR_CONFIG_KEYS = tuple(_GENERATOR_PARSERS)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LossCoefficients, build_task_terms
+from .losses import LossCoefficients, build_task_terms, method_policy
 from .model import (
     BatchLossSpec,
     batch_loss,
@@ -54,11 +54,14 @@ def _specs_for_batch(rng, model, batch_size, input_dim, sigma=0.99):
 
     fix_emo = build_task_terms(pw_emo, None, _GATE_TAU)
     fix_int = build_task_terms(pw_int, None, _GATE_TAU)
-    full_emo = build_task_terms(pw_emo, ps_emo, _GATE_TAU, sigma=sigma)
-    full_int = build_task_terms(pw_int, ps_int, _GATE_TAU, sigma=sigma)
-    joint = (pw_emo.max(axis=1) > _GATE_TAU) & (pw_int.max(axis=1) > _GATE_TAU)
-    joint_emo = build_task_terms(pw_emo, None, _GATE_TAU, gate=joint)
-    joint_int = build_task_terms(pw_int, None, _GATE_TAU, gate=joint)
+
+    def method_terms(method):
+        gate, rank_sigma = method_policy(method, pw_emo, pw_int, _GATE_TAU, sigma)
+        return (build_task_terms(pw_emo, ps_emo, _GATE_TAU, rank_sigma, gate),
+                build_task_terms(pw_int, ps_int, _GATE_TAU, rank_sigma, gate))
+
+    joint_emo, joint_int = method_terms("fixmatch")
+    full_emo, full_int = method_terms("fullmatch")
 
     lab = dict(lab_features=x_lab, emo_labels=emo_labels, int_labels=int_labels)
     return {

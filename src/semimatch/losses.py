@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
+METHODS = ("baseline", "fixmatch", "fullmatch")
 CLAMP_MIN = 1e-12
 PROB_ATOL = 1e-6
 
@@ -36,6 +37,11 @@ PROB_ATOL = 1e-6
 def safe_log(x):
     """log with the argument clamped to [1e-12, 1]."""
     return np.log(np.clip(x, CLAMP_MIN, 1.0))
+
+
+def _check_tau(tau: float):
+    if not 0.0 < tau <= 1.0:
+        raise ConfigError("tau must lie in (0, 1]")
 
 
 def _as_prob_matrix(rows, what: str) -> np.ndarray:
@@ -147,8 +153,7 @@ def rank_matrix(probs: np.ndarray) -> np.ndarray:
 
 def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError("tau must lie in (0, 1]")
+    _check_tau(tau)
     probs = _as_prob_matrix(weak_probs, "gate_pseudo_label")[0]
     cls = int(np.argmax(probs))
     conf = float(probs[cls])
@@ -180,26 +185,17 @@ def select_k(weak_probs_batch, strong_probs_batch, sigma: float) -> TopKSelectio
     return TopKSelection(k=n_classes, topk_accuracy=1.0)
 
 
-def entropy_meaning_soft_label(weak_probs, strong_probs, k: int) -> SoftTargets:
-    """Spread the strong branch's leftover top-1 mass over weak ranks 2..k.
+def _rank_terms(weak: np.ndarray, strong: np.ndarray, k: int):
+    """Rank masks and soft targets at cut ``k``: the one derivation of them.
 
-    Each member class gets the same target, (1 - p_strong[weak argmax]) /
-    (k - 1). For k = 1 the member set is empty.
+    Returns ``(neg_mask, mid_mask, soft_target)``: weak ranks above k, weak
+    ranks in [2, k], and the strong branch's leftover top-1 mass shared over
+    the k - 1 mid ranks (zeros for k = 1).
     """
-    weak = _as_prob_matrix(weak_probs, "soft label weak branch")[0]
-    strong = _as_prob_matrix(strong_probs, "soft label strong branch")[0]
-    if weak.shape != strong.shape:
-        raise ContractError("weak and strong vectors must have the same length")
-    n_classes = len(weak)
-    if not 1 <= k <= n_classes:
-        raise ContractError("k must lie in [1, C]")
-    ranks = rank_matrix(weak[None, :])[0]
-    members = (ranks >= 2) & (ranks <= k)
-    values = np.zeros(n_classes)
-    if k >= 2:
-        top1 = int(np.argmax(weak))
-        values[members] = (1.0 - strong[top1]) / (k - 1)
-    return SoftTargets(values=values, members=members)
+    ranks = rank_matrix(weak)
+    top1 = strong[np.arange(len(weak)), np.argmax(weak, axis=1)]
+    soft_target = (1.0 - top1) / (k - 1) if k >= 2 else np.zeros(len(weak))
+    return ranks > k, (ranks >= 2) & (ranks <= k), soft_target
 
 
 def _stack_unlabelled(unlabelled):
@@ -210,15 +206,34 @@ def _stack_unlabelled(unlabelled):
     return weak, strong
 
 
-def adaptive_negative_loss(unlabelled, k: int) -> float:
-    """Mean over the batch of -sum over ranks>k of log(1 - strong prob)."""
-    if not unlabelled:
-        return 0.0
+def _fixed_k_terms(unlabelled, k: int):
+    """Stacked strong probs and the batch decisions at a given rank cut,
+    with every gate closed."""
     weak, strong = _stack_unlabelled(unlabelled)
     if not 1 <= k <= weak.shape[1]:
         raise ContractError("k must lie in [1, C]")
-    tail = rank_matrix(weak) > k
-    return float(-np.sum(tail * safe_log(1.0 - strong)) / len(weak))
+    return strong, TaskTerms(np.argmax(weak, axis=1), np.zeros(len(weak), dtype=bool), k,
+                             *_rank_terms(weak, strong, k))
+
+
+def entropy_meaning_soft_label(weak_probs, strong_probs, k: int) -> SoftTargets:
+    """Spread the strong branch's leftover top-1 mass over weak ranks 2..k.
+
+    Each member class gets the same target, (1 - p_strong[weak argmax]) /
+    (k - 1). For k = 1 the member set is empty.
+    """
+    _, terms = _fixed_k_terms([(weak_probs, strong_probs)], k)
+    members = terms.mid_mask[0]
+    return SoftTargets(values=np.where(members, terms.soft_target[0], 0.0), members=members)
+
+
+def _fixed_k_loss(unlabelled, k: int) -> LossBreakdown:
+    return task_loss_from_terms(None, None, *_fixed_k_terms(unlabelled, k), LossCoefficients())
+
+
+def adaptive_negative_loss(unlabelled, k: int) -> float:
+    """Mean over the batch of -sum over ranks>k of log(1 - strong prob)."""
+    return _fixed_k_loss(unlabelled, k).l_neg if unlabelled else 0.0
 
 
 def entropy_meaning_loss(unlabelled, k: int) -> float:
@@ -226,20 +241,23 @@ def entropy_meaning_loss(unlabelled, k: int) -> float:
 
     Normalized by batch size times class count.
     """
-    if not unlabelled:
-        return 0.0
-    weak, strong = _stack_unlabelled(unlabelled)
-    b, n_classes = weak.shape
-    if not 1 <= k <= n_classes:
-        raise ContractError("k must lie in [1, C]")
-    if k == 1:
-        return 0.0
-    ranks = rank_matrix(weak)
-    members = (ranks >= 2) & (ranks <= k)
-    pseudo = np.argmax(weak, axis=1)
-    y = ((1.0 - strong[np.arange(b), pseudo]) / (k - 1))[:, None]
-    bce = y * safe_log(strong) + (1.0 - y) * safe_log(1.0 - strong)
-    return float(-np.sum(members * bce) / (b * n_classes))
+    return _fixed_k_loss(unlabelled, k).l_ent if unlabelled else 0.0
+
+
+def method_policy(method: str, weak_emo: np.ndarray, weak_int: np.ndarray,
+                  tau: float, sigma: float):
+    """The per-method rules for the unlabelled terms: ``(gate, sigma)``.
+
+    fixmatch: one joint gate, open only where both tasks' weak confidence
+    clears tau, and no rank losses (sigma None). fullmatch: per-task gates
+    (gate None) and rank losses at ``sigma``. These feed
+    :func:`build_task_terms` for each task.
+    """
+    if method == "fixmatch":
+        return (weak_emo.max(axis=1) > tau) & (weak_int.max(axis=1) > tau), None
+    if method == "fullmatch":
+        return None, sigma
+    raise ConfigError(f"method '{method}' has no unlabelled terms")
 
 
 def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
@@ -260,21 +278,11 @@ def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
         gate = np.asarray(gate, dtype=bool)
         if gate.shape != (len(weak),):
             raise ContractError("gate mask length must match the batch")
-    terms = TaskTerms(pseudo=pseudo, gate=gate)
-    if sigma is not None:
-        strong = _as_prob_matrix(strong_probs, "strong branch")
-        if strong.shape != weak.shape:
-            raise ContractError("weak and strong batches must have identical shapes")
-        sel = select_k(weak, strong, sigma)
-        ranks = rank_matrix(weak)
-        terms.k = sel.k
-        terms.neg_mask = ranks > sel.k
-        terms.mid_mask = (ranks >= 2) & (ranks <= sel.k)
-        if sel.k >= 2:
-            terms.soft_target = (1.0 - strong[np.arange(len(weak)), pseudo]) / (sel.k - 1)
-        else:
-            terms.soft_target = np.zeros(len(weak))
-    return terms
+    if sigma is None:
+        return TaskTerms(pseudo=pseudo, gate=gate)
+    strong = _as_prob_matrix(strong_probs, "strong branch")
+    k = select_k(weak, strong, sigma).k   # also checks that the shapes agree
+    return TaskTerms(pseudo, gate, k, *_rank_terms(weak, strong, k))
 
 
 def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None,
@@ -301,7 +309,7 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
         k = terms.k
         if terms.neg_mask is not None:
             l_neg = float(-np.sum(terms.neg_mask * safe_log(1.0 - strong_probs)) / b)
-        if terms.mid_mask is not None and terms.k is not None and terms.k >= 2:
+        if terms.mid_mask is not None and terms.k >= 2:
             y = terms.soft_target[:, None]
             bce = y * safe_log(strong_probs) + (1.0 - y) * safe_log(1.0 - strong_probs)
             l_ent = float(-np.sum(terms.mid_mask * bce) / (b * n_classes))
@@ -328,6 +336,17 @@ def _split_labelled(labelled):
     return probs, labels
 
 
+def _single_task_loss(labelled, unlabelled, tau: float, sigma: float | None,
+                      coeffs: LossCoefficients) -> LossBreakdown:
+    _check_tau(tau)
+    probs, labels = _split_labelled(labelled)
+    if not unlabelled:
+        return task_loss_from_terms(probs, labels, None, None, coeffs)
+    weak, strong = _stack_unlabelled(unlabelled)
+    terms = build_task_terms(weak, strong, tau, sigma=sigma)
+    return task_loss_from_terms(probs, labels, strong, terms, coeffs)
+
+
 def fixmatch_loss(labelled, unlabelled, tau: float, lam1: float) -> LossBreakdown:
     """Supervised cross-entropy plus the confidence-gated consistency term.
 
@@ -335,15 +354,7 @@ def fixmatch_loss(labelled, unlabelled, tau: float, lam1: float) -> LossBreakdow
     (weak probs, strong probs). The unsupervised sum is divided by the full
     unlabelled batch size.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError("tau must lie in (0, 1]")
-    probs, labels = _split_labelled(labelled)
-    coeffs = LossCoefficients(unsup=lam1, negative=0.0, entropy=0.0)
-    if not unlabelled:
-        return task_loss_from_terms(probs, labels, None, None, coeffs)
-    weak, strong = _stack_unlabelled(unlabelled)
-    terms = build_task_terms(weak, None, tau)
-    return task_loss_from_terms(probs, labels, strong, terms, coeffs)
+    return _single_task_loss(labelled, unlabelled, tau, None, LossCoefficients(unsup=lam1))
 
 
 def fullmatch_loss(labelled, unlabelled, tau: float, sigma: float,
@@ -353,15 +364,8 @@ def fullmatch_loss(labelled, unlabelled, tau: float, sigma: float,
     k is selected once for the whole batch. With lam2 = lam3 = 0 this
     reduces exactly to :func:`fixmatch_loss`.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError("tau must lie in (0, 1]")
-    probs, labels = _split_labelled(labelled)
-    coeffs = LossCoefficients(unsup=lam1, negative=lam2, entropy=lam3)
-    if not unlabelled:
-        return task_loss_from_terms(probs, labels, None, None, coeffs)
-    weak, strong = _stack_unlabelled(unlabelled)
-    terms = build_task_terms(weak, strong, tau, sigma=sigma)
-    return task_loss_from_terms(probs, labels, strong, terms, coeffs)
+    return _single_task_loss(labelled, unlabelled, tau, sigma,
+                             LossCoefficients(lam1, lam2, lam3))
 
 
 def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
@@ -370,51 +374,34 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
                    lam3: float = 0.5) -> MultitaskLoss:
     """Two-task objective: emotion total plus lam times the intent total.
 
-    In fixmatch mode, an unlabelled sample enters either task's consistency
-    term only when both tasks clear the confidence gate (joint gate). In
-    fullmatch mode every term is computed per task independently, including
-    the gates and the rank cut.
+    The unlabelled terms follow :func:`method_policy`: fixmatch gates both
+    tasks jointly, fullmatch computes every term per task, baseline has none.
     """
-    if method not in ("baseline", "fixmatch", "fullmatch"):
+    if method not in METHODS:
         raise ConfigError(f"unknown method '{method}'")
     if len(emo_labelled) != len(int_labelled):
         raise ContractError("labelled sample counts differ between tasks")
     if len(emo_unlabelled) != len(int_unlabelled):
         raise ContractError("unlabelled sample counts differ between tasks")
-
-    if method == "baseline":
-        coeffs = LossCoefficients(unsup=lam1, negative=0.0, entropy=0.0)
-        emo = task_loss_from_terms(*_split_labelled(emo_labelled), None, None, coeffs)
-        intent = task_loss_from_terms(*_split_labelled(int_labelled), None, None, coeffs)
-        return combine_breakdown(emo, intent, lam)
-
-    if method == "fixmatch":
-        coeffs = LossCoefficients(unsup=lam1, negative=0.0, entropy=0.0)
-        emo_probs, emo_labels = _split_labelled(emo_labelled)
-        int_probs, int_labels = _split_labelled(int_labelled)
-        if not emo_unlabelled:
-            emo = task_loss_from_terms(emo_probs, emo_labels, None, None, coeffs)
-            intent = task_loss_from_terms(int_probs, int_labels, None, None, coeffs)
-            return combine_breakdown(emo, intent, lam)
+    _check_tau(tau)
+    unsup = [(None, None), (None, None)]   # (strong probs, terms) per task
+    if method != "baseline" and emo_unlabelled:
         weak_e, strong_e = _stack_unlabelled(emo_unlabelled)
         weak_i, strong_i = _stack_unlabelled(int_unlabelled)
-        joint = (weak_e.max(axis=1) > tau) & (weak_i.max(axis=1) > tau)
-        terms_e = build_task_terms(weak_e, None, tau, gate=joint)
-        terms_i = build_task_terms(weak_i, None, tau, gate=joint)
-        emo = task_loss_from_terms(emo_probs, emo_labels, strong_e, terms_e, coeffs)
-        intent = task_loss_from_terms(int_probs, int_labels, strong_i, terms_i, coeffs)
-        return combine_breakdown(emo, intent, lam)
-
-    emo = fullmatch_loss(emo_labelled, emo_unlabelled, tau, sigma, lam1, lam2, lam3)
-    intent = fullmatch_loss(int_labelled, int_unlabelled, tau, sigma, lam1, lam2, lam3)
+        gate, sigma = method_policy(method, weak_e, weak_i, tau, sigma)
+        unsup = [(strong_e, build_task_terms(weak_e, strong_e, tau, sigma, gate)),
+                 (strong_i, build_task_terms(weak_i, strong_i, tau, sigma, gate))]
+    coeffs = LossCoefficients(lam1, lam2, lam3)
+    emo = task_loss_from_terms(*_split_labelled(emo_labelled), *unsup[0], coeffs)
+    intent = task_loss_from_terms(*_split_labelled(int_labelled), *unsup[1], coeffs)
     return combine_breakdown(emo, intent, lam)
 
 
 __all__ = [
-    "CLAMP_MIN", "LossBreakdown", "LossCoefficients", "MultitaskLoss",
+    "CLAMP_MIN", "LossBreakdown", "LossCoefficients", "METHODS", "MultitaskLoss",
     "PseudoLabelDecision", "SoftTargets", "TaskTerms", "TopKSelection",
     "adaptive_negative_loss", "build_task_terms", "combine_breakdown",
     "entropy_meaning_loss", "entropy_meaning_soft_label", "fixmatch_loss",
-    "fullmatch_loss", "gate_pseudo_label", "multitask_loss", "rank_classes",
-    "rank_matrix", "safe_log", "select_k", "task_loss_from_terms",
+    "fullmatch_loss", "gate_pseudo_label", "method_policy", "multitask_loss",
+    "rank_classes", "rank_matrix", "safe_log", "select_k", "task_loss_from_terms",
 ]

@@ -14,7 +14,9 @@ always weakly augmented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .augment import (
 )
 from .data import Corpus, Sample, SplitSpec, make_batches, stratified_split
 from .errors import ConfigError, ContractError
-from .losses import LossCoefficients, build_task_terms
+from .losses import METHODS, LossCoefficients, build_task_terms, method_policy
 from .metrics import MetricsReport
 from .model import (
     AdamState,
@@ -38,8 +40,6 @@ from .model import (
     init_model,
     loss_and_gradients,
 )
-
-METHODS = ("baseline", "fixmatch", "fullmatch")
 
 # rng stream ids; each is combined with (seed, epoch)
 _STREAM_INIT = 40001
@@ -87,6 +87,10 @@ class TrainConfig:
     contextual_neighbors: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method '{self.method}'")
         if self.modality not in ("signal", "tokens"):
@@ -162,32 +166,27 @@ class TrainResult:
     test_metrics: MetricsReport | None
 
 
-class _Augmenter:
-    """Applies one named operator with the parameters from the config."""
+# operator kind -> {operator keyword: TrainConfig field}
+_AUG_PARAMS = {
+    "flip": {"max_seconds": "flip_max_seconds"},
+    "time_mask": {"max_frames": "time_mask_max_frames"},
+    "pitch_shift": {"max_steps": "pitch_max_steps"},
+    "gaussian_noise": {"scale": "noise_scale"},
+    "swap": {"n_swaps": "swap_count"},
+    "delete": {"p": "delete_prob"},
+    "synonym": {"p": "synonym_prob"},
+    "contextual": {"n_neighbors": "contextual_neighbors", "p": "contextual_prob"},
+}
 
-    def __init__(self, config: TrainConfig, corpus: Corpus):
-        self.config = config
-        self.corpus = corpus
 
-    def __call__(self, sample: Sample, kind: str, rng: np.random.Generator):
-        cfg = self.config
-        if sample.modality == "signal":
-            params = {
-                "flip": {"max_seconds": cfg.flip_max_seconds},
-                "time_mask": {"max_frames": cfg.time_mask_max_frames},
-                "pitch_shift": {"max_steps": cfg.pitch_max_steps},
-                "gaussian_noise": {"scale": cfg.noise_scale},
-            }[kind]
-            return augment_signal(sample.payload, kind, rng, **params)
-        params = {
-            "swap": {"n_swaps": cfg.swap_count},
-            "delete": {"p": cfg.delete_prob},
-            "synonym": {"p": cfg.synonym_prob},
-            "contextual": {"n_neighbors": cfg.contextual_neighbors, "p": cfg.contextual_prob},
-        }[kind]
-        return augment_tokens(sample.payload, kind, rng,
-                              lexicon=self.corpus.lexicon, table=self.corpus.embedding,
-                              **params)
+def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str,
+             rng: np.random.Generator):
+    """Apply one named operator with the parameters from the config."""
+    params = {key: getattr(config, name) for key, name in _AUG_PARAMS[kind].items()}
+    if sample.modality == "signal":
+        return augment_signal(sample.payload, kind, rng, **params)
+    return augment_tokens(sample.payload, kind, rng, lexicon=corpus.lexicon,
+                          table=corpus.embedding, **params)
 
 
 def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor) -> MetricsReport:
@@ -252,13 +251,9 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
-    augmenter = _Augmenter(config, corpus)
-
-    if config.method == "fullmatch":
-        coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
-                                  entropy=config.entropy_weight)
-    else:
-        coeffs = LossCoefficients(unsup=config.unsup_weight, negative=0.0, entropy=0.0)
+    augment = partial(_augment, config, corpus)
+    coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
+                              entropy=config.entropy_weight)
     mu = 0.0 if config.method == "baseline" else config.unlabelled_ratio
 
     reports: list[EpochReport] = []
@@ -275,36 +270,30 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         total_sum = 0.0
         for lab_batch, unlab_batch in steps:
             lab_feats = np.stack([
-                extractor(augmenter(s, config.weak_aug_kind, rng_lab)) for s in lab_batch])
+                extractor(augment(s, config.weak_aug_kind, rng_lab)) for s in lab_batch])
             spec = BatchLossSpec(
                 lab_features=lab_feats,
                 emo_labels=np.array([s.emotion for s in lab_batch]),
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
 
-            if config.method != "baseline" and unlab_batch:
+            if unlab_batch:
                 if config.weak_aug_on_unlabelled:
-                    weak_payloads = [augmenter(s, config.weak_aug_kind, rng_weak)
+                    weak_payloads = [augment(s, config.weak_aug_kind, rng_weak)
                                      for s in unlab_batch]
                 else:
                     weak_payloads = [s.payload for s in unlab_batch]
                 weak_feats = np.stack([extractor(p) for p in weak_payloads])
                 strong_feats = np.stack([
-                    extractor(augmenter(s, config.strong_aug_kind, rng_strong))
+                    extractor(augment(s, config.strong_aug_kind, rng_strong))
                     for s in unlab_batch])
                 pw_emo, pw_int = forward_batch(model, weak_feats)
-                if config.method == "fixmatch":
-                    joint = ((pw_emo.max(axis=1) > config.tau)
-                             & (pw_int.max(axis=1) > config.tau))
-                    terms_emo = build_task_terms(pw_emo, None, config.tau, gate=joint)
-                    terms_int = build_task_terms(pw_int, None, config.tau, gate=joint)
-                else:
-                    ps_emo, ps_int = forward_batch(model, strong_feats)
-                    terms_emo = build_task_terms(pw_emo, ps_emo, config.tau, sigma=config.sigma)
-                    terms_int = build_task_terms(pw_int, ps_int, config.tau, sigma=config.sigma)
+                ps_emo, ps_int = forward_batch(model, strong_feats)
+                gate, sigma = method_policy(config.method, pw_emo, pw_int,
+                                            config.tau, config.sigma)
                 spec.strong_features = strong_feats
-                spec.emo_terms = terms_emo
-                spec.int_terms = terms_int
+                spec.emo_terms = build_task_terms(pw_emo, ps_emo, config.tau, sigma, gate)
+                spec.int_terms = build_task_terms(pw_int, ps_int, config.tau, sigma, gate)
 
             result, grads = loss_and_gradients(model, spec)
             model, state = adam_step(model, grads, state, lr)

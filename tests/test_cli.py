@@ -1,15 +1,20 @@
 """Config parsing and the command-line surface, end to end on tiny corpora."""
 
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
 from semimatch.cli import main
 from semimatch.config import (
+    GENERATOR_CONFIG_KEYS,
+    TRAIN_CONFIG_KEYS,
     generator_config_from_text,
     train_config_from_text,
 )
+from semimatch.data import GeneratorConfig
 from semimatch.errors import ConfigError
+from semimatch.trainer import TrainConfig
 
 GEN_CFG = """
 # three emotion classes, two intent classes
@@ -87,6 +92,64 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         config = train_config_from_text("\n# comment\nepochs = 7\n\n")
         assert config.epochs == 7
+
+
+NON_DEFAULT_TRAIN = TrainConfig(
+    method="fullmatch", modality="tokens", weak_aug_kind="swap", weak_aug_on_unlabelled=False,
+    epochs=3, batch_size=5, unlabelled_ratio=2.5, learning_rate=1.25e-3, lr_decay=0.875,
+    tau=0.8, sigma=0.9, unsup_weight=0.25, negative_weight=0.125, entropy_weight=0.375,
+    intent_weight=0.75, hidden_size=12, seed=11, train_frac=0.5, valid_frac=0.25,
+    test_frac=0.25, signal_bins=6, token_max_len=40, flip_max_seconds=1.5,
+    time_mask_max_frames=900, pitch_max_steps=2, noise_scale=0.3, swap_count=2,
+    delete_prob=0.05, synonym_prob=0.3, contextual_prob=0.2, contextual_neighbors=3)
+
+NON_DEFAULT_GENERATOR = GeneratorConfig(
+    emotion_counts=(5, 6, 7), intent_counts=(9, 9), unlabelled_count=4, min_len=20,
+    max_len=30, separation=2.5, correlation=0.6, modality_mix=0.5, sample_rate=8000,
+    vocab_size=24, embedding_dim=8, seed=3, emotion_names=("calm", "joy", "rage"),
+    intent_names=("ask", "tell"))
+
+FLOAT_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+def config_text(config) -> str:
+    """Every field of a config dataclass as one ``key = value`` line."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{f.name} = {text}\n")
+    return "".join(lines)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("config, parse", [
+        (NON_DEFAULT_TRAIN, train_config_from_text),
+        (NON_DEFAULT_GENERATOR, generator_config_from_text),
+    ])
+    def test_every_field_round_trips(self, config, parse):
+        for f in fields(config):
+            if f.default is not MISSING:
+                assert getattr(config, f.name) != f.default, f.name
+        assert parse(config_text(config)) == config
+
+    def test_keys_follow_field_order(self):
+        assert TRAIN_CONFIG_KEYS == tuple(f.name for f in fields(TrainConfig))
+        assert GENERATOR_CONFIG_KEYS == tuple(f.name for f in fields(GeneratorConfig))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_TRAIN_FIELDS)
+    def test_non_finite_number_rejected(self, key, value, tmp_path, monkeypatch, capsys):
+        with pytest.raises(ConfigError, match=key):
+            train_config_from_text(f"{key} = {value}\n")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "train.cfg").write_text(f"{key} = {value}\n")
+        (tmp_path / "corpus.jsonl").write_text("")
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestGenData:

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_probs
 from semimatch.errors import ConfigError, ContractError
 from semimatch.losses import (
+    LossCoefficients,
     adaptive_negative_loss,
     build_task_terms,
     entropy_meaning_loss,
@@ -21,9 +22,11 @@ from semimatch.losses import (
     fixmatch_loss,
     fullmatch_loss,
     gate_pseudo_label,
+    method_policy,
     multitask_loss,
     rank_classes,
     select_k,
+    task_loss_from_terms,
 )
 
 
@@ -423,3 +426,38 @@ class TestMultitaskLoss:
         out = multitask_loss("fullmatch", labelled, l2, unlabelled, u2,
                              lam=0.25, tau=0.6, sigma=0.9)
         assert abs(out.total - (out.emo.total + 0.25 * out.intent.total)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-method decision path
+# ---------------------------------------------------------------------------
+
+class TestMethodPolicy:
+    def test_fixmatch_joint_gate_without_rank_losses(self):
+        weak_emo = np.array([[0.97, 0.03], [0.97, 0.03], [0.6, 0.4]])
+        weak_int = np.array([[0.96, 0.04], [0.90, 0.10], [0.99, 0.01]])
+        gate, sigma = method_policy("fixmatch", weak_emo, weak_int, tau=0.95, sigma=0.9)
+        assert gate.tolist() == [True, False, False]
+        assert sigma is None
+
+    def test_fullmatch_per_task_gates_with_rank_losses(self, rng):
+        weak = random_probs(rng, 4, 3)
+        assert method_policy("fullmatch", weak, weak, tau=0.95, sigma=0.9) == (None, 0.9)
+
+    def test_baseline_rejected(self, rng):
+        weak = random_probs(rng, 4, 3)
+        with pytest.raises(ConfigError):
+            method_policy("baseline", weak, weak, tau=0.95, sigma=0.9)
+
+    def test_fixed_k_adapters_equal_the_selected_k_path(self, rng):
+        for _ in range(50):
+            c = int(rng.integers(3, 9))
+            weak = random_probs(rng, 6, c, alpha=0.4)
+            strong = random_probs(rng, 6, c, alpha=0.4)
+            sigma = float(rng.uniform(0.5, 0.99))
+            k = select_k(weak, strong, sigma).k
+            terms = build_task_terms(weak, strong, tau=0.5, sigma=sigma)
+            selected = task_loss_from_terms(None, None, strong, terms, LossCoefficients())
+            unlabelled = list(zip(weak, strong))
+            assert adaptive_negative_loss(unlabelled, k) == selected.l_neg
+            assert entropy_meaning_loss(unlabelled, k) == selected.l_ent
