@@ -29,7 +29,7 @@ from .fileio import atomic_write_text
 from .gradcheck import run_gradient_checks
 from .metrics import MetricsReport, confusion_csv, margin_fusion
 from .persist import load_checkpoint, load_predictions, save_checkpoint, save_predictions
-from .trainer import epoch_reports_csv, evaluate, predict_probs, train
+from .trainer import epoch_reports_csv, metrics_from_probs, predict_probs, train
 
 
 def _require_file(path: str, what: str):
@@ -123,8 +123,8 @@ def cmd_eval(args) -> int:
     samples = _split_samples(corpus, config, args.split)
     extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
                                  max_token_len=config.token_max_len, table=corpus.embedding)
-    metrics = evaluate(model, samples, extractor)
     emo_probs, int_probs = predict_probs(model, samples, extractor)
+    metrics = metrics_from_probs(samples, emo_probs, int_probs)
 
     os.makedirs(args.out, exist_ok=True)
     _metrics_files(args.out, metrics, emotion_names, intent_names)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
-from .errors import ConfigError, ContractError, SchemaError
+from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
 from .fileio import atomic_write_text
 
 FORMAT_NAME = "semimatch-corpus"
@@ -176,6 +176,7 @@ class GeneratorConfig:
     intent_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        require_finite_fields(self)
         self.emotion_counts = tuple(int(c) for c in self.emotion_counts)
         self.intent_counts = tuple(int(c) for c in self.intent_counts)
         if len(self.emotion_counts) < 2 or len(self.intent_counts) < 2:
@@ -341,6 +342,22 @@ def save_corpus(corpus: Corpus, path: str):
     atomic_write_text(path, corpus_to_text(corpus))
 
 
+def _json_int(record: dict, key: str) -> int:
+    """``record[key]`` if it is a JSON integer; a bool or a float is an error."""
+    value = record[key]
+    if type(value) is not int:
+        raise SchemaError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _name_list(header: dict, key: str) -> list[str]:
+    """Header class names: absent means none, otherwise a list of strings."""
+    names = header.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"line 1: {key} must be a list of strings")
+    return names
+
+
 def _parse_record(line_no: int, record: dict) -> Sample:
     def need(key):
         if key not in record:
@@ -363,8 +380,8 @@ def _parse_record(line_no: int, record: dict) -> Sample:
         else:
             raise SchemaError(f"line {line_no}: unknown modality '{modality}'")
         return Sample(id=str(sample_id), modality=modality, payload=seq,
-                      emotion=int(record["emotion"]) if has_emo else None,
-                      intent=int(record["intent"]) if has_int else None)
+                      emotion=_json_int(record, "emotion") if has_emo else None,
+                      intent=_json_int(record, "intent") if has_int else None)
     except (ContractError, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
@@ -384,16 +401,22 @@ def load_corpus(path: str) -> Corpus:
     if header.get("version") != FORMAT_VERSION:
         raise SchemaError(f"line 1: unsupported corpus version {header.get('version')}")
 
-    lexicon = None
-    if header.get("lexicon"):
-        lexicon = SynonymLexicon(mapping={
-            int(k): tuple(int(t) for t in v) for k, v in header["lexicon"].items()})
-    embedding = None
-    if header.get("embedding"):
-        meta = header["embedding"]
-        embedding = EmbeddingTable.from_seed(
-            int(meta["vocab_size"]), int(meta["dim"]), seed=int(meta["seed"]),
-            group_size=int(meta.get("group_size", 3)))
+    lexicon = embedding = None
+    try:
+        if header.get("lexicon"):
+            lexicon = SynonymLexicon(mapping={
+                int(k): tuple(int(t) for t in v) for k, v in header["lexicon"].items()})
+        if header.get("embedding"):
+            meta = header["embedding"]
+            embedding = EmbeddingTable.from_seed(
+                int(meta["vocab_size"]), int(meta["dim"]), seed=int(meta["seed"]),
+                group_size=int(meta.get("group_size", 3)))
+    except KeyError as exc:
+        raise SchemaError(f"line 1: embedding is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
+        raise SchemaError(f"line 1: invalid lexicon or embedding ({exc})") from exc
+    emotion_names = _name_list(header, "emotion_names")
+    intent_names = _name_list(header, "intent_names")
 
     labelled, unlabelled = [], []
     for offset, line in enumerate(lines[1:], start=2):
@@ -410,8 +433,7 @@ def load_corpus(path: str) -> Corpus:
 
     try:
         corpus = Corpus(labelled=labelled, unlabelled=unlabelled,
-                        emotion_names=list(header.get("emotion_names", [])),
-                        intent_names=list(header.get("intent_names", [])),
+                        emotion_names=emotion_names, intent_names=intent_names,
                         lexicon=lexicon, embedding=embedding)
     except SchemaError as exc:
         raise SchemaError(f"corpus invariant violated: {exc}") from exc

@@ -156,12 +156,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_parts(model: TwoHeadModel, x: np.ndarray):
-    """Shared forward returning every intermediate needed by backprop."""
+    """The one checked forward of a (B, d) batch: ``(x, z, a, p_emo, p_int)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ContractError(
+            f"feature batch shape {x.shape} does not match model input dim {model.input_dim}")
     z = x @ model.w_trunk + model.b_trunk
     a = np.maximum(z, 0.0)
     p_emo = softmax(a @ model.w_emo + model.b_emo)
     p_int = softmax(a @ model.w_int + model.b_int)
-    return z, a, p_emo, p_int
+    return x, z, a, p_emo, p_int
 
 
 def forward(model: TwoHeadModel, x: np.ndarray) -> TaskProbs:
@@ -170,18 +174,13 @@ def forward(model: TwoHeadModel, x: np.ndarray) -> TaskProbs:
     if x.shape != (model.input_dim,):
         raise ContractError(
             f"feature dimension {x.shape} does not match model input ({model.input_dim},)")
-    _, _, p_emo, p_int = _forward_parts(model, x[None, :])
+    *_, p_emo, p_int = _forward_parts(model, x[None, :])
     return TaskProbs(emo=p_emo[0], intent=p_int[0])
 
 
 def forward_batch(model: TwoHeadModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched forward; returns (emotion probs, intent probs) as (B, C) arrays."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ContractError(
-            f"feature batch shape {x.shape} does not match model input dim {model.input_dim}")
-    _, _, p_emo, p_int = _forward_parts(model, x)
-    return p_emo, p_int
+    return _forward_parts(model, x)[3:]
 
 
 def ce_logit_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -214,24 +213,27 @@ class BatchLossSpec:
     intent_weight: float = 1.0
 
 
+def _forward_loss(model: TwoHeadModel, spec: BatchLossSpec):
+    """Forward the labelled and strong branches once each. Returns the
+    composed loss and each branch's forward parts (None when it is empty),
+    which backprop reuses instead of forwarding again."""
+    lab, strong = (_forward_parts(model, f) if f is not None and len(f) else None
+                   for f in (spec.lab_features, spec.strong_features))
+    p_lab = lab[3:] if lab is not None else (None, None)
+    p_str = strong[3:] if strong is not None else (None, None)
+    emo = task_loss_from_terms(p_lab[0], spec.emo_labels, p_str[0], spec.emo_terms, spec.coeffs)
+    intent = task_loss_from_terms(p_lab[1], spec.int_labels, p_str[1], spec.int_terms, spec.coeffs)
+    return combine_breakdown(emo, intent, spec.intent_weight), lab, strong
+
+
 def batch_loss(model: TwoHeadModel, spec: BatchLossSpec) -> MultitaskLoss:
     """Evaluate the composed loss at the given parameters, decisions fixed.
 
-    This is the scalar path shared by backprop and the finite-difference
-    oracle: both see the same frozen constants, so the only moving parts
-    are the probabilities.
+    This is the finite-difference oracle's scalar path. Backprop evaluates
+    its loss through the same code, so both see the same frozen constants
+    and the only moving parts are the probabilities.
     """
-    if spec.lab_features is not None and len(spec.lab_features):
-        p_lab_emo, p_lab_int = forward_batch(model, spec.lab_features)
-    else:
-        p_lab_emo = p_lab_int = None
-    if spec.strong_features is not None and len(spec.strong_features):
-        p_str_emo, p_str_int = forward_batch(model, spec.strong_features)
-    else:
-        p_str_emo = p_str_int = None
-    emo = task_loss_from_terms(p_lab_emo, spec.emo_labels, p_str_emo, spec.emo_terms, spec.coeffs)
-    intent = task_loss_from_terms(p_lab_int, spec.int_labels, p_str_int, spec.int_terms, spec.coeffs)
-    return combine_breakdown(emo, intent, spec.intent_weight)
+    return _forward_loss(model, spec)[0]
 
 
 def _check_finite_breakdown(name: str, bd: LossBreakdown):
@@ -274,13 +276,12 @@ def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec) -> tuple[Multit
     The decisions inside ``spec`` never receive gradient; see the module
     docstring.
     """
-    result = batch_loss(model, spec)
+    result, lab, strong = _forward_loss(model, spec)
     _check_finite_breakdown("emotion", result.emo)
     _check_finite_breakdown("intent", result.intent)
     grads = Gradients.zeros_like(model)
 
-    def accumulate(x, g_emo, g_int):
-        z, a, _, _ = _forward_parts(model, x)
+    def accumulate(x, z, a, g_emo, g_int):
         grads.w_emo += a.T @ g_emo
         grads.b_emo += g_emo.sum(axis=0)
         grads.w_int += a.T @ g_int
@@ -290,20 +291,18 @@ def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec) -> tuple[Multit
         grads.w_trunk += x.T @ dz
         grads.b_trunk += dz.sum(axis=0)
 
-    if spec.lab_features is not None and len(spec.lab_features):
-        x = np.asarray(spec.lab_features, dtype=float)
-        _, _, p_emo, p_int = _forward_parts(model, x)
-        b_l = len(x)
+    if lab is not None:
+        *_, p_emo, p_int = lab
+        b_l = len(p_emo)
         g_emo = ce_logit_gradient(p_emo, spec.emo_labels) / b_l
         g_int = spec.intent_weight * ce_logit_gradient(p_int, spec.int_labels) / b_l
-        accumulate(x, g_emo, g_int)
+        accumulate(*lab[:3], g_emo, g_int)
 
-    if spec.strong_features is not None and len(spec.strong_features):
-        x = np.asarray(spec.strong_features, dtype=float)
-        _, _, p_emo, p_int = _forward_parts(model, x)
+    if strong is not None:
+        *_, p_emo, p_int = strong
         g_emo = _unsup_logit_grad(p_emo, spec.emo_terms, spec.coeffs, 1.0)
         g_int = _unsup_logit_grad(p_int, spec.int_terms, spec.coeffs, spec.intent_weight)
-        accumulate(x, g_emo, g_int)
+        accumulate(*strong[:3], g_emo, g_int)
 
     for field in PARAM_FIELDS:
         if not np.all(np.isfinite(getattr(grads, field))):

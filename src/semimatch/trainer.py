@@ -14,8 +14,7 @@ always weakly augmented.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -28,7 +27,7 @@ from .augment import (
     weak_kinds,
 )
 from .data import Corpus, Sample, SplitSpec, make_batches, stratified_split
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_finite_fields
 from .losses import METHODS, LossCoefficients, build_task_terms, method_policy
 from .metrics import MetricsReport
 from .model import (
@@ -87,10 +86,7 @@ class TrainConfig:
     contextual_neighbors: int = 5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        require_finite_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method '{self.method}'")
         if self.modality not in ("signal", "tokens"):
@@ -189,6 +185,25 @@ def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str,
                           table=corpus.embedding, **params)
 
 
+def _features(extractor: FeatureExtractor, samples, kind=None, rng=None, augment=None):
+    """Stacked features of the samples, augmented by ``kind`` unless it is None."""
+    return np.stack([extractor(s.payload if kind is None else augment(s, kind, rng))
+                     for s in samples])
+
+
+def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):
+    """Per-task probability tables for a list of samples (no augmentation)."""
+    return forward_batch(model, _features(extractor, samples))
+
+
+def metrics_from_probs(samples, p_emo: np.ndarray, p_int: np.ndarray) -> MetricsReport:
+    """Metrics of the argmax of per-task probability tables against the labels."""
+    return MetricsReport.from_predictions(
+        np.argmax(p_emo, axis=1), [s.emotion for s in samples],
+        np.argmax(p_int, axis=1), [s.intent for s in samples],
+        p_emo.shape[1], p_int.shape[1])
+
+
 def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor) -> MetricsReport:
     """Metrics of raw (un-augmented) samples under the model's argmax."""
     samples = list(samples)
@@ -196,18 +211,7 @@ def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor) -> Metri
         raise ContractError("evaluate needs a non-empty sample list")
     if any(not s.is_labelled for s in samples):
         raise ContractError("evaluate requires labelled samples")
-    feats = np.stack([extractor(s.payload) for s in samples])
-    p_emo, p_int = forward_batch(model, feats)
-    return MetricsReport.from_predictions(
-        np.argmax(p_emo, axis=1), [s.emotion for s in samples],
-        np.argmax(p_int, axis=1), [s.intent for s in samples],
-        model.n_emotion, model.n_intent)
-
-
-def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):
-    """Per-task probability tables for a list of samples (no augmentation)."""
-    feats = np.stack([extractor(s.payload) for s in samples])
-    return forward_batch(model, feats)
+    return metrics_from_probs(samples, *predict_probs(model, samples, extractor))
 
 
 class _StatsAccumulator:
@@ -251,7 +255,8 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
-    augment = partial(_augment, config, corpus)
+    featurize = partial(_features, extractor, augment=partial(_augment, config, corpus))
+    weak_unlab_kind = config.weak_aug_kind if config.weak_aug_on_unlabelled else None
     coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
                               entropy=config.entropy_weight)
     mu = 0.0 if config.method == "baseline" else config.unlabelled_ratio
@@ -269,29 +274,19 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         stats_emo, stats_int = _StatsAccumulator(), _StatsAccumulator()
         total_sum = 0.0
         for lab_batch, unlab_batch in steps:
-            lab_feats = np.stack([
-                extractor(augment(s, config.weak_aug_kind, rng_lab)) for s in lab_batch])
             spec = BatchLossSpec(
-                lab_features=lab_feats,
+                lab_features=featurize(lab_batch, config.weak_aug_kind, rng_lab),
                 emo_labels=np.array([s.emotion for s in lab_batch]),
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
 
             if unlab_batch:
-                if config.weak_aug_on_unlabelled:
-                    weak_payloads = [augment(s, config.weak_aug_kind, rng_weak)
-                                     for s in unlab_batch]
-                else:
-                    weak_payloads = [s.payload for s in unlab_batch]
-                weak_feats = np.stack([extractor(p) for p in weak_payloads])
-                strong_feats = np.stack([
-                    extractor(augment(s, config.strong_aug_kind, rng_strong))
-                    for s in unlab_batch])
+                weak_feats = featurize(unlab_batch, weak_unlab_kind, rng_weak)
+                spec.strong_features = featurize(unlab_batch, config.strong_aug_kind, rng_strong)
                 pw_emo, pw_int = forward_batch(model, weak_feats)
-                ps_emo, ps_int = forward_batch(model, strong_feats)
+                ps_emo, ps_int = forward_batch(model, spec.strong_features)
                 gate, sigma = method_policy(config.method, pw_emo, pw_int,
                                             config.tau, config.sigma)
-                spec.strong_features = strong_feats
                 spec.emo_terms = build_task_terms(pw_emo, ps_emo, config.tau, sigma, gate)
                 spec.int_terms = build_task_terms(pw_int, ps_int, config.tau, sigma, gate)
 
@@ -340,5 +335,6 @@ def epoch_reports_csv(reports) -> str:
 
 __all__ = [
     "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult",
-    "epoch_reports_csv", "evaluate", "lr_at_epoch", "predict_probs", "train",
+    "epoch_reports_csv", "evaluate", "lr_at_epoch", "metrics_from_probs", "predict_probs",
+    "train",
 ]

@@ -5,6 +5,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from semimatch.augment import FeatureExtractor
 from semimatch.cli import main
 from semimatch.config import (
     GENERATOR_CONFIG_KEYS,
@@ -12,9 +13,10 @@ from semimatch.config import (
     generator_config_from_text,
     train_config_from_text,
 )
-from semimatch.data import GeneratorConfig
+from semimatch.data import GeneratorConfig, SplitSpec, load_corpus, stratified_split
 from semimatch.errors import ConfigError
-from semimatch.trainer import TrainConfig
+from semimatch.persist import load_checkpoint
+from semimatch.trainer import TrainConfig, evaluate
 
 GEN_CFG = """
 # three emotion classes, two intent classes
@@ -110,6 +112,7 @@ NON_DEFAULT_GENERATOR = GeneratorConfig(
     intent_names=("ask", "tell"))
 
 FLOAT_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+FLOAT_GENERATOR_FIELDS = [f.name for f in fields(GeneratorConfig) if f.type == "float"]
 
 
 def config_text(config) -> str:
@@ -138,15 +141,21 @@ class TestConfigFields:
         assert GENERATOR_CONFIG_KEYS == tuple(f.name for f in fields(GeneratorConfig))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", FLOAT_TRAIN_FIELDS)
+    @pytest.mark.parametrize("key", FLOAT_TRAIN_FIELDS + FLOAT_GENERATOR_FIELDS)
     def test_non_finite_number_rejected(self, key, value, tmp_path, monkeypatch, capsys):
+        if key in FLOAT_TRAIN_FIELDS:
+            text, parse = f"{key} = {value}\n", train_config_from_text
+            argv = ["train", "--config", "key.cfg", "--corpus", "corpus.jsonl", "--out", "run"]
+        else:
+            text = f"emotion_counts = 2, 2\nintent_counts = 2, 2\n{key} = {value}\n"
+            parse = generator_config_from_text
+            argv = ["gen-data", "--config", "key.cfg", "--out", "run"]
         with pytest.raises(ConfigError, match=key):
-            train_config_from_text(f"{key} = {value}\n")
+            parse(text)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "train.cfg").write_text(f"{key} = {value}\n")
+        (tmp_path / "key.cfg").write_text(text)
         (tmp_path / "corpus.jsonl").write_text("")
-        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
-                     "--out", "run"]) == 1
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
@@ -230,6 +239,25 @@ class TestEvalAndFuse:
         row = json.loads(preds[1])
         assert len(row["emo_probs"]) == 3 and len(row["int_probs"]) == 2
 
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_eval_metrics_equal_evaluate(self, workdir, split):
+        make_corpus(workdir)
+        main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "m1"])
+        assert main(["eval", "--checkpoints", "m1/checkpoint.json", "--corpus", "corpus.jsonl",
+                     "--out", "eval1", "--split", split]) == 0
+        model, config, _, _ = load_checkpoint("m1/checkpoint.json")
+        corpus = load_corpus("corpus.jsonl")
+        pool = [s for s in corpus.labelled if s.modality == config.modality]
+        if split == "test":
+            spec = SplitSpec(config.train_frac, config.valid_frac, config.test_frac,
+                             seed=config.seed)
+            pool = stratified_split(pool, spec)[2]
+        extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
+                                     max_token_len=config.token_max_len, table=corpus.embedding)
+        expected = evaluate(model, pool, extractor).to_dict()
+        written = json.loads((workdir / "eval1/metrics.json").read_text())
+        assert written == json.loads(json.dumps(expected))
+
     def test_fuse_two_models(self, workdir):
         self._train_two(workdir)
         main(["eval", "--checkpoints", "m1/checkpoint.json", "--corpus", "corpus.jsonl",
@@ -258,6 +286,24 @@ class TestEvalAndFuse:
         assert main(["fuse", "--checkpoints", "eval1/predictions.jsonl",
                      "eval2/predictions.jsonl", "--out", "fused"]) == 1
         assert "ids" in capsys.readouterr().err
+
+
+class TestCorpusHeader:
+    @pytest.mark.parametrize("change", [
+        {"lexicon": [1, 2]},
+        {"embedding": {"dim": 4, "seed": 0}},
+    ])
+    def test_bad_header_rejected_on_line_1(self, workdir, capsys, change):
+        path = make_corpus(workdir)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header.update(change)
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "Traceback" not in err
+        assert not (workdir / "run").exists()
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 """Corpus schema, serialization round-trips, stratified splitting, the
 synthetic generator, and batch iteration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ class TestSerialization:
         path.write_text('{"id": "a", "modality": "signal", "payload": [1.0]}\n')
         with pytest.raises(SchemaError, match="line 1"):
             load_corpus(str(path))
+
+
+class TestStrictFieldTypes:
+    """Labels must be JSON ints and class names lists of strings; anything
+    else is a SchemaError naming the line, never a silent coercion."""
+
+    def _load(self, tmp_path, header=None, record=None):
+        corpus = synthesize_corpus(small_config(unlabelled_count=0))
+        lines = corpus_to_text(corpus).splitlines()[:2]
+        parsed = [json.loads(line) for line in lines]
+        parsed[0].update(header or {})
+        parsed[1].update(record or {})
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(json.dumps(obj) for obj in parsed) + "\n")
+        return load_corpus(str(path))
+
+    @pytest.mark.parametrize("key", ["emotion", "intent"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+    def test_label_must_be_json_int(self, tmp_path, key, value):
+        with pytest.raises(SchemaError, match=f"line 2: {key} must be a JSON integer"):
+            self._load(tmp_path, record={key: value})
+
+    @pytest.mark.parametrize("key", ["emotion_names", "intent_names"])
+    @pytest.mark.parametrize("value", ["ab", ["a", 1], {"a": 0, "b": 1}])
+    def test_names_must_be_list_of_strings(self, tmp_path, key, value):
+        with pytest.raises(SchemaError, match=f"line 1: {key} must be a list of strings"):
+            self._load(tmp_path, header={key: value})
 
 
 class TestSplitSpec:

@@ -138,6 +138,16 @@ class TestBackprop:
         total, _ = backprop(model, spec)
         assert total == batch_loss(model, spec).total
 
+    @pytest.mark.parametrize("evaluate", [batch_loss, loss_and_gradients])
+    @pytest.mark.parametrize("branch", ["lab_features", "strong_features"])
+    def test_feature_width_mismatch_rejected(self, evaluate, branch):
+        rng = np.random.default_rng(7)
+        model = init_model(16, 8, 7, 8, rng)
+        spec = _random_fullmatch_spec(rng, model)
+        setattr(spec, branch, np.zeros((4, 15)))
+        with pytest.raises(ContractError, match="does not match model input dim 16"):
+            evaluate(model, spec)
+
     def test_gradcheck_suite_smoke(self):
         report = run_gradient_checks(seed=123, n_batches=2)
         assert report.passed

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import semimatch.model
+import semimatch.trainer
 from semimatch.augment import FeatureExtractor, SignalSequence
 from semimatch.data import GeneratorConfig, Sample, synthesize_corpus
 from semimatch.errors import ConfigError, ContractError
@@ -182,3 +184,30 @@ class TestEvaluate:
         report = result.val_metrics
         if report.f1_emo == 1.0 and report.f1_intent == 1.0:
             assert report.jrbm == 1.0
+
+
+class TestForwardCount:
+    """Each branch runs one forward per step: labelled only for baseline;
+    labelled, weak and strong plus the loss's own strong pass for the SSL
+    methods. Every evaluation adds one."""
+
+    @pytest.mark.parametrize("method, per_step", [
+        ("baseline", 1), ("fixmatch", 4), ("fullmatch", 4)])
+    def test_forwards_per_step(self, method, per_step, monkeypatch):
+        calls = {"_forward_parts": 0, "adam_step": 0, "evaluate": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(semimatch.model, "_forward_parts")
+        counted(semimatch.trainer, "adam_step")
+        counted(semimatch.trainer, "evaluate")
+        run(quick_config(method=method, epochs=2), quick_corpus())
+        steps, evals = calls["adam_step"], calls["evaluate"]
+        assert steps > 0 and evals == 3
+        assert calls["_forward_parts"] == per_step * steps + evals
