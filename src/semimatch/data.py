@@ -364,6 +364,10 @@ def _parse_record(line_no: int, record: dict) -> Sample:
             raise SchemaError(f"line {line_no}: missing field '{key}'")
         return record[key]
 
+    def need_int(key):
+        need(key)
+        return _json_int(record, key)
+
     sample_id = need("id")
     modality = need("modality")
     payload = need("payload")
@@ -373,10 +377,12 @@ def _parse_record(line_no: int, record: dict) -> Sample:
     try:
         if modality == "signal":
             seq = SignalSequence(frames=np.asarray(payload, dtype=float),
-                                 sample_rate=int(need("sample_rate")))
+                                 sample_rate=need_int("sample_rate"))
         elif modality == "tokens":
+            if not set(map(type, payload)) <= {int}:
+                raise SchemaError("token payload must be a list of JSON integers")
             seq = TokenSequence(tokens=np.asarray(payload, dtype=int),
-                                vocab_size=int(need("vocab_size")))
+                                vocab_size=need_int("vocab_size"))
         else:
             raise SchemaError(f"line {line_no}: unknown modality '{modality}'")
         return Sample(id=str(sample_id), modality=modality, payload=seq,

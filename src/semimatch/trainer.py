@@ -175,9 +175,12 @@ _AUG_PARAMS = {
 }
 
 
-def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str,
+def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str | None,
              rng: np.random.Generator):
-    """Apply one named operator with the parameters from the config."""
+    """Apply one named operator with the parameters from the config; a kind
+    of None leaves the payload as it is."""
+    if kind is None:
+        return sample.payload
     params = {key: getattr(config, name) for key, name in _AUG_PARAMS[kind].items()}
     if sample.modality == "signal":
         return augment_signal(sample.payload, kind, rng, **params)
@@ -185,15 +188,9 @@ def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str,
                           table=corpus.embedding, **params)
 
 
-def _features(extractor: FeatureExtractor, samples, kind=None, rng=None, augment=None):
-    """Stacked features of the samples, augmented by ``kind`` unless it is None."""
-    return np.stack([extractor(s.payload if kind is None else augment(s, kind, rng))
-                     for s in samples])
-
-
 def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):
     """Per-task probability tables for a list of samples (no augmentation)."""
-    return forward_batch(model, _features(extractor, samples))
+    return forward_batch(model, extractor([s.payload for s in samples]))
 
 
 def metrics_from_probs(samples, p_emo: np.ndarray, p_int: np.ndarray) -> MetricsReport:
@@ -255,7 +252,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
-    featurize = partial(_features, extractor, augment=partial(_augment, config, corpus))
+    augment = partial(_augment, config, corpus)
     weak_unlab_kind = config.weak_aug_kind if config.weak_aug_on_unlabelled else None
     coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
                               entropy=config.entropy_weight)
@@ -274,15 +271,21 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         stats_emo, stats_int = _StatsAccumulator(), _StatsAccumulator()
         total_sum = 0.0
         for lab_batch, unlab_batch in steps:
+            # one featurize call per step: labelled, then unlabelled weak and strong rows
+            payloads = [augment(s, config.weak_aug_kind, rng_lab) for s in lab_batch]
+            payloads += [augment(s, weak_unlab_kind, rng_weak) for s in unlab_batch]
+            payloads += [augment(s, config.strong_aug_kind, rng_strong) for s in unlab_batch]
+            feats = extractor(payloads)
+            n_lab, n_unlab = len(lab_batch), len(unlab_batch)
             spec = BatchLossSpec(
-                lab_features=featurize(lab_batch, config.weak_aug_kind, rng_lab),
+                lab_features=feats[:n_lab],
                 emo_labels=np.array([s.emotion for s in lab_batch]),
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
 
             if unlab_batch:
-                weak_feats = featurize(unlab_batch, weak_unlab_kind, rng_weak)
-                spec.strong_features = featurize(unlab_batch, config.strong_aug_kind, rng_strong)
+                weak_feats = feats[n_lab:n_lab + n_unlab]
+                spec.strong_features = feats[n_lab + n_unlab:]
                 pw_emo, pw_int = forward_batch(model, weak_feats)
                 ps_emo, ps_int = forward_batch(model, spec.strong_features)
                 gate, sigma = method_policy(config.method, pw_emo, pw_int,

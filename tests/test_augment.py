@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semimatch.augment import (
     EmbeddingTable,
@@ -16,6 +18,7 @@ from semimatch.augment import (
     augment_signal,
     augment_tokens,
     featurize_signal,
+    featurize_signal_batch,
     featurize_tokens,
     nearest_neighbours,
 )
@@ -242,6 +245,47 @@ class TestFeaturizers:
     def test_extractor_rejects_bad_modality(self):
         with pytest.raises(ConfigError):
             FeatureExtractor("video")
+
+
+class TestBatchedFeaturizer:
+    """The batched featurizers give the same bits as the per-sample ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bins=st.integers(1, 13),
+           lengths=st.lists(st.integers(1, 400), min_size=1, max_size=24),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 3.0, 1e6]))
+    @example(bins=13, lengths=[1, 5, 12, 13, 14, 400], seed=0, scale=1.0)
+    @example(bins=8, lengths=[1], seed=1, scale=1.0)
+    @example(bins=1, lengths=[1, 1, 2], seed=2, scale=1.0)
+    def test_signal_batch_equals_stacked(self, bins, lengths, seed, scale):
+        rng = np.random.default_rng(seed)
+        seqs = [signal(scale * rng.standard_normal(n)) for n in lengths]
+        expected = np.stack([featurize_signal(s, bins) for s in seqs])
+        np.testing.assert_array_equal(featurize_signal_batch(seqs, bins), expected)
+        np.testing.assert_array_equal(FeatureExtractor("signal", bins=bins)(seqs), expected)
+
+    def test_short_sequence_spans_stay_zero(self):
+        feats = featurize_signal_batch([signal([2.0, 4.0]), signal(np.arange(6.0))], bins=4)
+        assert feats.shape == (2, 16)
+        np.testing.assert_array_equal(feats[0], [2, 0, 2, 2, 4, 0, 4, 4] + [0] * 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_token_path_equals_stacked(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        table = EmbeddingTable.from_seed(vocab_size=20, dim=5, seed=3)
+        seqs = [TokenSequence(rng.integers(0, 20, n), 20) for n in lengths]
+        extractor = FeatureExtractor("tokens", max_token_len=16, table=table)
+        expected = np.stack([featurize_tokens(s, table, 16) for s in seqs])
+        np.testing.assert_array_equal(extractor(seqs), expected)
+
+    def test_empty_list_rejected(self):
+        table = EmbeddingTable.from_seed(vocab_size=8, dim=5, seed=1)
+        for extractor in (FeatureExtractor("signal"), FeatureExtractor("tokens", table=table)):
+            with pytest.raises(ContractError):
+                extractor([])
 
 
 class TestNearestNeighbours:

@@ -306,6 +306,33 @@ class TestCorpusHeader:
         assert not (workdir / "run").exists()
 
 
+class TestCorpusFieldTypes:
+    """A float, bool or string where the corpus needs an int is an error on
+    its line, not a silent truncation."""
+
+    @pytest.mark.parametrize("modality_mix, field, value", [
+        (1.0, "sample_rate", 16000.7),
+        (0.0, "vocab_size", 30.5),
+        (0.0, "token", 1.7),
+        (0.0, "token", True),
+    ])
+    def test_non_int_rejected_on_its_line(self, workdir, capsys, modality_mix, field, value):
+        (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {modality_mix}\n")
+        path = make_corpus(workdir)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        if field == "token":
+            record["payload"][0] = value
+        else:
+            record[field] = value
+        path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+        assert not (workdir / "run").exists()
+
+
 class TestSweep:
     def test_sweep_csv_shape(self, workdir):
         make_corpus(workdir)

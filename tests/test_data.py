@@ -121,11 +121,12 @@ class TestSerialization:
 
 
 class TestStrictFieldTypes:
-    """Labels must be JSON ints and class names lists of strings; anything
-    else is a SchemaError naming the line, never a silent coercion."""
+    """Labels, sample rates, vocabulary sizes and tokens must be JSON ints
+    and class names lists of strings; anything else is a SchemaError naming
+    the line, never a silent coercion."""
 
-    def _load(self, tmp_path, header=None, record=None):
-        corpus = synthesize_corpus(small_config(unlabelled_count=0))
+    def _load(self, tmp_path, header=None, record=None, **generator):
+        corpus = synthesize_corpus(small_config(unlabelled_count=0, **generator))
         lines = corpus_to_text(corpus).splitlines()[:2]
         parsed = [json.loads(line) for line in lines]
         parsed[0].update(header or {})
@@ -145,6 +146,20 @@ class TestStrictFieldTypes:
     def test_names_must_be_list_of_strings(self, tmp_path, key, value):
         with pytest.raises(SchemaError, match=f"line 1: {key} must be a list of strings"):
             self._load(tmp_path, header={key: value})
+
+    @pytest.mark.parametrize("modality_mix, key", [(1.0, "sample_rate"), (0.0, "vocab_size")])
+    @pytest.mark.parametrize("value", [16000.7, 30.5, 30.0, True, "30"])
+    def test_size_field_must_be_json_int(self, tmp_path, modality_mix, key, value):
+        with pytest.raises(SchemaError, match=f"line 2: {key} must be a JSON integer"):
+            self._load(tmp_path, record={key: value}, modality_mix=modality_mix)
+
+    @pytest.mark.parametrize("token", [1.7, 1.0, True, "1", None])
+    def test_tokens_must_be_json_ints(self, tmp_path, token):
+        corpus = synthesize_corpus(small_config(unlabelled_count=0, modality_mix=0.0))
+        payload = [int(t) for t in corpus.labelled[0].payload.tokens]
+        payload[len(payload) // 2] = token
+        with pytest.raises(SchemaError, match="line 2: token payload must be a list of JSON"):
+            self._load(tmp_path, record={"payload": payload}, modality_mix=0.0)
 
 
 class TestSplitSpec:
@@ -279,7 +294,7 @@ class TestSynthesizeCorpus:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             _, _, test = stratified_split(corpus.labelled, split)
-        feats = np.stack([extractor(s.payload) for s in test])
+        feats = extractor([s.payload for s in test])
         p_emo, p_int = forward_batch(result.model, feats)
         acc_emo = np.mean(np.argmax(p_emo, 1) == [s.emotion for s in test])
         acc_int = np.mean(np.argmax(p_int, 1) == [s.intent for s in test])

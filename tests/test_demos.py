@@ -1,5 +1,5 @@
-"""The fast demos run to completion as scripts (the slower training demos
-01, 05 and 06 are left to be run by hand)."""
+"""The demos run to completion as scripts (demo 01, the gradient check
+over many random batches, is left to be run by hand)."""
 
 import os
 import subprocess
@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
     "02_loss_stack_walkthrough.py",
     "03_augmentation_gallery.py",
     "04_synthetic_corpus.py",
+    "05_ssl_training.py",
+    "06_late_fusion.py",
 ])
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)

@@ -211,3 +211,32 @@ class TestForwardCount:
         steps, evals = calls["adam_step"], calls["evaluate"]
         assert steps > 0 and evals == 3
         assert calls["_forward_parts"] == per_step * steps + evals
+
+
+class TestFeaturizeCount:
+    """Each step featurizes its labelled, weak and strong samples in one
+    extractor call, and each evaluation featurizes its split in one."""
+
+    @pytest.mark.parametrize("method, weak_on_unlabelled", [
+        ("baseline", True), ("fixmatch", True), ("fixmatch", False),
+        ("fullmatch", True), ("fullmatch", False)])
+    def test_one_call_per_step_and_evaluation(self, method, weak_on_unlabelled, monkeypatch):
+        calls = {"featurize": 0, "adam_step": 0, "evaluate": 0}
+        featurize = FeatureExtractor.__call__
+
+        def counted_featurize(self, payloads):
+            calls["featurize"] += 1
+            return featurize(self, payloads)
+        monkeypatch.setattr(FeatureExtractor, "__call__", counted_featurize)
+        for name in ("adam_step", "evaluate"):
+            fn = getattr(semimatch.trainer, name)
+
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(semimatch.trainer, name, wrapper)
+        run(quick_config(method=method, epochs=2, weak_aug_on_unlabelled=weak_on_unlabelled),
+            quick_corpus())
+        steps, evals = calls["adam_step"], calls["evaluate"]
+        assert steps > 0 and evals == 3
+        assert calls["featurize"] == steps + evals
