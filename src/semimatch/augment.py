@@ -8,7 +8,9 @@ contextual (embedding nearest-neighbour replacement) as the strong one.
 Every operator takes an explicit ``numpy.random.Generator`` and is
 bit-reproducible given the same generator state. Signal operators preserve
 length and sample rate; token operators keep every index inside the
-vocabulary.
+vocabulary. ``augment_signal`` / ``augment_tokens`` apply one operator to a
+whole list of sequences in one call and draw the same numbers, in the same
+order, as the per-sequence operators called in a loop.
 
 Featurizers map either payload into a fixed-dimension vector: binned
 summary statistics for signals (order-sensitive), mean token embedding
@@ -20,6 +22,7 @@ featurizes a whole list of payloads in one call; the per-sample
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -95,7 +98,7 @@ class SynonymLexicon:
 
     def validate(self, vocab_size: int):
         for tok, alts in self.mapping.items():
-            if tok >= vocab_size or any(a >= vocab_size or a < 0 for a in alts):
+            if not 0 <= tok < vocab_size or any(not 0 <= a < vocab_size for a in alts):
                 raise ContractError("lexicon references tokens outside the vocabulary")
 
 
@@ -112,6 +115,9 @@ class EmbeddingTable:
     vectors: np.ndarray
     seed: int | None = None
     group_size: int | None = None
+    # n -> every token's ``nearest_neighbours`` list, filled on first use
+    _neighbours: dict[int, list[list[int]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -123,8 +129,9 @@ class EmbeddingTable:
     @classmethod
     def from_seed(cls, vocab_size: int, dim: int, seed: int,
                   group_size: int = 3, jitter: float = 0.15) -> "EmbeddingTable":
-        if vocab_size < 2 or dim < 1:
-            raise ConfigError("embedding table needs vocab_size >= 2 and dim >= 1")
+        if vocab_size < 2 or dim < 1 or group_size < 1:
+            raise ConfigError(
+                "embedding table needs vocab_size >= 2, dim >= 1 and group_size >= 1")
         rng = np.random.default_rng([int(seed), 90001])
         n_groups = -(-vocab_size // group_size)
         centres = rng.standard_normal((n_groups, dim))
@@ -139,6 +146,13 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    def neighbour_lists(self, n: int) -> list[list[int]]:
+        """``nearest_neighbours(self, t, n)`` of every token ``t``, as lists."""
+        if n not in self._neighbours:
+            self._neighbours[n] = [nearest_neighbours(self, t, n).tolist()
+                                   for t in range(self.vocab_size)]
+        return self._neighbours[n]
 
 
 # ---------------------------------------------------------------------------
@@ -180,44 +194,67 @@ def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
     Linear interpolation; the shifted signal is truncated or zero-padded
     back to the original length.
     """
+    return _pitch_shift_all([seq], rng, max_steps)[0]
+
+
+def _pitch_shift_all(seqs, rng: np.random.Generator, max_steps: int = 4):
+    """``pitch_shift`` of every sequence; one draw gives every step, in the
+    order a per-sequence loop would draw them."""
     if max_steps < 1:
         raise ConfigError("max_steps must be positive")
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
-    steps = int(rng.choice(choices))
-    factor = 2.0 ** (steps / 12.0)
-    n = len(seq)
-    positions = np.arange(n) * factor
-    frames = np.zeros(n)
-    valid = positions <= n - 1
-    frames[valid] = np.interp(positions[valid], np.arange(n), seq.frames)
-    return SignalSequence(frames=frames, sample_rate=seq.sample_rate)
+    out = []
+    for seq, steps in zip(seqs, rng.choice(choices, size=len(seqs))):
+        factor = 2.0 ** (int(steps) / 12.0)
+        n = len(seq)
+        positions = np.arange(n) * factor
+        frames = np.zeros(n)
+        valid = positions <= n - 1
+        frames[valid] = np.interp(positions[valid], np.arange(n), seq.frames)
+        out.append(SignalSequence(frames=frames, sample_rate=seq.sample_rate))
+    return out
 
 
 def gaussian_noise(seq: SignalSequence, rng: np.random.Generator,
                    scale: float = 0.05) -> SignalSequence:
     """Add N(0, scale^2) noise to every frame."""
+    return _gaussian_noise_all([seq], rng, scale)[0]
+
+
+def _gaussian_noise_all(seqs, rng: np.random.Generator, scale: float = 0.05):
+    """``gaussian_noise`` of every sequence; one draw covers the concatenated
+    frames, the same numbers a per-sequence loop would draw."""
     if scale < 0:
         raise ConfigError("scale must be non-negative")
-    frames = seq.frames + rng.normal(0.0, scale, size=len(seq))
-    return SignalSequence(frames=frames, sample_rate=seq.sample_rate)
+    lengths = [len(s) for s in seqs]
+    frames = np.concatenate([s.frames for s in seqs])
+    frames += rng.normal(0.0, scale, size=len(frames))
+    return [SignalSequence(frames=f, sample_rate=s.sample_rate)
+            for s, f in zip(seqs, np.split(frames, np.cumsum(lengths)[:-1]))]
+
+
+def _each(op):
+    """A batched form of a per-sequence operator whose draws depend on
+    earlier draws, so they are taken one sequence at a time."""
+    return lambda seqs, rng, **params: [op(seq, rng, **params) for seq in seqs]
 
 
 _SIGNAL_OPS = {
-    "flip": flip_segment,
-    "time_mask": time_mask,
-    "pitch_shift": pitch_shift,
-    "gaussian_noise": gaussian_noise,
+    "flip": _each(flip_segment),
+    "time_mask": _each(time_mask),
+    "pitch_shift": _pitch_shift_all,
+    "gaussian_noise": _gaussian_noise_all,
 }
 
 
-def augment_signal(seq: SignalSequence, kind: str, rng: np.random.Generator,
-                   **params) -> SignalSequence:
-    """Dispatch one signal operator by name."""
+def augment_signal(seqs, kind: str, rng: np.random.Generator,
+                   **params) -> list[SignalSequence]:
+    """Apply one signal operator, by name, to every sequence of a list."""
     try:
         op = _SIGNAL_OPS[kind]
     except KeyError:
         raise ConfigError(f"unknown signal augmentation '{kind}'") from None
-    return op(seq, rng, **params)
+    return op(seqs, rng, **params) if seqs else []
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +290,10 @@ def synonym_replace(seq: TokenSequence, lexicon: SynonymLexicon,
     """Replace tokens with a uniformly drawn lexicon alternative, prob p each."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("replacement probability must lie in [0, 1]")
-    tokens = seq.tokens.copy()
-    for j in range(len(tokens)):
+    tokens = seq.tokens.tolist()
+    for j, tok in enumerate(tokens):
         if rng.random() < p:
-            alts = lexicon.mapping.get(int(tokens[j]))
+            alts = lexicon.mapping.get(tok)
             if alts:
                 tokens[j] = alts[int(rng.integers(0, len(alts)))]
     return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
@@ -282,35 +319,34 @@ def contextual_replace(seq: TokenSequence, table: EmbeddingTable,
         raise ConfigError("n_neighbors must be positive")
     if table.vocab_size != seq.vocab_size:
         raise ContractError("embedding table vocabulary does not match the sequence")
-    tokens = seq.tokens.copy()
-    cache: dict[int, np.ndarray] = {}
-    for j in range(len(tokens)):
+    neighbours = table.neighbour_lists(n_neighbors)
+    tokens = seq.tokens.tolist()
+    for j, tok in enumerate(tokens):
         if rng.random() < p:
-            tok = int(tokens[j])
-            if tok not in cache:
-                cache[tok] = nearest_neighbours(table, tok, n_neighbors)
-            neigh = cache[tok]
-            tokens[j] = int(neigh[int(rng.integers(0, len(neigh)))])
+            neigh = neighbours[tok]
+            tokens[j] = neigh[int(rng.integers(0, len(neigh)))]
     return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
 
 
-def augment_tokens(seq: TokenSequence, kind: str, rng: np.random.Generator,
+def augment_tokens(seqs, kind: str, rng: np.random.Generator,
                    lexicon: SynonymLexicon | None = None,
-                   table: EmbeddingTable | None = None, **params) -> TokenSequence:
-    """Dispatch one token operator by name."""
+                   table: EmbeddingTable | None = None, **params) -> list[TokenSequence]:
+    """Apply one token operator, by name, to every sequence of a list."""
     if kind == "swap":
-        return swap_adjacent(seq, rng, **params)
-    if kind == "delete":
-        return delete_tokens(seq, rng, **params)
-    if kind == "synonym":
+        op = partial(swap_adjacent, rng=rng)
+    elif kind == "delete":
+        op = partial(delete_tokens, rng=rng)
+    elif kind == "synonym":
         if lexicon is None:
             raise ConfigError("synonym replacement needs a lexicon")
-        return synonym_replace(seq, lexicon, rng, **params)
-    if kind == "contextual":
+        op = partial(synonym_replace, lexicon=lexicon, rng=rng)
+    elif kind == "contextual":
         if table is None:
             raise ConfigError("contextual replacement needs an embedding table")
-        return contextual_replace(seq, table, rng, **params)
-    raise ConfigError(f"unknown token augmentation '{kind}'")
+        op = partial(contextual_replace, table=table, rng=rng)
+    else:
+        raise ConfigError(f"unknown token augmentation '{kind}'")
+    return [op(seq, **params) for seq in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +367,13 @@ def featurize_signal(seq: SignalSequence, bins: int) -> np.ndarray:
 def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
     """``featurize_signal`` of every sequence, stacked -> (N, 4*bins).
 
-    The ``array_split`` spans come from the lengths alone; spans of equal
-    length are gathered into one block and reduced along its rows, which
-    gives the same bits as reducing one span at a time. Empty spans (a
-    sequence shorter than ``bins``) stay zero.
+    The ``array_split`` spans come from the lengths alone. Min and max of
+    every non-empty span come from one ``reduceat`` over the concatenated
+    frames (exact in any order). Mean and std are summed in the order
+    numpy's ``mean``/``std`` use: spans of equal length are gathered into
+    one block, and each row's sum gives its mean and, through the centred
+    squares, its std, so the bits equal reducing one span at a time.
+    Empty spans (a sequence shorter than ``bins``) stay zero.
     """
     if bins < 1:
         raise ConfigError("bins must be positive")
@@ -344,11 +383,16 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
     starts = (np.cumsum(lengths) - lengths)[:, None] + np.cumsum(sizes, axis=1) - sizes
     frames = np.concatenate([s.frames for s in seqs])
     out = np.zeros((len(seqs), bins, 4))
-    for size in np.unique(sizes[sizes > 0]):
+    filled = sizes > 0
+    out[filled, 2] = np.minimum.reduceat(frames, starts[filled])
+    out[filled, 3] = np.maximum.reduceat(frames, starts[filled])
+    for size in np.unique(sizes[filled]):
         at = sizes == size
         block = frames[starts[at][:, None] + np.arange(size)]
-        out[at] = np.stack([block.mean(axis=1), block.std(axis=1),
-                            block.min(axis=1), block.max(axis=1)], axis=1)
+        mean = block.sum(axis=1, keepdims=True) / size
+        centred = block - mean
+        out[at, 0] = mean[:, 0]
+        out[at, 1] = np.sqrt((centred * centred).sum(axis=1) / size)
     return out.reshape(len(seqs), 4 * bins)
 
 

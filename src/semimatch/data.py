@@ -342,12 +342,19 @@ def save_corpus(corpus: Corpus, path: str):
     atomic_write_text(path, corpus_to_text(corpus))
 
 
-def _json_int(record: dict, key: str) -> int:
-    """``record[key]`` if it is a JSON integer; a bool or a float is an error."""
-    value = record[key]
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool or a float is an error
+    naming the field ``name``."""
     if type(value) is not int:
-        raise SchemaError(f"{key} must be a JSON integer, got {value!r}")
+        raise SchemaError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def _lexicon_token(key: str) -> int:
+    """A lexicon key: the decimal form of a token index, as the writer gives it."""
+    if key != str(token := int(key)):
+        raise SchemaError(f"lexicon key {key!r} is not a decimal token index")
+    return token
 
 
 def _name_list(header: dict, key: str) -> list[str]:
@@ -365,8 +372,7 @@ def _parse_record(line_no: int, record: dict) -> Sample:
         return record[key]
 
     def need_int(key):
-        need(key)
-        return _json_int(record, key)
+        return _json_int(need(key), key)
 
     sample_id = need("id")
     modality = need("modality")
@@ -386,8 +392,8 @@ def _parse_record(line_no: int, record: dict) -> Sample:
         else:
             raise SchemaError(f"line {line_no}: unknown modality '{modality}'")
         return Sample(id=str(sample_id), modality=modality, payload=seq,
-                      emotion=_json_int(record, "emotion") if has_emo else None,
-                      intent=_json_int(record, "intent") if has_int else None)
+                      emotion=_json_int(record["emotion"], "emotion") if has_emo else None,
+                      intent=_json_int(record["intent"], "intent") if has_int else None)
     except (ContractError, SchemaError, TypeError, ValueError) as exc:
         raise SchemaError(f"line {line_no}: {exc}") from exc
 
@@ -411,15 +417,20 @@ def load_corpus(path: str) -> Corpus:
     try:
         if header.get("lexicon"):
             lexicon = SynonymLexicon(mapping={
-                int(k): tuple(int(t) for t in v) for k, v in header["lexicon"].items()})
+                _lexicon_token(k): tuple(_json_int(t, "lexicon alternative") for t in v)
+                for k, v in header["lexicon"].items()})
         if header.get("embedding"):
             meta = header["embedding"]
             embedding = EmbeddingTable.from_seed(
-                int(meta["vocab_size"]), int(meta["dim"]), seed=int(meta["seed"]),
-                group_size=int(meta.get("group_size", 3)))
+                _json_int(meta["vocab_size"], "vocab_size"), _json_int(meta["dim"], "dim"),
+                seed=_json_int(meta["seed"], "seed"),
+                group_size=_json_int(meta.get("group_size", 3), "group_size"))
+            if lexicon is not None:
+                lexicon.validate(embedding.vocab_size)
     except KeyError as exc:
         raise SchemaError(f"line 1: embedding is missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, TypeError, ValueError, ConfigError, ContractError,
+            SchemaError) as exc:
         raise SchemaError(f"line 1: invalid lexicon or embedding ({exc})") from exc
     emotion_names = _name_list(header, "emotion_names")
     intent_names = _name_list(header, "intent_names")

@@ -26,7 +26,7 @@ from .augment import (
     strong_kind,
     weak_kinds,
 )
-from .data import Corpus, Sample, SplitSpec, make_batches, stratified_split
+from .data import Corpus, SplitSpec, make_batches, stratified_split
 from .errors import ConfigError, ContractError, require_finite_fields
 from .losses import METHODS, LossCoefficients, build_task_terms, method_policy
 from .metrics import MetricsReport
@@ -175,16 +175,18 @@ _AUG_PARAMS = {
 }
 
 
-def _augment(config: TrainConfig, corpus: Corpus, sample: Sample, kind: str | None,
-             rng: np.random.Generator):
-    """Apply one named operator with the parameters from the config; a kind
-    of None leaves the payload as it is."""
-    if kind is None:
-        return sample.payload
+def _augment(config: TrainConfig, corpus: Corpus, samples, kind: str | None,
+             rng: np.random.Generator) -> list:
+    """Apply one named operator, with the parameters from the config, to the
+    payloads of a list of samples in one call; a kind of None or an empty
+    list leaves the payloads as they are."""
+    payloads = [s.payload for s in samples]
+    if kind is None or not payloads:
+        return payloads
     params = {key: getattr(config, name) for key, name in _AUG_PARAMS[kind].items()}
-    if sample.modality == "signal":
-        return augment_signal(sample.payload, kind, rng, **params)
-    return augment_tokens(sample.payload, kind, rng, lexicon=corpus.lexicon,
+    if config.modality == "signal":
+        return augment_signal(payloads, kind, rng, **params)
+    return augment_tokens(payloads, kind, rng, lexicon=corpus.lexicon,
                           table=corpus.embedding, **params)
 
 
@@ -272,9 +274,9 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         total_sum = 0.0
         for lab_batch, unlab_batch in steps:
             # one featurize call per step: labelled, then unlabelled weak and strong rows
-            payloads = [augment(s, config.weak_aug_kind, rng_lab) for s in lab_batch]
-            payloads += [augment(s, weak_unlab_kind, rng_weak) for s in unlab_batch]
-            payloads += [augment(s, config.strong_aug_kind, rng_strong) for s in unlab_batch]
+            payloads = (augment(lab_batch, config.weak_aug_kind, rng_lab)
+                        + augment(unlab_batch, weak_unlab_kind, rng_weak)
+                        + augment(unlab_batch, config.strong_aug_kind, rng_strong))
             feats = extractor(payloads)
             n_lab, n_unlab = len(lab_batch), len(unlab_batch)
             spec = BatchLossSpec(

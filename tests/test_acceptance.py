@@ -274,8 +274,8 @@ def test_criterion_9_augmentation_properties():
         n = int(rng.integers(4, 240))
         seq = SignalSequence(frames=rng.standard_normal(n) + 0.5)
         kind = str(rng.choice(("flip", "time_mask", "pitch_shift", "gaussian_noise")))
-        out = augment_signal(seq, kind, rng, **({"max_frames": 60}
-                                                if kind == "time_mask" else {}))
+        out = augment_signal([seq], kind, rng, **({"max_frames": 60}
+                                                  if kind == "time_mask" else {}))[0]
         assert len(out) == len(seq) and out.sample_rate == seq.sample_rate
         assert np.all(np.isfinite(out.frames))
         if kind == "flip":
@@ -291,7 +291,7 @@ def test_criterion_9_augmentation_properties():
         n = int(rng.integers(1, 50))
         seq = TokenSequence(tokens=rng.integers(0, 18, n), vocab_size=18)
         kind = str(rng.choice(("swap", "delete", "synonym", "contextual")))
-        out = augment_tokens(seq, kind, rng, lexicon=lexicon, table=table)
+        out = augment_tokens([seq], kind, rng, lexicon=lexicon, table=table)[0]
         assert np.all(out.tokens >= 0) and np.all(out.tokens < 18)
         if kind == "swap":
             assert sorted(out.tokens.tolist()) == sorted(seq.tokens.tolist())
@@ -304,14 +304,14 @@ def test_criterion_9_augmentation_properties():
     seq_tok = TokenSequence(tokens=rng.integers(0, 18, 25), vocab_size=18)
     for i in range(1000):
         kind = ("flip", "time_mask", "pitch_shift", "gaussian_noise")[i % 4]
-        a = augment_signal(seq_sig, kind, np.random.default_rng(i))
-        b = augment_signal(seq_sig, kind, np.random.default_rng(i))
+        a = augment_signal([seq_sig], kind, np.random.default_rng(i))[0]
+        b = augment_signal([seq_sig], kind, np.random.default_rng(i))[0]
         np.testing.assert_array_equal(a.frames, b.frames)
         kind = ("swap", "delete", "synonym", "contextual")[i % 4]
-        a = augment_tokens(seq_tok, kind, np.random.default_rng(i),
-                           lexicon=lexicon, table=table)
-        b = augment_tokens(seq_tok, kind, np.random.default_rng(i),
-                           lexicon=lexicon, table=table)
+        a = augment_tokens([seq_tok], kind, np.random.default_rng(i),
+                           lexicon=lexicon, table=table)[0]
+        b = augment_tokens([seq_tok], kind, np.random.default_rng(i),
+                           lexicon=lexicon, table=table)[0]
         np.testing.assert_array_equal(a.tokens, b.tokens)
     ok(9, "length/multiset/subsequence/vocabulary/reproducibility invariants "
           "hold over 1000+ randomized cases each")

@@ -17,10 +17,18 @@ from semimatch.augment import (
     WEAK_TOKEN_KINDS,
     augment_signal,
     augment_tokens,
+    contextual_replace,
+    delete_tokens,
     featurize_signal,
     featurize_signal_batch,
     featurize_tokens,
+    flip_segment,
+    gaussian_noise,
     nearest_neighbours,
+    pitch_shift,
+    swap_adjacent,
+    synonym_replace,
+    time_mask,
 )
 from semimatch.errors import ConfigError, ContractError
 
@@ -48,13 +56,13 @@ class TestSignalOperators:
             def integers(self, low, high):
                 return high - 1 if low == 1 else 0
 
-        out = augment_signal(seq, "flip", FullDraw(), max_seconds=10)
+        out = augment_signal([seq], "flip", FullDraw(), max_seconds=10)[0]
         assert out.frames.tolist() == [4.0, 3.0, 2.0, 1.0]
 
     def test_flip_preserves_multiset(self, rng):
         for _ in range(300):
             seq = random_signal(rng)
-            out = augment_signal(seq, "flip", rng)
+            out = augment_signal([seq], "flip", rng)[0]
             assert len(out) == len(seq)
             np.testing.assert_allclose(np.sort(out.frames), np.sort(seq.frames))
 
@@ -62,7 +70,7 @@ class TestSignalOperators:
         for _ in range(300):
             n = int(rng.integers(4, 200))
             seq = signal(rng.uniform(0.5, 2.0, n))  # everywhere nonzero
-            out = augment_signal(seq, "time_mask", rng, max_frames=50)
+            out = augment_signal([seq], "time_mask", rng, max_frames=50)[0]
             zeros = np.flatnonzero(out.frames == 0.0)
             assert 1 <= len(zeros) <= 50
             assert zeros[-1] - zeros[0] + 1 == len(zeros)  # contiguous
@@ -71,13 +79,13 @@ class TestSignalOperators:
 
     def test_gaussian_noise_scale_zero_is_identity(self, rng):
         seq = random_signal(rng)
-        out = augment_signal(seq, "gaussian_noise", rng, scale=0.0)
+        out = augment_signal([seq], "gaussian_noise", rng, scale=0.0)[0]
         np.testing.assert_array_equal(out.frames, seq.frames)
 
     def test_pitch_shift_finite_and_length_preserving(self, rng):
         for _ in range(300):
             seq = random_signal(rng)
-            out = augment_signal(seq, "pitch_shift", rng)
+            out = augment_signal([seq], "pitch_shift", rng)[0]
             assert len(out) == len(seq)
             assert np.all(np.isfinite(out.frames))
 
@@ -87,53 +95,53 @@ class TestSignalOperators:
         seq = signal(np.sin(t))
 
         class FixedStep:
-            def choice(self, choices):
-                return -12
+            def choice(self, choices, size):
+                return [-12] * size
 
-        out = augment_signal(seq, "pitch_shift", FixedStep())
+        out = augment_signal([seq], "pitch_shift", FixedStep())[0]
         np.testing.assert_allclose(out.frames[::2][:32], seq.frames[:32], atol=1e-12)
 
     def test_length_and_rate_preserved(self, rng):
         for _ in range(200):
             seq = random_signal(rng)
             kind = rng.choice(WEAK_SIGNAL_KINDS + (STRONG_SIGNAL_KIND,))
-            out = augment_signal(seq, str(kind), rng)
+            out = augment_signal([seq], str(kind), rng)[0]
             assert len(out) == len(seq)
             assert out.sample_rate == seq.sample_rate
 
     def test_seed_reproducible(self):
         seq = signal(np.sin(np.arange(100)))
         for kind in WEAK_SIGNAL_KINDS + (STRONG_SIGNAL_KIND,):
-            a = augment_signal(seq, kind, np.random.default_rng(9))
-            b = augment_signal(seq, kind, np.random.default_rng(9))
+            a = augment_signal([seq], kind, np.random.default_rng(9))[0]
+            b = augment_signal([seq], kind, np.random.default_rng(9))[0]
             np.testing.assert_array_equal(a.frames, b.frames)
 
     def test_unknown_kind_rejected(self, rng):
         with pytest.raises(ConfigError):
-            augment_signal(random_signal(rng), "reverb", rng)
+            augment_signal([random_signal(rng)], "reverb", rng)
 
 
 class TestTokenOperators:
     def test_single_swap_on_pair(self):
         seq = TokenSequence(tokens=np.array([3, 7]), vocab_size=10)
-        out = augment_tokens(seq, "swap", np.random.default_rng(0), n_swaps=1)
+        out = augment_tokens([seq], "swap", np.random.default_rng(0), n_swaps=1)[0]
         assert out.tokens.tolist() == [7, 3]
 
     def test_swap_preserves_multiset(self, rng):
         for _ in range(300):
             seq = random_tokens(rng)
-            out = augment_tokens(seq, "swap", rng, n_swaps=int(rng.integers(0, 5)))
+            out = augment_tokens([seq], "swap", rng, n_swaps=int(rng.integers(0, 5)))[0]
             assert sorted(out.tokens.tolist()) == sorted(seq.tokens.tolist())
 
     def test_delete_probability_zero_is_identity(self, rng):
         seq = random_tokens(rng)
-        out = augment_tokens(seq, "delete", rng, p=0.0)
+        out = augment_tokens([seq], "delete", rng, p=0.0)[0]
         np.testing.assert_array_equal(out.tokens, seq.tokens)
 
     def test_delete_yields_subsequence_and_never_empties(self, rng):
         for _ in range(300):
             seq = random_tokens(rng)
-            out = augment_tokens(seq, "delete", rng, p=float(rng.uniform(0, 1)))
+            out = augment_tokens([seq], "delete", rng, p=float(rng.uniform(0, 1)))[0]
             assert 1 <= len(out) <= len(seq)
             # subsequence check: consume the original left to right
             it = iter(seq.tokens.tolist())
@@ -143,7 +151,7 @@ class TestTokenOperators:
         lexicon = SynonymLexicon.from_groups(vocab_size=12, group_size=3)
         for _ in range(200):
             seq = random_tokens(rng, vocab=12)
-            out = augment_tokens(seq, "synonym", rng, lexicon=lexicon, p=1.0)
+            out = augment_tokens([seq], "synonym", rng, lexicon=lexicon, p=1.0)[0]
             assert len(out) == len(seq)
             for before, after in zip(seq.tokens, out.tokens):
                 assert after == before or int(after) in lexicon.mapping[int(before)]
@@ -162,7 +170,7 @@ class TestTokenOperators:
             best = max(sims)
             return -best[1]
         seq = TokenSequence(tokens=np.array([0, 1, 2, 0, 1, 2]), vocab_size=3)
-        out = augment_tokens(seq, "contextual", rng, table=table, n_neighbors=1, p=1.0)
+        out = augment_tokens([seq], "contextual", rng, table=table, n_neighbors=1, p=1.0)[0]
         for before, after in zip(seq.tokens, out.tokens):
             assert int(after) == nearest(int(before))
 
@@ -170,8 +178,8 @@ class TestTokenOperators:
         table = EmbeddingTable.from_seed(vocab_size=15, dim=6, seed=2)
         for _ in range(200):
             seq = random_tokens(rng, vocab=15)
-            out = augment_tokens(seq, "contextual", rng, table=table,
-                                 p=float(rng.uniform(0, 1)))
+            out = augment_tokens([seq], "contextual", rng, table=table,
+                                 p=float(rng.uniform(0, 1)))[0]
             assert np.all(out.tokens >= 0) and np.all(out.tokens < 15)
             assert len(out) == len(seq)
 
@@ -180,18 +188,96 @@ class TestTokenOperators:
         table = EmbeddingTable.from_seed(vocab_size=15, dim=6, seed=2)
         seq = random_tokens(rng, vocab=15)
         for kind in WEAK_TOKEN_KINDS + (STRONG_TOKEN_KIND,):
-            a = augment_tokens(seq, kind, np.random.default_rng(4),
-                               lexicon=lexicon, table=table)
-            b = augment_tokens(seq, kind, np.random.default_rng(4),
-                               lexicon=lexicon, table=table)
+            a = augment_tokens([seq], kind, np.random.default_rng(4),
+                               lexicon=lexicon, table=table)[0]
+            b = augment_tokens([seq], kind, np.random.default_rng(4),
+                               lexicon=lexicon, table=table)[0]
             np.testing.assert_array_equal(a.tokens, b.tokens)
 
     def test_missing_resources_rejected(self, rng):
         seq = random_tokens(rng)
         with pytest.raises(ConfigError):
-            augment_tokens(seq, "synonym", rng)
+            augment_tokens([seq], "synonym", rng)
         with pytest.raises(ConfigError):
-            augment_tokens(seq, "contextual", rng)
+            augment_tokens([seq], "contextual", rng)
+
+
+def loop_pitch_shift(seq, rng, max_steps=4):
+    """Reference: ``pitch_shift`` as a per-sequence loop, one scalar draw each."""
+    choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
+    factor = 2.0 ** (int(rng.choice(choices)) / 12.0)
+    n = len(seq)
+    positions = np.arange(n) * factor
+    frames = np.zeros(n)
+    valid = positions <= n - 1
+    frames[valid] = np.interp(positions[valid], np.arange(n), seq.frames)
+    return signal(frames, seq.sample_rate)
+
+
+def loop_gaussian_noise(seq, rng, scale=0.05):
+    """Reference: ``gaussian_noise`` as a per-sequence loop, one draw each."""
+    return signal(seq.frames + rng.normal(0.0, scale, size=len(seq)), seq.sample_rate)
+
+
+LEXICON = SynonymLexicon.from_groups(vocab_size=30, group_size=3)
+TABLE = EmbeddingTable.from_seed(vocab_size=30, dim=6, seed=2)
+
+
+def synonym_loop(seq, rng):
+    return synonym_replace(seq, LEXICON, rng)
+
+
+def contextual_loop(seq, rng):
+    return contextual_replace(seq, TABLE, rng)
+
+
+# kind -> per-sequence operator the batched dispatcher must reproduce
+SIGNAL_REFERENCES = [
+    ("flip", flip_segment), ("time_mask", time_mask),
+    ("pitch_shift", pitch_shift), ("pitch_shift", loop_pitch_shift),
+    ("gaussian_noise", gaussian_noise), ("gaussian_noise", loop_gaussian_noise),
+]
+TOKEN_REFERENCES = [
+    ("swap", swap_adjacent), ("delete", delete_tokens),
+    ("synonym", synonym_loop), ("contextual", contextual_loop),
+]
+
+
+class TestBatchedDispatch:
+    """One dispatcher call over a list gives, element by element, what the
+    per-sequence operator gives in a loop, and leaves the generator in the
+    same state; an empty list draws nothing."""
+
+    @pytest.mark.parametrize("kind, op", SIGNAL_REFERENCES)
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 400), max_size=20), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[], seed=0)
+    def test_signal_batch_equals_loop(self, kind, op, lengths, seed):
+        seqs = [signal(np.random.default_rng([seed, n]).standard_normal(n)) for n in lengths]
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment_signal(seqs, kind, rng)
+        expected = [op(seq, rng2) for seq in seqs]
+        assert len(out) == len(expected)
+        for a, b in zip(out, expected):
+            np.testing.assert_array_equal(a.frames, b.frames)
+            assert a.sample_rate == b.sample_rate
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+    @pytest.mark.parametrize("kind, op", TOKEN_REFERENCES)
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 400), max_size=20), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[], seed=0)
+    def test_token_batch_equals_loop(self, kind, op, lengths, seed):
+        seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
+                for n in lengths]
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment_tokens(seqs, kind, rng, lexicon=LEXICON, table=TABLE)
+        expected = [op(seq, rng2) for seq in seqs]
+        assert len(out) == len(expected)
+        for a, b in zip(out, expected):
+            np.testing.assert_array_equal(a.tokens, b.tokens)
+            assert a.vocab_size == b.vocab_size
+        assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 class TestRoleAssignment:
@@ -300,4 +386,4 @@ class TestNearestNeighbours:
         table = EmbeddingTable.from_seed(vocab_size=9, dim=4, seed=0)
         seq = random_tokens(rng, vocab=7)
         with pytest.raises(ContractError):
-            augment_tokens(seq, "contextual", rng, table=table)
+            augment_tokens([seq], "contextual", rng, table=table)

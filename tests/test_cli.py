@@ -292,6 +292,14 @@ class TestCorpusHeader:
     @pytest.mark.parametrize("change", [
         {"lexicon": [1, 2]},
         {"embedding": {"dim": 4, "seed": 0}},
+        {"lexicon": {"0": [1.7]}},
+        {"lexicon": {"0": [True]}},
+        {"lexicon": {"0": [99]}, "embedding": {"vocab_size": 30, "dim": 4, "seed": 0}},
+        {"lexicon": {"0": [-1]}, "embedding": {"vocab_size": 30, "dim": 4, "seed": 0}},
+        {"embedding": {"vocab_size": 30, "dim": 16.9, "seed": 0}},
+        {"embedding": {"vocab_size": 30, "dim": 4, "seed": 1.5}},
+        {"embedding": {"vocab_size": 30.0, "dim": 4, "seed": 0}},
+        {"embedding": {"vocab_size": 30, "dim": 4, "seed": 0, "group_size": 0}},
     ])
     def test_bad_header_rejected_on_line_1(self, workdir, capsys, change):
         path = make_corpus(workdir)

@@ -161,6 +161,25 @@ class TestStrictFieldTypes:
         with pytest.raises(SchemaError, match="line 2: token payload must be a list of JSON"):
             self._load(tmp_path, record={"payload": payload}, modality_mix=0.0)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("lexicon", "0", [1.7, 2], "lexicon alternative must be a JSON integer"),
+        ("lexicon", "0", [True, 2], "lexicon alternative must be a JSON integer"),
+        ("lexicon", "0", [99, 2], "outside the vocabulary"),
+        ("lexicon", "0", [-1, 2], "outside the vocabulary"),
+        ("lexicon", "-1", [1, 2], "outside the vocabulary"),
+        ("lexicon", "01", [1, 2], "not a decimal token index"),
+        ("embedding", "dim", 16.9, "dim must be a JSON integer"),
+        ("embedding", "seed", 1.5, "seed must be a JSON integer"),
+        ("embedding", "vocab_size", 30.0, "vocab_size must be a JSON integer"),
+        ("embedding", "group_size", 0, "group_size >= 1"),
+    ])
+    def test_header_fields_strict(self, tmp_path, section, key, value, message):
+        corpus = synthesize_corpus(small_config(unlabelled_count=0, modality_mix=0.0))
+        header = json.loads(corpus_to_text(corpus).splitlines()[0])
+        header[section][key] = value
+        with pytest.raises(SchemaError, match=f"line 1: .*{message}"):
+            self._load(tmp_path, header={section: header[section]}, modality_mix=0.0)
+
 
 class TestSplitSpec:
     def test_fractions_must_sum_to_one(self):

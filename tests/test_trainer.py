@@ -240,3 +240,33 @@ class TestFeaturizeCount:
         steps, evals = calls["adam_step"], calls["evaluate"]
         assert steps > 0 and evals == 3
         assert calls["featurize"] == steps + evals
+
+
+class TestAugmentCount:
+    """Each step augments each non-empty branch in one call: labelled weak,
+    then unlabelled weak (unless ``weak_aug_on_unlabelled`` is off) and
+    unlabelled strong."""
+
+    @pytest.mark.parametrize("method, modality, weak_on_unlabelled, per_step", [
+        ("baseline", "signal", True, 1), ("fixmatch", "signal", True, 3),
+        ("fixmatch", "signal", False, 2), ("fullmatch", "signal", True, 3),
+        ("fullmatch", "signal", False, 2), ("fullmatch", "tokens", True, 3)])
+    def test_one_call_per_branch(self, method, modality, weak_on_unlabelled, per_step,
+                                 monkeypatch):
+        calls = {"augment_signal": 0, "augment_tokens": 0, "adam_step": 0}
+        for name in calls:
+            fn = getattr(semimatch.trainer, name)
+
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(semimatch.trainer, name, wrapper)
+        corpus = quick_corpus() if modality == "signal" else synthesize_corpus(GeneratorConfig(
+            emotion_counts=(20, 20, 20), intent_counts=(30, 30), unlabelled_count=60,
+            min_len=5, max_len=20, modality_mix=0.0, seed=5))
+        run(quick_config(method=method, modality=modality, epochs=2,
+                         weak_aug_on_unlabelled=weak_on_unlabelled), corpus)
+        steps = calls["adam_step"]
+        assert steps > 0
+        assert calls[f"augment_{modality}"] == per_step * steps
+        assert calls["augment_signal"] + calls["augment_tokens"] == per_step * steps
