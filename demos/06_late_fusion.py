@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 
 from semimatch.augment import FeatureExtractor
-from semimatch.data import GeneratorConfig, SplitSpec, stratified_split, synthesize_corpus
+from semimatch.data import GeneratorConfig, synthesize_corpus
 from semimatch.metrics import MetricsReport, margin_fusion
-from semimatch.trainer import TrainConfig, predict_probs, train
+from semimatch.trainer import TrainConfig, predict_probs, split_for, train
 
 warnings.simplefilter("ignore")
 
@@ -37,9 +37,7 @@ models = {kind: fit(kind) for kind in ("flip", "time_mask", "pitch_shift")}
 
 # every config shares the split seed, so the test sets coincide
 config0 = models["flip"][0]
-split = SplitSpec(config0.train_frac, config0.valid_frac, config0.test_frac,
-                  seed=config0.seed)
-_, _, test = stratified_split(corpus.labelled, split)
+_, _, test = split_for(config0, corpus)
 extractor = FeatureExtractor("signal", bins=config0.signal_bins)
 emo_labels = [s.emotion for s in test]
 int_labels = [s.intent for s in test]

@@ -22,14 +22,21 @@ from .config import (
     load_generator_config,
     load_train_config,
 )
-from .data import load_corpus, save_corpus, stratified_split, synthesize_corpus, SplitSpec
+from .data import load_corpus, save_corpus, synthesize_corpus
 from .augment import FeatureExtractor, weak_kinds
 from .errors import ConfigError, ContractError, SemimatchError
 from .fileio import atomic_write_text
 from .gradcheck import run_gradient_checks
 from .metrics import MetricsReport, confusion_csv, margin_fusion
 from .persist import load_checkpoint, load_predictions, save_checkpoint, save_predictions
-from .trainer import epoch_reports_csv, metrics_from_probs, predict_probs, train
+from .trainer import (
+    epoch_reports_csv,
+    labelled_pool,
+    metrics_from_probs,
+    predict_probs,
+    split_for,
+    train,
+)
 
 
 def _require_file(path: str, what: str):
@@ -99,15 +106,9 @@ def cmd_train(args) -> int:
 
 
 def _split_samples(corpus, config, split_name: str):
-    pool = [s for s in corpus.labelled if s.modality == config.modality]
-    if not pool:
-        raise ConfigError(f"corpus has no labelled {config.modality} samples")
     if split_name == "all":
-        return pool
-    spec = SplitSpec(config.train_frac, config.valid_frac, config.test_frac,
-                     seed=config.seed)
-    parts = dict(zip(("train", "valid", "test"), stratified_split(pool, spec)))
-    samples = parts[split_name]
+        return labelled_pool(corpus, config.modality)
+    samples = dict(zip(("train", "valid", "test"), split_for(config, corpus)))[split_name]
     if not samples:
         raise ConfigError(f"the {split_name} split is empty under this config")
     return samples

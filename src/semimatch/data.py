@@ -17,7 +17,6 @@ correlation level: correlation 1 leaves the sorted streams aligned
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -25,10 +24,9 @@ import numpy as np
 
 from .augment import EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
 from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_int, jsonl_text, located, name_list, read_jsonl
 
 FORMAT_NAME = "semimatch-corpus"
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -314,8 +312,6 @@ def _sample_record(sample: Sample) -> dict:
 def corpus_to_text(corpus: Corpus) -> str:
     """Serialize to the line-delimited format (header line first)."""
     header: dict = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
         "emotion_names": corpus.emotion_names,
         "intent_names": corpus.intent_names,
         "lexicon": None,
@@ -332,22 +328,12 @@ def corpus_to_text(corpus: Corpus) -> str:
             "seed": corpus.embedding.seed,
             "group_size": corpus.embedding.group_size,
         }
-    lines = [json.dumps(header)]
-    for sample in corpus.labelled + corpus.unlabelled:
-        lines.append(json.dumps(_sample_record(sample)))
-    return "\n".join(lines) + "\n"
+    return jsonl_text(FORMAT_NAME, header,
+                      map(_sample_record, corpus.labelled + corpus.unlabelled))
 
 
 def save_corpus(corpus: Corpus, path: str):
     atomic_write_text(path, corpus_to_text(corpus))
-
-
-def _json_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer; a bool or a float is an error
-    naming the field ``name``."""
-    if type(value) is not int:
-        raise SchemaError(f"{name} must be a JSON integer, got {value!r}")
-    return value
 
 
 def _lexicon_token(key: str) -> int:
@@ -357,109 +343,58 @@ def _lexicon_token(key: str) -> int:
     return token
 
 
-def _name_list(header: dict, key: str) -> list[str]:
-    """Header class names: absent means none, otherwise a list of strings."""
-    names = header.get(key, [])
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise SchemaError(f"line 1: {key} must be a list of strings")
-    return names
-
-
-def _parse_record(line_no: int, record: dict) -> Sample:
-    def need(key):
-        if key not in record:
-            raise SchemaError(f"line {line_no}: missing field '{key}'")
-        return record[key]
-
-    def need_int(key):
-        return _json_int(need(key), key)
-
-    sample_id = need("id")
-    modality = need("modality")
-    payload = need("payload")
+def _parse_record(record: dict, embedding: EmbeddingTable | None) -> Sample:
+    modality, payload = record["modality"], record["payload"]
     has_emo, has_int = "emotion" in record, "intent" in record
     if has_emo != has_int:
-        raise SchemaError(f"line {line_no}: record carries exactly one of the two labels")
-    try:
-        if modality == "signal":
-            seq = SignalSequence(frames=np.asarray(payload, dtype=float),
-                                 sample_rate=need_int("sample_rate"))
-        elif modality == "tokens":
-            if not set(map(type, payload)) <= {int}:
-                raise SchemaError("token payload must be a list of JSON integers")
-            seq = TokenSequence(tokens=np.asarray(payload, dtype=int),
-                                vocab_size=need_int("vocab_size"))
-        else:
-            raise SchemaError(f"line {line_no}: unknown modality '{modality}'")
-        return Sample(id=str(sample_id), modality=modality, payload=seq,
-                      emotion=_json_int(record["emotion"], "emotion") if has_emo else None,
-                      intent=_json_int(record["intent"], "intent") if has_int else None)
-    except (ContractError, SchemaError, TypeError, ValueError) as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
+        raise SchemaError("record carries exactly one of the two labels")
+    if modality == "signal":
+        seq = SignalSequence(frames=np.asarray(payload, dtype=float),
+                             sample_rate=json_int(record["sample_rate"], "sample_rate"))
+    elif modality == "tokens":
+        if not set(map(type, payload)) <= {int}:
+            raise SchemaError("token payload must be a list of JSON integers")
+        seq = TokenSequence(tokens=np.asarray(payload, dtype=int),
+                            vocab_size=json_int(record["vocab_size"], "vocab_size"))
+        if embedding is not None and seq.vocab_size != embedding.vocab_size:
+            raise SchemaError("vocab_size differs from the embedding table")
+    else:
+        raise SchemaError(f"unknown modality '{modality}'")
+    return Sample(id=str(record["id"]), modality=modality, payload=seq,
+                  emotion=json_int(record["emotion"], "emotion") if has_emo else None,
+                  intent=json_int(record["intent"], "intent") if has_int else None)
 
 
 def load_corpus(path: str) -> Corpus:
-    """Parse a corpus file; errors name the offending 1-based line."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise SchemaError("corpus file is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line 1: invalid JSON header ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise SchemaError("line 1: not a corpus header")
-    if header.get("version") != FORMAT_VERSION:
-        raise SchemaError(f"line 1: unsupported corpus version {header.get('version')}")
-
+    """Parse a corpus file, one line at a time; errors name the file and
+    the offending 1-based line."""
+    records = read_jsonl(path, FORMAT_NAME)
+    _, header = next(records)
     lexicon = embedding = None
-    try:
+    with located(f"{path} line 1"):
         if header.get("lexicon"):
             lexicon = SynonymLexicon(mapping={
-                _lexicon_token(k): tuple(_json_int(t, "lexicon alternative") for t in v)
+                _lexicon_token(k): tuple(json_int(t, "lexicon alternative") for t in v)
                 for k, v in header["lexicon"].items()})
         if header.get("embedding"):
             meta = header["embedding"]
             embedding = EmbeddingTable.from_seed(
-                _json_int(meta["vocab_size"], "vocab_size"), _json_int(meta["dim"], "dim"),
-                seed=_json_int(meta["seed"], "seed"),
-                group_size=_json_int(meta.get("group_size", 3), "group_size"))
+                json_int(meta["vocab_size"], "vocab_size"), json_int(meta["dim"], "dim"),
+                seed=json_int(meta["seed"], "seed"),
+                group_size=json_int(meta.get("group_size", 3), "group_size"))
             if lexicon is not None:
                 lexicon.validate(embedding.vocab_size)
-    except KeyError as exc:
-        raise SchemaError(f"line 1: embedding is missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ConfigError, ContractError,
-            SchemaError) as exc:
-        raise SchemaError(f"line 1: invalid lexicon or embedding ({exc})") from exc
-    emotion_names = _name_list(header, "emotion_names")
-    intent_names = _name_list(header, "intent_names")
-
+        emotion_names = name_list(header.get("emotion_names", []), "emotion_names")
+        intent_names = name_list(header.get("intent_names", []), "intent_names")
     labelled, unlabelled = [], []
-    for offset, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {offset}: invalid JSON ({exc})") from exc
-        if not isinstance(record, dict):
-            raise SchemaError(f"line {offset}: record must be an object")
-        sample = _parse_record(offset, record)
+    for line_no, record in records:
+        with located(f"{path} line {line_no}"):
+            sample = _parse_record(record, embedding)
         (labelled if sample.is_labelled else unlabelled).append(sample)
-
-    try:
-        corpus = Corpus(labelled=labelled, unlabelled=unlabelled,
-                        emotion_names=emotion_names, intent_names=intent_names,
-                        lexicon=lexicon, embedding=embedding)
-    except SchemaError as exc:
-        raise SchemaError(f"corpus invariant violated: {exc}") from exc
-    if embedding is not None:
-        for sample in corpus.labelled + corpus.unlabelled:
-            if sample.modality == "tokens" and sample.payload.vocab_size != embedding.vocab_size:
-                raise SchemaError(
-                    f"sample {sample.id}: vocab_size differs from the embedding table")
-    return corpus
+    with located(f"{path}: corpus invariant violated"):
+        return Corpus(labelled=labelled, unlabelled=unlabelled,
+                      emotion_names=emotion_names, intent_names=intent_names,
+                      lexicon=lexicon, embedding=embedding)
 
 
 # ---------------------------------------------------------------------------

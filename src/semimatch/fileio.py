@@ -1,7 +1,19 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic writes, and the JSON framing and field checks of every file.
 
+A corpus or prediction file is a header object with ``format`` and ``version``
+on line 1, then one JSON object per line (blank lines skipped); a checkpoint
+is one JSON document that is its own header. Read errors name the file, and
+the 1-based line for line-delimited files.
+"""
+
+import json
 import os
 import tempfile
+from contextlib import contextmanager
+
+from .errors import SchemaError, SemimatchError
+
+FORMAT_VERSION = 1   # the only version any writer has produced
 
 
 def atomic_write_text(path: str, text: str):
@@ -17,3 +29,77 @@ def atomic_write_text(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def jsonl_text(format_name: str, header: dict, records) -> str:
+    """The header line, ``format`` and ``version`` first, then one line per record."""
+    lines = [json.dumps({"format": format_name, "version": FORMAT_VERSION, **header})]
+    lines.extend(map(json.dumps, records))
+    return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def located(where: str):
+    """Re-raise a bad-value error from the block as a :class:`SchemaError`
+    prefixed with ``where`` (a path, or a path and a line)."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{where}: missing field {exc}") from exc
+    except (SemimatchError, AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _check_header(where: str, doc, format_name: str) -> dict:
+    """``doc`` if it is an object of format ``format_name`` at the current
+    version; otherwise a :class:`SchemaError` prefixed with ``where``."""
+    if not isinstance(doc, dict) or doc.get("format") != format_name:
+        raise SchemaError(f"{where}: not a {format_name} file")
+    if doc.get("version") != FORMAT_VERSION:
+        raise SchemaError(f"{where}: unsupported {format_name} version {doc.get('version')!r}")
+    return doc
+
+
+def _parse(where: str, text: str):
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:   # too deeply nested, or malformed
+        raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def read_json(path: str, format_name: str) -> dict:
+    """Parse a single-document file and check its header."""
+    with open(path) as handle:
+        return _check_header(path, _parse(path, handle.read()), format_name)
+
+
+def read_jsonl(path: str, format_name: str):
+    """Yield ``(line number, object)`` for a line-delimited file, one line
+    at a time: the checked header first, then each record object."""
+    with open(path) as handle:
+        first = handle.readline()
+        if not first:
+            raise SchemaError(f"{path} line 1: empty file")
+        yield 1, _check_header(f"{path} line 1", _parse(f"{path} line 1", first), format_name)
+        for line_no, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            record = _parse(f"{path} line {line_no}", line)
+            if not isinstance(record, dict):
+                raise SchemaError(f"{path} line {line_no}: record must be an object")
+            yield line_no, record
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool or a float is an error
+    naming the field ``name``."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def name_list(value, name: str) -> list[str]:
+    """``value`` if it is a list of strings (class names)."""
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise SchemaError(f"{name} must be a list of strings")
+    return value

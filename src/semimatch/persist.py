@@ -10,12 +10,22 @@ vectors; they are the input format of the fusion command.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
 from .errors import SchemaError
-from .fileio import atomic_write_text
+from .fileio import (
+    FORMAT_VERSION,
+    atomic_write_text,
+    json_int,
+    jsonl_text,
+    located,
+    name_list,
+    read_json,
+    read_jsonl,
+)
 from .model import PARAM_FIELDS, TwoHeadModel
 from .trainer import TrainConfig
 
@@ -27,7 +37,7 @@ def checkpoint_to_text(model: TwoHeadModel, config: TrainConfig,
                        emotion_names, intent_names, extras: dict | None = None) -> str:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "version": 1,
+        "version": FORMAT_VERSION,
         "config": asdict(config),
         "emotion_names": list(emotion_names),
         "intent_names": list(intent_names),
@@ -45,36 +55,21 @@ def save_checkpoint(path: str, model: TwoHeadModel, config: TrainConfig,
 
 
 def load_checkpoint(path: str) -> tuple[TwoHeadModel, TrainConfig, list[str], list[str]]:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid checkpoint JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise SchemaError(f"{path}: not a checkpoint file")
-    try:
+    doc = read_json(path, CHECKPOINT_FORMAT)
+    with located(path):
         params = {f: np.asarray(doc["params"][f], dtype=float) for f in PARAM_FIELDS}
-        model = TwoHeadModel(**params)
-        config = TrainConfig(**doc["config"])
-        return model, config, list(doc["emotion_names"]), list(doc["intent_names"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed checkpoint ({exc})") from exc
+        return (TwoHeadModel(**params), TrainConfig(**doc["config"]),
+                name_list(doc.get("emotion_names"), "emotion_names"),
+                name_list(doc.get("intent_names"), "intent_names"))
 
 
 def predictions_to_text(sample_ids, emo_labels, int_labels,
                         emo_probs: np.ndarray, int_probs: np.ndarray) -> str:
-    header = {"format": PREDICTIONS_FORMAT, "version": 1,
-              "n_emotion": int(emo_probs.shape[1]), "n_intent": int(int_probs.shape[1])}
-    lines = [json.dumps(header)]
-    for i, sid in enumerate(sample_ids):
-        lines.append(json.dumps({
-            "id": str(sid),
-            "emotion": int(emo_labels[i]),
-            "intent": int(int_labels[i]),
-            "emo_probs": list(emo_probs[i]),
-            "int_probs": list(int_probs[i]),
-        }))
-    return "\n".join(lines) + "\n"
+    header = {"n_emotion": int(emo_probs.shape[1]), "n_intent": int(int_probs.shape[1])}
+    rows = ({"id": str(sid), "emotion": int(emo_labels[i]), "intent": int(int_labels[i]),
+             "emo_probs": list(emo_probs[i]), "int_probs": list(int_probs[i])}
+            for i, sid in enumerate(sample_ids))
+    return jsonl_text(PREDICTIONS_FORMAT, header, rows)
 
 
 def save_predictions(path: str, sample_ids, emo_labels, int_labels,
@@ -83,35 +78,41 @@ def save_predictions(path: str, sample_ids, emo_labels, int_labels,
                                                 emo_probs, int_probs))
 
 
+def _label(value, name: str, n_classes: int) -> int:
+    if not 0 <= json_int(value, name) < n_classes:
+        raise SchemaError(f"{name} label {value} outside [0, {n_classes})")
+    return value
+
+
+def _prob_row(value, name: str, width: int) -> list[float]:
+    """A probability row: ``width`` finite JSON numbers."""
+    if (not isinstance(value, list) or len(value) != width
+            or not set(map(type, value)) <= {int, float}):
+        raise SchemaError(f"{name} must be a list of {width} JSON numbers")
+    if not all(map(math.isfinite, value)):
+        raise SchemaError(f"{name} holds a non-finite value")
+    return value
+
+
 def load_predictions(path: str):
     """Returns (ids, emo_labels, int_labels, emo_probs, int_probs)."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise SchemaError(f"{path}: empty predictions file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} line 1: invalid JSON ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format") != PREDICTIONS_FORMAT:
-        raise SchemaError(f"{path}: not a predictions file")
+    records = read_jsonl(path, PREDICTIONS_FORMAT)
+    _, header = next(records)
+    with located(f"{path} line 1"):
+        n_emotion = json_int(header["n_emotion"], "n_emotion")
+        n_intent = json_int(header["n_intent"], "n_intent")
     ids, emo_labels, int_labels, emo_probs, int_probs = [], [], [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
+    for line_no, row in records:
+        with located(f"{path} line {line_no}"):
             ids.append(str(row["id"]))
-            emo_labels.append(int(row["emotion"]))
-            int_labels.append(int(row["intent"]))
-            emo_probs.append([float(v) for v in row["emo_probs"]])
-            int_probs.append([float(v) for v in row["int_probs"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path} line {line_no}: malformed row ({exc})") from exc
+            emo_labels.append(_label(row["emotion"], "emotion", n_emotion))
+            int_labels.append(_label(row["intent"], "intent", n_intent))
+            emo_probs.append(_prob_row(row["emo_probs"], "emo_probs", n_emotion))
+            int_probs.append(_prob_row(row["int_probs"], "int_probs", n_intent))
     if not ids:
         raise SchemaError(f"{path}: no prediction rows")
     return (ids, np.asarray(emo_labels), np.asarray(int_labels),
-            np.asarray(emo_probs), np.asarray(int_probs))
+            np.asarray(emo_probs, dtype=float), np.asarray(int_probs, dtype=float))
 
 
 __all__ = [

@@ -236,17 +236,27 @@ class _StatsAccumulator:
                               total=means[4], acceptance_rate=rate, k_hist=dict(self.k_hist))
 
 
+def labelled_pool(corpus: Corpus, modality: str) -> list:
+    """The corpus's labelled samples of one modality; none is an error."""
+    pool = [s for s in corpus.labelled if s.modality == modality]
+    if not pool:
+        raise ConfigError(f"corpus has no labelled {modality} samples")
+    return pool
+
+
+def split_for(config: TrainConfig, corpus: Corpus) -> tuple[list, list, list]:
+    """The (train, valid, test) split of the config's labelled pool under its
+    fractions and seed: the split that train() fits and eval reads."""
+    spec = SplitSpec(config.train_frac, config.valid_frac, config.test_frac, seed=config.seed)
+    return stratified_split(labelled_pool(corpus, config.modality), spec)
+
+
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Run the configured method on the corpus; see the module docstring."""
-    lab_pool = [s for s in corpus.labelled if s.modality == config.modality]
+    train_set, valid_set, test_set = split_for(config, corpus)
     unlab_pool = [s for s in corpus.unlabelled if s.modality == config.modality]
-    if not lab_pool:
-        raise ConfigError(f"corpus has no labelled {config.modality} samples")
     if config.method != "baseline" and not unlab_pool:
         raise ConfigError(f"method '{config.method}' needs unlabelled data")
-
-    split = SplitSpec(config.train_frac, config.valid_frac, config.test_frac, seed=config.seed)
-    train_set, valid_set, test_set = stratified_split(lab_pool, split)
     valid_eval = valid_set or train_set
 
     extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
@@ -340,6 +350,6 @@ def epoch_reports_csv(reports) -> str:
 
 __all__ = [
     "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult",
-    "epoch_reports_csv", "evaluate", "lr_at_epoch", "metrics_from_probs", "predict_probs",
-    "train",
+    "epoch_reports_csv", "evaluate", "labelled_pool", "lr_at_epoch", "metrics_from_probs",
+    "predict_probs", "split_for", "train",
 ]

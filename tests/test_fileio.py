@@ -1,0 +1,260 @@
+"""The shared file framing, through each loader and the command line: every
+corpus, prediction dump and checkpoint is accepted intact or rejected with
+an error that names the file (and the line, for line-delimited files)."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from semimatch.augment import FeatureExtractor
+from semimatch.cli import main
+from semimatch.data import (
+    GeneratorConfig,
+    corpus_to_text,
+    load_corpus,
+    save_corpus,
+    synthesize_corpus,
+)
+from semimatch.errors import SchemaError
+from semimatch.fileio import read_jsonl
+from semimatch.model import init_model
+from semimatch.persist import load_predictions, save_checkpoint, save_predictions
+from semimatch.trainer import TrainConfig
+
+N_EMOTION, N_INTENT = 3, 2
+TRAIN_CONFIG = TrainConfig(epochs=1, hidden_size=4, seed=4, train_frac=0.6,
+                           valid_frac=0.2, test_frac=0.2)
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A corpus, two fusable prediction dumps and a checkpoint, all valid."""
+    corpus = synthesize_corpus(GeneratorConfig(
+        emotion_counts=(10,) * N_EMOTION, intent_counts=(15,) * N_INTENT,
+        unlabelled_count=2, min_len=8, max_len=16, seed=3))
+    paths = {name: tmp_path / name for name in
+             ("corpus.jsonl", "p1.jsonl", "p2.jsonl", "checkpoint.json")}
+    save_corpus(corpus, str(paths["corpus.jsonl"]))
+    rng = np.random.default_rng(0)
+    for name in ("p1.jsonl", "p2.jsonl"):
+        save_predictions(str(paths[name]), ["a", "b", "c"], [0, 1, 2], [1, 0, 1],
+                         rng.dirichlet(np.ones(N_EMOTION), 3),
+                         rng.dirichlet(np.ones(N_INTENT), 3))
+    dim = FeatureExtractor("signal", bins=TRAIN_CONFIG.signal_bins).dim
+    model = init_model(dim, TRAIN_CONFIG.hidden_size, N_EMOTION, N_INTENT,
+                       np.random.default_rng(1))
+    save_checkpoint(str(paths["checkpoint.json"]), model, TRAIN_CONFIG,
+                    corpus.emotion_names, corpus.intent_names)
+    return paths
+
+
+def run_main(kind, files, path, tmp_path):
+    """The command that reads ``path`` as a file of ``kind``."""
+    out = tmp_path / "out"
+    corpus, checkpoint = str(files["corpus.jsonl"]), str(files["checkpoint.json"])
+    argv = {
+        "corpus": ["eval", "--checkpoints", checkpoint, "--corpus", str(path)],
+        "predictions": ["fuse", "--checkpoints", str(files["p1.jsonl"]), str(path)],
+        "checkpoint": ["eval", "--checkpoints", str(path), "--corpus", corpus],
+    }[kind]
+    return main(argv + ["--out", str(out)]), out
+
+
+def assert_rejected(kind, files, path, tmp_path, capsys, *needles):
+    """main() exits 1 with each needle in a one-line error, and writes nothing."""
+    code, out = run_main(kind, files, path, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err and err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
+    assert not out.exists()
+
+
+def lines_of(path):
+    return path.read_text().splitlines()
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+LOADERS = {"corpus": ("corpus.jsonl", load_corpus),
+           "predictions": ("p2.jsonl", load_predictions)}
+
+
+def _set_header(lines, **change):
+    header = json.loads(lines[0])
+    header.update(change)
+    return [json.dumps(header)] + lines[1:]
+
+
+# (case, edit of the file's lines, the line its error names)
+FRAMING_CASES = [
+    ("empty file", lambda lines: None, 1),
+    ("blank line 1", lambda lines: [""] + lines[1:], 1),
+    ("non-JSON line 1", lambda lines: ["{not json"] + lines[1:], 1),
+    ("JSON array on line 1", lambda lines: ["[1, 2]"] + lines[1:], 1),
+    ("wrong format", lambda lines: _set_header(lines, format="semimatch-other"), 1),
+    ("wrong version", lambda lines: _set_header(lines, version=2), 1),
+    ("missing version", lambda lines: [json.dumps(
+        {k: v for k, v in json.loads(lines[0]).items() if k != "version"})] + lines[1:], 1),
+    ("non-JSON record", lambda lines: lines[:2] + ["{not json"] + lines[3:], 3),
+    ("non-object record", lambda lines: lines[:2] + ["[1, 2]"] + lines[3:], 3),
+    ("deeply nested record", lambda lines: lines[:2] + ["[" * 100_000] + lines[3:], 3),
+    ("string record", lambda lines: lines[:1] + ['"row"'] + lines[2:], 2),
+]
+
+
+class TestLineFraming:
+    @pytest.fixture(params=FRAMING_CASES, ids=[case[0] for case in FRAMING_CASES])
+    def case(self, request):
+        return request.param
+
+    def _broken(self, files, kind, case):
+        name, _ = LOADERS[kind]
+        path = files[name]
+        lines = case[1](lines_of(path))
+        if lines is None:
+            path.write_text("")
+        else:
+            write_lines(path, lines)
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_loader_names_file_and_line(self, files, kind, case):
+        path = self._broken(files, kind, case)
+        with pytest.raises(SchemaError) as info:
+            LOADERS[kind][1](str(path))
+        assert f"{path} line {case[2]}:" in str(info.value)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_main_names_file_and_line(self, files, kind, case, tmp_path, capsys):
+        path = self._broken(files, kind, case)
+        assert_rejected(kind, files, path, tmp_path, capsys, f"{path} line {case[2]}:")
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_blank_record_lines_skipped(self, files, kind):
+        name, load = LOADERS[kind]
+        path = files[name]
+        expected = load(str(path))
+        lines = lines_of(path)
+        write_lines(path, lines[:2] + ["", "   "] + lines[2:] + ["\t"])
+        got = load(str(path))
+        if kind == "corpus":
+            assert corpus_to_text(got) == corpus_to_text(expected)
+        else:
+            assert got[0] == expected[0]
+            for a, b in zip(got[1:], expected[1:]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_reader_streams(self, files):
+        """Records come one at a time from an iterator: the records before a
+        bad line are yielded before the bad line is read."""
+        path = files["corpus.jsonl"]
+        lines = lines_of(path)
+        write_lines(path, lines[:3] + ["{not json"])
+        records = read_jsonl(str(path), "semimatch-corpus")
+        assert iter(records) is records and not isinstance(records, (list, tuple))
+        assert [next(records)[0] for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(SchemaError, match="line 4: invalid JSON"):
+            next(records)
+
+
+class TestCheckpointFraming:
+    @pytest.mark.parametrize("text, needle", [
+        ("", "invalid JSON"),
+        ("\n", "invalid JSON"),
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "not a semimatch-checkpoint file"),
+        ('{"format": "semimatch-corpus", "version": 1}', "not a semimatch-checkpoint file"),
+        ('{"format": "semimatch-checkpoint", "version": 2}', "unsupported"),
+        ('{"format": "semimatch-checkpoint"}', "unsupported"),
+    ], ids=["empty", "blank", "non-json", "array", "wrong-format", "wrong-version",
+            "no-version"])
+    def test_bad_document_names_file(self, files, tmp_path, capsys, text, needle):
+        path = files["checkpoint.json"]
+        path.write_text(text)
+        assert_rejected("checkpoint", files, path, tmp_path, capsys, f"{path}: ", needle)
+
+
+class TestCheckpointFields:
+    """A checkpoint whose parameters, config or class names are invalid is
+    rejected with the file named, never loaded with a coerced value."""
+
+    def test_valid_checkpoint_evaluates(self, files, tmp_path):
+        code, out = run_main("checkpoint", files, files["checkpoint.json"], tmp_path)
+        assert code == 0 and (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: doc["params"]["b_trunk"].pop(), "trunk bias shape"),
+        (lambda doc: doc["config"].update(tau=2.0), "tau must lie in (0, 1]"),
+        (lambda doc: doc["params"]["w_emo"][0].__setitem__(0, math.nan),
+         "non-finite values in parameter w_emo"),
+        (lambda doc: doc.update(emotion_names="ab"), "emotion_names must be a list of strings"),
+        (lambda doc: doc.pop("intent_names"), "intent_names must be a list of strings"),
+        (lambda doc: doc["params"].pop("w_int"), "missing field 'w_int'"),
+        (lambda doc: doc["config"].update(no_such_key=1), "no_such_key"),
+    ], ids=["short-bias", "tau-2", "nan-weight", "names-string", "names-missing",
+            "param-missing", "unknown-config-key"])
+    def test_bad_field_names_file(self, files, tmp_path, capsys, edit, needle):
+        path = files["checkpoint.json"]
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert_rejected("checkpoint", files, path, tmp_path, capsys, f"{path}: ", needle)
+
+
+class TestPredictionRows:
+    """fuse rejects a malformed prediction row on its line, before fusing."""
+
+    def test_valid_files_fuse(self, files, tmp_path):
+        code, out = run_main("predictions", files, files["p2.jsonl"], tmp_path)
+        assert code == 0 and (out / "fused_metrics.json").exists()
+
+    @pytest.mark.parametrize("change, needle", [
+        ({"emo_probs": [0.5, 0.5]}, "emo_probs must be a list of 3 JSON numbers"),
+        ({"int_probs": [0.2, 0.3, 0.5]}, "int_probs must be a list of 2 JSON numbers"),
+        ({"emo_probs": [math.nan] * 3}, "emo_probs holds a non-finite value"),
+        ({"int_probs": [math.inf, 0.0]}, "int_probs holds a non-finite value"),
+        ({"emo_probs": ["0.2", "0.3", "0.5"]}, "emo_probs must be a list of 3 JSON numbers"),
+        ({"emo_probs": [True, False, False]}, "emo_probs must be a list of 3 JSON numbers"),
+        ({"emotion": 1.7}, "emotion must be a JSON integer"),
+        ({"intent": True}, "intent must be a JSON integer"),
+        ({"emotion": 3}, "emotion label 3 outside [0, 3)"),
+        ({"intent": -1}, "intent label -1 outside [0, 2)"),
+        ({"emo_probs": None}, "emo_probs must be a list"),
+    ], ids=["short-row", "long-row", "nan-row", "inf-row", "string-probs", "bool-probs",
+            "float-label", "bool-label", "label-too-big", "label-negative", "null-row"])
+    def test_bad_row_names_file_and_line(self, files, tmp_path, capsys, change, needle):
+        path = files["p2.jsonl"]
+        lines = lines_of(path)
+        row = json.loads(lines[2])
+        row.update(change)
+        write_lines(path, lines[:2] + [json.dumps(row)] + lines[3:])
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path} line 3: ", needle)
+
+    def test_missing_field_names_file_and_line(self, files, tmp_path, capsys):
+        path = files["p2.jsonl"]
+        lines = lines_of(path)
+        row = json.loads(lines[1])
+        del row["int_probs"]
+        write_lines(path, lines[:1] + [json.dumps(row)] + lines[2:])
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path} line 2: missing field 'int_probs'")
+
+    @pytest.mark.parametrize("change", [{"n_emotion": 3.0}, {"n_intent": "2"}])
+    def test_bad_header_width_names_line_1(self, files, tmp_path, capsys, change):
+        path = files["p2.jsonl"]
+        write_lines(path, _set_header(lines_of(path), **change))
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path} line 1: ", "must be a JSON integer")
+
+    def test_no_rows_names_file(self, files, tmp_path, capsys):
+        path = files["p2.jsonl"]
+        write_lines(path, lines_of(path)[:1])
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path}: no prediction rows")

@@ -8,7 +8,7 @@ import pytest
 import semimatch.model
 import semimatch.trainer
 from semimatch.augment import FeatureExtractor, SignalSequence
-from semimatch.data import GeneratorConfig, Sample, synthesize_corpus
+from semimatch.data import GeneratorConfig, Sample, SplitSpec, stratified_split, synthesize_corpus
 from semimatch.errors import ConfigError, ContractError
 from semimatch.model import PARAM_FIELDS, TwoHeadModel
 from semimatch.trainer import (
@@ -16,6 +16,7 @@ from semimatch.trainer import (
     epoch_reports_csv,
     evaluate,
     lr_at_epoch,
+    split_for,
     train,
 )
 
@@ -184,6 +185,38 @@ class TestEvaluate:
         report = result.val_metrics
         if report.f1_emo == 1.0 and report.f1_intent == 1.0:
             assert report.jrbm == 1.0
+
+
+class TestSplitFor:
+    """train(), eval and demo 06 take their split from split_for: the
+    config's labelled pool, split by its fractions and seed."""
+
+    def test_matches_hand_built_split(self):
+        corpus = synthesize_corpus(GeneratorConfig(
+            emotion_counts=(20, 20, 20), intent_counts=(30, 30), min_len=40, max_len=80,
+            modality_mix=0.5, seed=5))
+        config = quick_config(modality="tokens")
+        pool = [s for s in corpus.labelled if s.modality == "tokens"]
+        spec = SplitSpec(config.train_frac, config.valid_frac, config.test_frac,
+                         seed=config.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = stratified_split(pool, spec)
+            got = split_for(config, corpus)
+        assert [[s.id for s in part] for part in got] == \
+            [[s.id for s in part] for part in expected]
+
+    def test_no_labelled_samples_of_the_modality(self):
+        with pytest.raises(ConfigError, match="corpus has no labelled tokens samples"):
+            run(quick_config(modality="tokens"), quick_corpus())
+
+    def test_one_split_per_train_call(self, monkeypatch):
+        calls = []
+        split = semimatch.trainer.stratified_split
+        monkeypatch.setattr(semimatch.trainer, "stratified_split",
+                            lambda *args: calls.append(1) or split(*args))
+        run(quick_config(epochs=1), quick_corpus())
+        assert len(calls) == 1
 
 
 class TestForwardCount:
