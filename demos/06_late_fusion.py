@@ -8,12 +8,16 @@ make different mistakes, so the fusion can beat both.
 
 import warnings
 
-import numpy as np
-
-from semimatch.augment import FeatureExtractor
 from semimatch.data import GeneratorConfig, synthesize_corpus
 from semimatch.metrics import MetricsReport, margin_fusion
-from semimatch.trainer import TrainConfig, predict_probs, split_for, train
+from semimatch.trainer import (
+    TrainConfig,
+    extractor_for,
+    metrics_from_probs,
+    predict_probs,
+    split_for,
+    train,
+)
 
 warnings.simplefilter("ignore")
 
@@ -38,7 +42,7 @@ models = {kind: fit(kind) for kind in ("flip", "time_mask", "pitch_shift")}
 # every config shares the split seed, so the test sets coincide
 config0 = models["flip"][0]
 _, _, test = split_for(config0, corpus)
-extractor = FeatureExtractor("signal", bins=config0.signal_bins)
+extractor = extractor_for(config0, corpus)
 emo_labels = [s.emotion for s in test]
 int_labels = [s.intent for s in test]
 
@@ -48,8 +52,7 @@ for kind, (config, result) in models.items():
     emo_probs, int_probs = predict_probs(result.model, test, extractor)
     emo_tables.append(emo_probs)
     int_tables.append(int_probs)
-    report = MetricsReport.from_predictions(
-        np.argmax(emo_probs, 1), emo_labels, np.argmax(int_probs, 1), int_labels, 7, 8)
+    report = metrics_from_probs(test, emo_probs, int_probs)
     print(f"  weak={kind:<12s} F1 emo {report.f1_emo:.3f}  "
           f"F1 intent {report.f1_intent:.3f}  JRBM {report.jrbm:.3f}")
 
@@ -60,6 +63,7 @@ for take in (2, 3):
     picked = [list(models).index(k) for k in order[:take]]
     fused = MetricsReport.from_predictions(
         margin_fusion([emo_tables[i] for i in picked]), emo_labels,
-        margin_fusion([int_tables[i] for i in picked]), int_labels, 7, 8)
+        margin_fusion([int_tables[i] for i in picked]), int_labels,
+        corpus.n_emotion, corpus.n_intent)
     print(f"best-{take} fusion: F1 emo {fused.f1_emo:.3f}  "
           f"F1 intent {fused.f1_intent:.3f}  JRBM {fused.jrbm:.3f}")

@@ -23,7 +23,7 @@ from .config import (
     load_train_config,
 )
 from .data import load_corpus, save_corpus, synthesize_corpus
-from .augment import FeatureExtractor, weak_kinds
+from .augment import weak_kinds
 from .errors import ConfigError, ContractError, SemimatchError
 from .fileio import atomic_write_text
 from .gradcheck import run_gradient_checks
@@ -31,6 +31,7 @@ from .metrics import MetricsReport, confusion_csv, margin_fusion
 from .persist import load_checkpoint, load_predictions, save_checkpoint, save_predictions
 from .trainer import (
     epoch_reports_csv,
+    extractor_for,
     labelled_pool,
     metrics_from_probs,
     predict_probs,
@@ -122,9 +123,7 @@ def cmd_eval(args) -> int:
     model, config, emotion_names, intent_names = load_checkpoint(args.checkpoints[0])
     corpus = load_corpus(args.corpus)
     samples = _split_samples(corpus, config, args.split)
-    extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
-                                 max_token_len=config.token_max_len, table=corpus.embedding)
-    emo_probs, int_probs = predict_probs(model, samples, extractor)
+    emo_probs, int_probs = predict_probs(model, samples, extractor_for(config, corpus))
     metrics = metrics_from_probs(samples, emo_probs, int_probs)
 
     os.makedirs(args.out, exist_ok=True)

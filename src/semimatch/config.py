@@ -13,6 +13,7 @@ from dataclasses import fields
 
 from .data import GeneratorConfig
 from .errors import ConfigError
+from .fileio import read_text
 from .trainer import TrainConfig
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -119,13 +120,11 @@ def generator_config_from_text(text: str, **overrides) -> GeneratorConfig:
 
 
 def load_train_config(path: str, **overrides) -> TrainConfig:
-    with open(path) as handle:
-        return train_config_from_text(handle.read(), **overrides)
+    return train_config_from_text(read_text(path, ConfigError), **overrides)
 
 
 def load_generator_config(path: str, **overrides) -> GeneratorConfig:
-    with open(path) as handle:
-        return generator_config_from_text(handle.read(), **overrides)
+    return generator_config_from_text(read_text(path, ConfigError), **overrides)
 
 
 __all__ = [

@@ -24,7 +24,15 @@ import numpy as np
 
 from .augment import EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
 from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
-from .fileio import atomic_write_text, json_int, jsonl_text, located, name_list, read_jsonl
+from .fileio import (
+    atomic_write_text,
+    json_int,
+    json_str,
+    jsonl_text,
+    located,
+    name_list,
+    read_jsonl,
+)
 
 FORMAT_NAME = "semimatch-corpus"
 
@@ -360,7 +368,7 @@ def _parse_record(record: dict, embedding: EmbeddingTable | None) -> Sample:
             raise SchemaError("vocab_size differs from the embedding table")
     else:
         raise SchemaError(f"unknown modality '{modality}'")
-    return Sample(id=str(record["id"]), modality=modality, payload=seq,
+    return Sample(id=json_str(record["id"], "id"), modality=modality, payload=seq,
                   emotion=json_int(record["emotion"], "emotion") if has_emo else None,
                   intent=json_int(record["intent"], "intent") if has_int else None)
 

@@ -1,9 +1,10 @@
-"""Atomic writes, and the JSON framing and field checks of every file.
+"""Atomic writes, UTF-8 reads, and the JSON framing and field checks of
+every file.
 
 A corpus or prediction file is a header object with ``format`` and ``version``
 on line 1, then one JSON object per line (blank lines skipped); a checkpoint
-is one JSON document that is its own header. Read errors name the file, and
-the 1-based line for line-delimited files.
+is one JSON document that is its own header. Every file is UTF-8. Read errors
+name the file, and the 1-based line for line-delimited files.
 """
 
 import json
@@ -60,6 +61,15 @@ def _check_header(where: str, doc, format_name: str) -> dict:
     return doc
 
 
+def _decode(where: str, raw: bytes, error: type[SemimatchError] = SchemaError) -> str:
+    """``raw`` as UTF-8 text, or an ``error`` prefixed with ``where``. Bytes
+    never reach ``json.loads``, which would guess UTF-16 or UTF-32 from them."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 ({exc})") from exc
+
+
 def _parse(where: str, text: str):
     try:
         return json.loads(text)
@@ -67,26 +77,35 @@ def _parse(where: str, text: str):
         raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
 
 
+def read_text(path: str, error: type[SemimatchError] = SchemaError) -> str:
+    """A whole file as UTF-8 text; otherwise an ``error`` naming the file."""
+    with open(path, "rb") as handle:
+        return _decode(path, handle.read(), error)
+
+
 def read_json(path: str, format_name: str) -> dict:
     """Parse a single-document file and check its header."""
-    with open(path) as handle:
-        return _check_header(path, _parse(path, handle.read()), format_name)
+    return _check_header(path, _parse(path, read_text(path)), format_name)
 
 
 def read_jsonl(path: str, format_name: str):
     """Yield ``(line number, object)`` for a line-delimited file, one line
-    at a time: the checked header first, then each record object."""
-    with open(path) as handle:
+    at a time: the checked header first, then each record object. Only
+    ``\\n`` ends a line."""
+    with open(path, "rb") as handle:
         first = handle.readline()
         if not first:
             raise SchemaError(f"{path} line 1: empty file")
-        yield 1, _check_header(f"{path} line 1", _parse(f"{path} line 1", first), format_name)
-        for line_no, line in enumerate(handle, start=2):
+        where = f"{path} line 1"
+        yield 1, _check_header(where, _parse(where, _decode(where, first)), format_name)
+        for line_no, raw in enumerate(handle, start=2):
+            where = f"{path} line {line_no}"
+            line = _decode(where, raw)
             if not line.strip():
                 continue
-            record = _parse(f"{path} line {line_no}", line)
+            record = _parse(where, line)
             if not isinstance(record, dict):
-                raise SchemaError(f"{path} line {line_no}: record must be an object")
+                raise SchemaError(f"{where}: record must be an object")
             yield line_no, record
 
 
@@ -95,6 +114,13 @@ def json_int(value, name: str) -> int:
     naming the field ``name``."""
     if type(value) is not int:
         raise SchemaError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_str(value, name: str) -> str:
+    """``value`` if it is a JSON string (a sample id)."""
+    if type(value) is not str:
+        raise SchemaError(f"{name} must be a JSON string, got {value!r}")
     return value
 
 

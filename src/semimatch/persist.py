@@ -20,6 +20,7 @@ from .fileio import (
     FORMAT_VERSION,
     atomic_write_text,
     json_int,
+    json_str,
     jsonl_text,
     located,
     name_list,
@@ -104,7 +105,7 @@ def load_predictions(path: str):
     ids, emo_labels, int_labels, emo_probs, int_probs = [], [], [], [], []
     for line_no, row in records:
         with located(f"{path} line {line_no}"):
-            ids.append(str(row["id"]))
+            ids.append(json_str(row["id"], "id"))
             emo_labels.append(_label(row["emotion"], "emotion", n_emotion))
             int_labels.append(_label(row["intent"], "intent", n_intent))
             emo_probs.append(_prob_row(row["emo_probs"], "emo_probs", n_emotion))

@@ -14,8 +14,10 @@ always weakly augmented.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -114,9 +116,18 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size, and hidden_size must be positive")
         if self.unlabelled_ratio < 0:
             raise ConfigError("unlabelled_ratio must be non-negative")
-        for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight"):
+        # loss weights, then augmentation settings in the ranges their operators enforce
+        for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight",
+                     "noise_scale", "swap_count"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        for name in ("flip_max_seconds", "time_mask_max_frames", "pitch_max_steps",
+                     "contextual_neighbors"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("delete_prob", "synonym_prob", "contextual_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         # raises ConfigError on bad fractions
@@ -213,27 +224,20 @@ def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor) -> Metri
     return metrics_from_probs(samples, *predict_probs(model, samples, extractor))
 
 
-class _StatsAccumulator:
-    def __init__(self):
-        self.sums = np.zeros(5)          # sup, unsup, neg, ent, total
-        self.accepted = 0
-        self.unlab_seen = 0
-        self.k_hist: dict[int, int] = {}
-        self.steps = 0
+def _mean(items: list, part: str) -> float:
+    """The mean of one attribute over the items: its float sum in step order
+    (not ``sum``, which compensates from Python 3.12 on) over the count."""
+    return reduce(add, (getattr(item, part) for item in items), 0.0) / max(len(items), 1)
 
-    def add(self, bd, n_unlab: int):
-        self.sums += (bd.l_sup, bd.l_fix_unsup, bd.l_neg, bd.l_ent, bd.total)
-        self.accepted += bd.accepted_count
-        self.unlab_seen += n_unlab
-        if bd.k is not None:
-            self.k_hist[bd.k] = self.k_hist.get(bd.k, 0) + 1
-        self.steps += 1
 
-    def finish(self) -> TaskEpochStats:
-        means = [float(v) for v in self.sums / max(self.steps, 1)]
-        rate = self.accepted / self.unlab_seen if self.unlab_seen else 0.0
-        return TaskEpochStats(sup=means[0], unsup=means[1], neg=means[2], ent=means[3],
-                              total=means[4], acceptance_rate=rate, k_hist=dict(self.k_hist))
+def _task_stats(breakdowns: list, unlab_seen: int) -> TaskEpochStats:
+    """One task's epoch statistics from its per-step loss breakdowns."""
+    accepted = sum(bd.accepted_count for bd in breakdowns)
+    return TaskEpochStats(
+        sup=_mean(breakdowns, "l_sup"), unsup=_mean(breakdowns, "l_fix_unsup"),
+        neg=_mean(breakdowns, "l_neg"), ent=_mean(breakdowns, "l_ent"),
+        total=_mean(breakdowns, "total"), acceptance_rate=accepted / max(unlab_seen, 1),
+        k_hist=dict(Counter(bd.k for bd in breakdowns if bd.k is not None)))
 
 
 def labelled_pool(corpus: Corpus, modality: str) -> list:
@@ -251,6 +255,13 @@ def split_for(config: TrainConfig, corpus: Corpus) -> tuple[list, list, list]:
     return stratified_split(labelled_pool(corpus, config.modality), spec)
 
 
+def extractor_for(config: TrainConfig, corpus: Corpus) -> FeatureExtractor:
+    """The featurizer of the config's modality and sizes over the corpus's
+    embedding: the one train() fits with and eval reads with."""
+    return FeatureExtractor(config.modality, bins=config.signal_bins,
+                            max_token_len=config.token_max_len, table=corpus.embedding)
+
+
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Run the configured method on the corpus; see the module docstring."""
     train_set, valid_set, test_set = split_for(config, corpus)
@@ -259,8 +270,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         raise ConfigError(f"method '{config.method}' needs unlabelled data")
     valid_eval = valid_set or train_set
 
-    extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
-                                 max_token_len=config.token_max_len, table=corpus.embedding)
+    extractor = extractor_for(config, corpus)
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
@@ -280,8 +290,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
         rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
 
-        stats_emo, stats_int = _StatsAccumulator(), _StatsAccumulator()
-        total_sum = 0.0
+        results = []
         for lab_batch, unlab_batch in steps:
             # one featurize call per step: labelled, then unlabelled weak and strong rows
             payloads = (augment(lab_batch, config.weak_aug_kind, rng_lab)
@@ -307,14 +316,14 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
 
             result, grads = loss_and_gradients(model, spec)
             model, state = adam_step(model, grads, state, lr)
-            stats_emo.add(result.emo, len(unlab_batch))
-            stats_int.add(result.intent, len(unlab_batch))
-            total_sum += result.total
+            results.append(result)
 
         val = evaluate(model, valid_eval, extractor)
-        reports.append(EpochReport(epoch=epoch, lr=lr, emo=stats_emo.finish(),
-                                   intent=stats_int.finish(),
-                                   mean_total=total_sum / max(len(steps), 1), val=val))
+        unlab_seen = sum(len(unlab_batch) for _, unlab_batch in steps)
+        reports.append(EpochReport(
+            epoch=epoch, lr=lr, emo=_task_stats([r.emo for r in results], unlab_seen),
+            intent=_task_stats([r.intent for r in results], unlab_seen),
+            mean_total=_mean(results, "total"), val=val))
         if val.jrbm > best_jrbm:
             best_jrbm, best_model, best_val, best_epoch = val.jrbm, model, val, epoch
 
@@ -331,18 +340,14 @@ _CSV_COLUMNS = [
 ]
 
 
-def _hist_str(hist: dict[int, int]) -> str:
-    return " ".join(f"{k}:{hist[k]}" for k in sorted(hist))
-
-
 def epoch_reports_csv(reports) -> str:
     """One CSV row per epoch; float cells use repr for exact round-trips."""
     lines = [",".join(_CSV_COLUMNS)]
     for r in reports:
         cells = [str(r.epoch), repr(r.lr)]
-        for stats in (r.emo, r.intent):
-            cells += [repr(stats.sup), repr(stats.unsup), repr(stats.neg), repr(stats.ent),
-                      repr(stats.total), repr(stats.acceptance_rate), _hist_str(stats.k_hist)]
+        for t in (r.emo, r.intent):
+            cells += [*map(repr, (t.sup, t.unsup, t.neg, t.ent, t.total, t.acceptance_rate)),
+                      " ".join(f"{k}:{n}" for k, n in sorted(t.k_hist.items()))]
         cells += [repr(r.mean_total), repr(r.val.f1_emo), repr(r.val.f1_intent), repr(r.val.jrbm)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -350,6 +355,6 @@ def epoch_reports_csv(reports) -> str:
 
 __all__ = [
     "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult",
-    "epoch_reports_csv", "evaluate", "labelled_pool", "lr_at_epoch", "metrics_from_probs",
-    "predict_probs", "split_for", "train",
+    "epoch_reports_csv", "evaluate", "extractor_for", "labelled_pool", "lr_at_epoch",
+    "metrics_from_probs", "predict_probs", "split_for", "train",
 ]

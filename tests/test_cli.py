@@ -111,6 +111,13 @@ NON_DEFAULT_GENERATOR = GeneratorConfig(
     vocab_size=24, embedding_dim=8, seed=3, emotion_names=("calm", "joy", "rage"),
     intent_names=("ask", "tell"))
 
+# each augmentation field with a value just outside the range its operator enforces
+AUG_OUT_OF_RANGE = [
+    ("flip_max_seconds", "0"), ("time_mask_max_frames", "0"), ("pitch_max_steps", "0"),
+    ("noise_scale", "-1"), ("swap_count", "-1"), ("delete_prob", "7"),
+    ("synonym_prob", "-0.5"), ("contextual_prob", "1.5"), ("contextual_neighbors", "0"),
+]
+
 FLOAT_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
 FLOAT_GENERATOR_FIELDS = [f.name for f in fields(GeneratorConfig) if f.type == "float"]
 
@@ -159,6 +166,33 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("modality", ["signal", "tokens"])
+    @pytest.mark.parametrize("key, value", AUG_OUT_OF_RANGE)
+    def test_augmentation_out_of_range_rejected(self, workdir, capsys, modality, key, value):
+        """Rejected before the corpus is read, naming the key, whether or not
+        the modality's operators use the field."""
+        (workdir / "gen.cfg").write_text(GEN_CFG + "modality_mix = 0.5\n")
+        make_corpus(workdir)
+        text = TRAIN_CFG.replace("weak_aug_kind = flip\n", "").replace(
+            "modality = signal", f"modality = {modality}")
+        (workdir / "aug.cfg").write_text(text + f"{key} = {value}\n")
+        assert main(["train", "--config", "aug.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must") and err.count("\n") == 1
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_non_utf8_config_names_file(self, workdir, capsys, command):
+        make_corpus(workdir)
+        text = TRAIN_CFG if command == "train" else GEN_CFG
+        (workdir / "bad.cfg").write_bytes(b"# caf\xe9\n" + text.encode())
+        argv = {"train": ["train", "--corpus", "corpus.jsonl"], "gen-data": ["gen-data"]}[command]
+        assert main(argv + ["--config", "bad.cfg", "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.cfg: not UTF-8") and err.count("\n") == 1
+        assert not (workdir / "run").exists()
 
 
 class TestGenData:
@@ -315,14 +349,16 @@ class TestCorpusHeader:
 
 
 class TestCorpusFieldTypes:
-    """A float, bool or string where the corpus needs an int is an error on
-    its line, not a silent truncation."""
+    """A float, bool or string where the corpus needs an int, or an id that
+    is not a string, is an error on its line, not a silent coercion."""
 
     @pytest.mark.parametrize("modality_mix, field, value", [
         (1.0, "sample_rate", 16000.7),
         (0.0, "vocab_size", 30.5),
         (0.0, "token", 1.7),
         (0.0, "token", True),
+        (1.0, "id", None),
+        (1.0, "id", [1, 2]),
     ])
     def test_non_int_rejected_on_its_line(self, workdir, capsys, modality_mix, field, value):
         (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {modality_mix}\n")
@@ -339,6 +375,7 @@ class TestCorpusFieldTypes:
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
         assert not (workdir / "run").exists()
+        assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
 
 
 class TestSweep:

@@ -68,6 +68,7 @@ def assert_rejected(kind, files, path, tmp_path, capsys, *needles):
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err and err.startswith("error: ")
+    assert err.count("\n") == 1, err
     for needle in needles:
         assert needle in err
     assert not out.exists()
@@ -78,7 +79,9 @@ def lines_of(path):
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n")
+    """Write the lines as UTF-8; a lone surrogate ``"\\udcXX"`` writes the raw
+    byte ``XX``, which is not UTF-8."""
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
 
 LOADERS = {"corpus": ("corpus.jsonl", load_corpus),
@@ -105,6 +108,9 @@ FRAMING_CASES = [
     ("non-object record", lambda lines: lines[:2] + ["[1, 2]"] + lines[3:], 3),
     ("deeply nested record", lambda lines: lines[:2] + ["[" * 100_000] + lines[3:], 3),
     ("string record", lambda lines: lines[:1] + ['"row"'] + lines[2:], 2),
+    ("non-UTF-8 line 1", lambda lines: ["\udcff" + lines[0]] + lines[1:], 1),
+    ("non-UTF-8 record", lambda lines: lines[:2] + [lines[2][:9] + "\udcff" + lines[2][9:]]
+     + lines[3:], 3),
 ]
 
 
@@ -150,6 +156,20 @@ class TestLineFraming:
             for a, b in zip(got[1:], expected[1:]):
                 np.testing.assert_array_equal(a, b)
 
+    def test_raw_utf8_and_crlf_read_intact(self, files):
+        """Unescaped non-ASCII text and CRLF line ends read as they would
+        escaped and with LF."""
+        path = files["corpus.jsonl"]
+        lines = lines_of(path)
+        header = json.loads(lines[0])
+        header["emotion_names"] = ["calme", "colère", "喜び"]
+        path.write_bytes("\r\n".join([json.dumps(header, ensure_ascii=False)] + lines[1:])
+                         .encode("utf-8"))
+        got = load_corpus(str(path))
+        write_lines(path, [json.dumps(header)] + lines[1:])
+        assert got.emotion_names == ["calme", "colère", "喜び"]
+        assert corpus_to_text(got) == corpus_to_text(load_corpus(str(path)))
+
     def test_reader_streams(self, files):
         """Records come one at a time from an iterator: the records before a
         bad line are yielded before the bad line is read."""
@@ -172,11 +192,13 @@ class TestCheckpointFraming:
         ('{"format": "semimatch-corpus", "version": 1}', "not a semimatch-checkpoint file"),
         ('{"format": "semimatch-checkpoint", "version": 2}', "unsupported"),
         ('{"format": "semimatch-checkpoint"}', "unsupported"),
+        (b'{"format": "semimatch-checkpoint", "version": 1, "x": "\xff"}', "not UTF-8"),
+        ('{"format": "semimatch-checkpoint", "version": 1}'.encode("utf-16"), "not UTF-8"),
     ], ids=["empty", "blank", "non-json", "array", "wrong-format", "wrong-version",
-            "no-version"])
+            "no-version", "non-utf8", "utf16"])
     def test_bad_document_names_file(self, files, tmp_path, capsys, text, needle):
         path = files["checkpoint.json"]
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert_rejected("checkpoint", files, path, tmp_path, capsys, f"{path}: ", needle)
 
 
@@ -197,8 +219,9 @@ class TestCheckpointFields:
         (lambda doc: doc.pop("intent_names"), "intent_names must be a list of strings"),
         (lambda doc: doc["params"].pop("w_int"), "missing field 'w_int'"),
         (lambda doc: doc["config"].update(no_such_key=1), "no_such_key"),
+        (lambda doc: doc["config"].update(delete_prob=7), "delete_prob must lie in [0, 1]"),
     ], ids=["short-bias", "tau-2", "nan-weight", "names-string", "names-missing",
-            "param-missing", "unknown-config-key"])
+            "param-missing", "unknown-config-key", "delete-prob-7"])
     def test_bad_field_names_file(self, files, tmp_path, capsys, edit, needle):
         path = files["checkpoint.json"]
         doc = json.loads(path.read_text())
@@ -226,8 +249,11 @@ class TestPredictionRows:
         ({"emotion": 3}, "emotion label 3 outside [0, 3)"),
         ({"intent": -1}, "intent label -1 outside [0, 2)"),
         ({"emo_probs": None}, "emo_probs must be a list"),
+        ({"id": None}, "id must be a JSON string, got None"),
+        ({"id": [1, 2]}, "id must be a JSON string, got [1, 2]"),
     ], ids=["short-row", "long-row", "nan-row", "inf-row", "string-probs", "bool-probs",
-            "float-label", "bool-label", "label-too-big", "label-negative", "null-row"])
+            "float-label", "bool-label", "label-too-big", "label-negative", "null-row",
+            "null-id", "list-id"])
     def test_bad_row_names_file_and_line(self, files, tmp_path, capsys, change, needle):
         path = files["p2.jsonl"]
         lines = lines_of(path)
