@@ -12,6 +12,13 @@ vocabulary. ``augment_signal`` / ``augment_tokens`` apply one operator to a
 whole list of sequences in one call and draw the same numbers, in the same
 order, as the per-sequence operators called in a loop.
 
+The two replace operators (synonym, contextual) share one batched body.
+It decodes a whole list's interleaved scalar draws from the raw words of a
+PCG64 generator in one pass and leaves the generator where the scalar draws
+would. It falls back to the kept per-token loop for any other bit
+generator, when a bounded draw would reject, or when a one-time self-check
+finds that this numpy draws differently.
+
 Featurizers map either payload into a fixed-dimension vector: binned
 summary statistics for signals (order-sensitive), mean token embedding
 plus a length fraction for tokens (order-free). ``FeatureExtractor``
@@ -22,7 +29,7 @@ featurizes a whole list of payloads in one call; the per-sample
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -235,8 +242,11 @@ def _gaussian_noise_all(seqs, rng: np.random.Generator, scale: float = 0.05):
 
 def _each(op):
     """A batched form of a per-sequence operator whose draws depend on
-    earlier draws, so they are taken one sequence at a time."""
-    return lambda seqs, rng, **params: [op(seq, rng, **params) for seq in seqs]
+    earlier draws, so they are taken one sequence at a time. The token
+    resources (lexicon, table), which such an operator never takes, are
+    dropped."""
+    return lambda seqs, rng, lexicon=None, table=None, **params: [
+        op(seq, rng, **params) for seq in seqs]
 
 
 _SIGNAL_OPS = {
@@ -285,18 +295,137 @@ def delete_tokens(seq: TokenSequence, rng: np.random.Generator,
     return TokenSequence(tokens=seq.tokens[keep], vocab_size=seq.vocab_size)
 
 
+def _replace_each_token(seqs, alternatives, rng: np.random.Generator,
+                        p: float) -> list[TokenSequence]:
+    """The replace operators' reference walk, one scalar draw at a time:
+    each token takes ``rng.random() < p``, and each hit whose
+    ``alternatives(token)`` is non-empty becomes one of them, picked by
+    ``rng.integers(0, len(alts))``."""
+    out = []
+    for seq in seqs:
+        tokens = seq.tokens.tolist()
+        for j, tok in enumerate(tokens):
+            if rng.random() < p:
+                alts = alternatives(tok)
+                if alts:
+                    tokens[j] = alts[int(rng.integers(0, len(alts)))]
+        out.append(TokenSequence(tokens=tokens, vocab_size=seq.vocab_size))
+    return out
+
+
+_LOW32 = 2**32 - 1
+
+
+def _replace_decoded(seqs, alternatives, bitgen: np.random.PCG64, p: float):
+    """``_replace_each_token`` over a PCG64 bit generator, decoded from the
+    raw 64-bit words the scalar draws would read; None, with the generator
+    untouched, when a bounded draw would reject and so read more words.
+
+    A double is ``(word >> 11) * 2**-53``. A bounded draw over n > 1 items
+    is Lemire's ``(r32 * n) >> 32``, where r32 is the half-word PCG64 keeps
+    buffered (``has_uint32`` / ``uinteger``) if there is one, and otherwise
+    the low half of a fresh word whose high half is then buffered; n = 1
+    draws nothing. Python walks the hits only.
+    """
+    lengths = [len(s) for s in seqs]
+    tokens = np.concatenate([s.tokens for s in seqs])
+    total = len(tokens)
+    saved = bitgen.state
+    raw = bitgen.random_raw(2 * total + 8)   # enough: each token reads at most 1.5 words
+    bitgen.state = saved
+    has_half, half = saved["has_uint32"], saved["uinteger"]
+    at, values = [], []
+    word = start = 0   # the next word to read, and the token that reads it
+    for hit in np.flatnonzero((raw >> 11) * 2.0**-53 < p).tolist():
+        if hit < word:          # a word a bounded draw took
+            continue
+        t = start + hit - word
+        if t >= total:
+            break
+        word, start = hit + 1, t + 1
+        alts = alternatives(int(tokens[t]))
+        if not alts:
+            continue
+        n, pick = len(alts), 0
+        if n > 1:
+            if has_half:
+                r32, has_half = half, 0
+            else:
+                fresh = int(raw[word])
+                r32, half, has_half = fresh & _LOW32, fresh >> 32, 1
+                word += 1
+            scaled = r32 * n
+            if scaled & _LOW32 < (2**32 - n) % n:
+                return None
+            pick = scaled >> 32
+        at.append(t)
+        values.append(alts[pick])
+    bitgen.advance(word + total - start)
+    state = bitgen.state                     # advance() clears the half-word buffer
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bitgen.state = state
+    out = tokens.copy()
+    out[at] = values
+    return [TokenSequence(tokens=part, vocab_size=seq.vocab_size)
+            for seq, part in zip(seqs, np.split(out, np.cumsum(lengths)[:-1]))]
+
+
+@cache
+def _decode_agrees() -> bool:
+    """Whether ``_replace_decoded`` reproduces this numpy's scalar draws,
+    checked once per process on a fixed case that starts from a buffered
+    half-word and takes fresh words after it."""
+    seqs = [TokenSequence(tokens=np.arange(200) % 6, vocab_size=6)]
+    alternatives = ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)).__getitem__
+    fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+    fast.integers(0, 3)     # leaves the high half of a word buffered
+    slow.integers(0, 3)
+    decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, 0.5)
+    expected = _replace_each_token(seqs, alternatives, slow, 0.5)
+    return (decoded is not None and fast.bit_generator.state == slow.bit_generator.state
+            and decoded[0].tokens.tolist() == expected[0].tokens.tolist())
+
+
+def _replace_all(seqs, alternatives, rng: np.random.Generator,
+                 p: float) -> list[TokenSequence]:
+    """The body both replace operators share: ``_replace_each_token``'s
+    output and final generator state, decoded in one pass per call when the
+    bit generator is exactly PCG64 and the decode agrees with this numpy's
+    scalar draws; otherwise, and when a bounded draw would reject, the loop."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError("replacement probability must lie in [0, 1]")
+    if seqs and type(rng.bit_generator) is np.random.PCG64 and _decode_agrees():
+        out = _replace_decoded(seqs, alternatives, rng.bit_generator, p)
+        if out is not None:
+            return out
+    return _replace_each_token(seqs, alternatives, rng, p)
+
+
+def _synonym_all(seqs, rng: np.random.Generator, lexicon: SynonymLexicon | None = None,
+                 table=None, p: float = 0.15) -> list[TokenSequence]:
+    """``synonym_replace`` of every sequence."""
+    if lexicon is None:
+        raise ConfigError("synonym replacement needs a lexicon")
+    return _replace_all(seqs, lexicon.mapping.get, rng, p)
+
+
+def _contextual_all(seqs, rng: np.random.Generator, lexicon=None,
+                    table: EmbeddingTable | None = None, n_neighbors: int = 5,
+                    p: float = 0.15) -> list[TokenSequence]:
+    """``contextual_replace`` of every sequence."""
+    if table is None:
+        raise ConfigError("contextual replacement needs an embedding table")
+    if n_neighbors < 1:
+        raise ConfigError("n_neighbors must be positive")
+    if any(seq.vocab_size != table.vocab_size for seq in seqs):
+        raise ContractError("embedding table vocabulary does not match the sequence")
+    return _replace_all(seqs, table.neighbour_lists(n_neighbors).__getitem__, rng, p)
+
+
 def synonym_replace(seq: TokenSequence, lexicon: SynonymLexicon,
                     rng: np.random.Generator, p: float = 0.15) -> TokenSequence:
     """Replace tokens with a uniformly drawn lexicon alternative, prob p each."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("replacement probability must lie in [0, 1]")
-    tokens = seq.tokens.tolist()
-    for j, tok in enumerate(tokens):
-        if rng.random() < p:
-            alts = lexicon.mapping.get(tok)
-            if alts:
-                tokens[j] = alts[int(rng.integers(0, len(alts)))]
-    return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
+    return _synonym_all([seq], rng, lexicon=lexicon, p=p)[0]
 
 
 def nearest_neighbours(table: EmbeddingTable, token: int, n: int) -> np.ndarray:
@@ -313,40 +442,26 @@ def contextual_replace(seq: TokenSequence, table: EmbeddingTable,
                        rng: np.random.Generator, n_neighbors: int = 5,
                        p: float = 0.15) -> TokenSequence:
     """Replace tokens with one of their top-n embedding neighbours, prob p each."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("replacement probability must lie in [0, 1]")
-    if n_neighbors < 1:
-        raise ConfigError("n_neighbors must be positive")
-    if table.vocab_size != seq.vocab_size:
-        raise ContractError("embedding table vocabulary does not match the sequence")
-    neighbours = table.neighbour_lists(n_neighbors)
-    tokens = seq.tokens.tolist()
-    for j, tok in enumerate(tokens):
-        if rng.random() < p:
-            neigh = neighbours[tok]
-            tokens[j] = neigh[int(rng.integers(0, len(neigh)))]
-    return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
+    return _contextual_all([seq], rng, table=table, n_neighbors=n_neighbors, p=p)[0]
+
+
+_TOKEN_OPS = {
+    "swap": _each(swap_adjacent),
+    "delete": _each(delete_tokens),
+    "synonym": _synonym_all,
+    "contextual": _contextual_all,
+}
 
 
 def augment_tokens(seqs, kind: str, rng: np.random.Generator,
                    lexicon: SynonymLexicon | None = None,
                    table: EmbeddingTable | None = None, **params) -> list[TokenSequence]:
     """Apply one token operator, by name, to every sequence of a list."""
-    if kind == "swap":
-        op = partial(swap_adjacent, rng=rng)
-    elif kind == "delete":
-        op = partial(delete_tokens, rng=rng)
-    elif kind == "synonym":
-        if lexicon is None:
-            raise ConfigError("synonym replacement needs a lexicon")
-        op = partial(synonym_replace, lexicon=lexicon, rng=rng)
-    elif kind == "contextual":
-        if table is None:
-            raise ConfigError("contextual replacement needs an embedding table")
-        op = partial(contextual_replace, table=table, rng=rng)
-    else:
-        raise ConfigError(f"unknown token augmentation '{kind}'")
-    return [op(seq, **params) for seq in seqs]
+    try:
+        op = _TOKEN_OPS[kind]
+    except KeyError:
+        raise ConfigError(f"unknown token augmentation '{kind}'") from None
+    return op(list(seqs), rng, lexicon=lexicon, table=table, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,9 @@ def _to_str_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-def parse_key_values(text: str) -> dict[str, str]:
-    """Raw key -> value mapping; duplicate keys are errors."""
-    mapping: dict[str, str] = {}
+def parse_key_values(text: str) -> dict[str, tuple[int, str]]:
+    """Raw key -> (line number, value) mapping; duplicate keys are errors."""
+    mapping: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -66,7 +66,7 @@ def parse_key_values(text: str) -> dict[str, str]:
             raise ConfigError(f"line {line_no}: empty key")
         if key in mapping:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-        mapping[key] = value
+        mapping[key] = line_no, value
     return mapping
 
 
@@ -92,15 +92,15 @@ TRAIN_CONFIG_KEYS = tuple(_TRAIN_PARSERS)
 GENERATOR_CONFIG_KEYS = tuple(_GENERATOR_PARSERS)
 
 
-def _build(mapping: dict[str, str], parsers: dict, what: str) -> dict:
+def _build(mapping: dict[str, tuple[int, str]], parsers: dict, what: str) -> dict:
     built = {}
-    for key, raw in mapping.items():
+    for key, (line_no, raw) in mapping.items():
         if key not in parsers:
-            raise ConfigError(f"unknown {what} config key '{key}'")
+            raise ConfigError(f"line {line_no}: unknown {what} config key '{key}'")
         try:
             built[key] = parsers[key](raw)
         except ConfigError as exc:
-            raise ConfigError(f"key '{key}': {exc}") from None
+            raise ConfigError(f"line {line_no}: key '{key}': {exc}") from None
     return built
 
 
@@ -119,12 +119,21 @@ def generator_config_from_text(text: str, **overrides) -> GeneratorConfig:
     return GeneratorConfig(**built)
 
 
+def _from_file(path: str, from_text, overrides: dict):
+    """``from_text`` of the file's text; each of its errors starts with the path."""
+    text = read_text(path, ConfigError)
+    try:
+        return from_text(text, **overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_train_config(path: str, **overrides) -> TrainConfig:
-    return train_config_from_text(read_text(path, ConfigError), **overrides)
+    return _from_file(path, train_config_from_text, overrides)
 
 
 def load_generator_config(path: str, **overrides) -> GeneratorConfig:
-    return generator_config_from_text(read_text(path, ConfigError), **overrides)
+    return _from_file(path, generator_config_from_text, overrides)
 
 
 __all__ = [

@@ -178,9 +178,12 @@ def forward(model: TwoHeadModel, x: np.ndarray) -> TaskProbs:
     return TaskProbs(emo=p_emo[0], intent=p_int[0])
 
 
-def forward_batch(model: TwoHeadModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched forward; returns (emotion probs, intent probs) as (B, C) arrays."""
-    return _forward_parts(model, x)[3:]
+def forward_batch(model: TwoHeadModel, x: np.ndarray, parts: bool = False) -> tuple:
+    """Batched forward; returns (emotion probs, intent probs) as (B, C) arrays,
+    or with ``parts`` every intermediate ``(x, z, a, p_emo, p_int)``, which
+    ``loss_and_gradients`` takes in place of forwarding that batch again."""
+    out = _forward_parts(model, x)
+    return out if parts else out[3:]
 
 
 def ce_logit_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -213,12 +216,20 @@ class BatchLossSpec:
     intent_weight: float = 1.0
 
 
-def _forward_loss(model: TwoHeadModel, spec: BatchLossSpec):
-    """Forward the labelled and strong branches once each. Returns the
-    composed loss and each branch's forward parts (None when it is empty),
-    which backprop reuses instead of forwarding again."""
-    lab, strong = (_forward_parts(model, f) if f is not None and len(f) else None
-                   for f in (spec.lab_features, spec.strong_features))
+def _forward_loss(model: TwoHeadModel, spec: BatchLossSpec, strong=None):
+    """Forward the labelled and strong branches once each; ``strong``, when
+    given, is the strong branch's forward parts at these parameters and is
+    used as is. Returns the composed loss and each branch's forward parts
+    (None when it is empty), which backprop reuses instead of forwarding
+    again."""
+    def parts(features):
+        return _forward_parts(model, features) if features is not None and len(features) else None
+
+    lab = parts(spec.lab_features)
+    if strong is None:
+        strong = parts(spec.strong_features)
+    elif strong[0].shape != np.shape(spec.strong_features):
+        raise ContractError("strong forward parts do not match the strong features")
     p_lab = lab[3:] if lab is not None else (None, None)
     p_str = strong[3:] if strong is not None else (None, None)
     emo = task_loss_from_terms(p_lab[0], spec.emo_labels, p_str[0], spec.emo_terms, spec.coeffs)
@@ -229,9 +240,10 @@ def _forward_loss(model: TwoHeadModel, spec: BatchLossSpec):
 def batch_loss(model: TwoHeadModel, spec: BatchLossSpec) -> MultitaskLoss:
     """Evaluate the composed loss at the given parameters, decisions fixed.
 
-    This is the finite-difference oracle's scalar path. Backprop evaluates
-    its loss through the same code, so both see the same frozen constants
-    and the only moving parts are the probabilities.
+    This is the finite-difference oracle's scalar path, so it always
+    forwards both branches itself. Backprop evaluates its loss through the
+    same code, so both see the same frozen constants and the only moving
+    parts are the probabilities.
     """
     return _forward_loss(model, spec)[0]
 
@@ -270,13 +282,16 @@ def _unsup_logit_grad(p: np.ndarray, terms: TaskTerms, coeffs: LossCoefficients,
     return task_weight * g
 
 
-def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec) -> tuple[MultitaskLoss, Gradients]:
+def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec,
+                       strong=None) -> tuple[MultitaskLoss, Gradients]:
     """Itemized loss plus the analytic gradient of its total.
 
     The decisions inside ``spec`` never receive gradient; see the module
-    docstring.
+    docstring. ``strong`` is ``forward_batch(model, spec.strong_features,
+    parts=True)`` when the caller already ran it at these parameters;
+    None forwards the strong branch here.
     """
-    result, lab, strong = _forward_loss(model, spec)
+    result, lab, strong = _forward_loss(model, spec, strong)
     _check_finite_breakdown("emotion", result.emo)
     _check_finite_breakdown("intent", result.intent)
     grads = Gradients.zeros_like(model)

@@ -116,13 +116,14 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size, and hidden_size must be positive")
         if self.unlabelled_ratio < 0:
             raise ConfigError("unlabelled_ratio must be non-negative")
-        # loss weights, then augmentation settings in the ranges their operators enforce
+        # loss weights, then featurizer sizes and augmentation settings in the
+        # ranges their functions enforce, whatever the modality
         for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight",
                      "noise_scale", "swap_count"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        for name in ("flip_max_seconds", "time_mask_max_frames", "pitch_max_steps",
-                     "contextual_neighbors"):
+        for name in ("signal_bins", "token_max_len", "flip_max_seconds",
+                     "time_mask_max_frames", "pitch_max_steps", "contextual_neighbors"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("delete_prob", "synonym_prob", "contextual_prob"):
@@ -304,17 +305,19 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
 
+            strong = None   # the strong branch's forward, which the loss reuses
             if unlab_batch:
                 weak_feats = feats[n_lab:n_lab + n_unlab]
                 spec.strong_features = feats[n_lab + n_unlab:]
                 pw_emo, pw_int = forward_batch(model, weak_feats)
-                ps_emo, ps_int = forward_batch(model, spec.strong_features)
+                strong = forward_batch(model, spec.strong_features, parts=True)
+                ps_emo, ps_int = strong[3:]
                 gate, sigma = method_policy(config.method, pw_emo, pw_int,
                                             config.tau, config.sigma)
                 spec.emo_terms = build_task_terms(pw_emo, ps_emo, config.tau, sigma, gate)
                 spec.int_terms = build_task_terms(pw_int, ps_int, config.tau, sigma, gate)
 
-            result, grads = loss_and_gradients(model, spec)
+            result, grads = loss_and_gradients(model, spec, strong)
             model, state = adam_step(model, grads, state, lr)
             results.append(result)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semimatch.augment
 from semimatch.augment import (
     EmbeddingTable,
     FeatureExtractor,
@@ -30,6 +31,7 @@ from semimatch.augment import (
     synonym_replace,
     time_mask,
 )
+from semimatch.augment import _replace_decoded, _replace_each_token
 from semimatch.errors import ConfigError, ContractError
 
 
@@ -278,6 +280,95 @@ class TestBatchedDispatch:
             np.testing.assert_array_equal(a.tokens, b.tokens)
             assert a.vocab_size == b.vocab_size
         assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+# Lexicon whose tokens have 0 to 4 alternatives: no draw and no change at 0,
+# a replacement without a draw at 1, bounded draws over n = 2, 3 and 4.
+RAGGED = SynonymLexicon(mapping={
+    t: tuple((t + k) % 30 for k in range(1, t % 5 + 1)) for t in range(30) if t % 5})
+# (kind, resource keywords, the alternatives the kind's operator replaces from)
+REPLACE_CASES = [
+    ("synonym", {"lexicon": LEXICON}, LEXICON.mapping.get),
+    ("synonym", {"lexicon": RAGGED}, RAGGED.mapping.get),
+    ("contextual", {"table": TABLE}, TABLE.neighbour_lists(5).__getitem__),
+]
+
+
+def generator(seed, bit_generator=np.random.PCG64, buffered=None):
+    """A generator; ``buffered`` preloads PCG64's half-word buffer."""
+    rng = np.random.Generator(bit_generator(seed))
+    if buffered is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        rng.bit_generator.state = state
+    return rng
+
+
+def assert_same_draws(out, expected, rng, rng_expected):
+    assert [s.tokens.tolist() for s in out] == [s.tokens.tolist() for s in expected]
+    assert [s.vocab_size for s in out] == [s.vocab_size for s in expected]
+    np.testing.assert_equal(rng.bit_generator.state, rng_expected.bit_generator.state)
+
+
+class TestDecodedReplacement:
+    """The replace operators' batched body equals the per-token loop it
+    keeps as the reference, on the decoded path and on every fallback."""
+
+    @pytest.mark.parametrize("case", range(len(REPLACE_CASES)))
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 400), max_size=20), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(0.0, 1.0), buffered=st.none() | st.integers(0, 2**32 - 1))
+    @example(lengths=[], seed=0, p=0.5, buffered=None)
+    @example(lengths=[1, 1, 2], seed=3, p=1.0, buffered=7)
+    @example(lengths=[1], seed=4, p=0.0, buffered=None)
+    def test_body_equals_loop(self, case, lengths, seed, p, buffered):
+        kind, resources, alternatives = REPLACE_CASES[case]
+        seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
+                for n in lengths]
+        rng, fast, slow = (generator(seed, buffered=buffered) for _ in range(3))
+        expected = _replace_each_token(seqs, alternatives, slow, p)
+        assert_same_draws(augment_tokens(seqs, kind, rng, p=p, **resources), expected,
+                          rng, slow)
+        if seqs:
+            decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, p)
+            # a rejection needs r32 == 0 and n = 3 or 5: a buffered 0 gives it,
+            # a fresh word with chance 2**-32 per draw
+            assert decoded is not None or buffered == 0
+            if decoded is not None:
+                assert_same_draws(decoded, expected, fast, slow)
+
+    def test_self_check_passes_where_the_decode_is_exact(self):
+        assert semimatch.augment._decode_agrees()
+
+    def test_rejection_falls_back_to_the_loop(self):
+        """With r32 = 0 buffered, a draw over 5 neighbours rejects:
+        (2**32 - 5) % 5 == 1 > 0."""
+        seqs = [TokenSequence(np.arange(12), 30), TokenSequence(np.arange(7, 30), 30)]
+        alternatives = TABLE.neighbour_lists(5).__getitem__
+        rng, fast, slow = (generator(9, buffered=0) for _ in range(3))
+        untouched = fast.bit_generator.state
+        assert _replace_decoded(seqs, alternatives, fast.bit_generator, 1.0) is None
+        assert fast.bit_generator.state == untouched
+        expected = _replace_each_token(seqs, alternatives, slow, 1.0)
+        out = augment_tokens(seqs, "contextual", rng, table=TABLE, p=1.0)
+        assert_same_draws(out, expected, rng, slow)
+
+    @pytest.mark.parametrize("bit_generator, self_check", [
+        (np.random.MT19937, True), (np.random.PCG64DXSM, True), (np.random.Philox, True),
+        (np.random.PCG64, False)])
+    def test_other_generators_and_failed_self_check_take_the_loop(
+            self, monkeypatch, bit_generator, self_check):
+        def no_decode(*args):
+            raise AssertionError("decoded where the loop must run")
+        monkeypatch.setattr(semimatch.augment, "_replace_decoded", no_decode)
+        monkeypatch.setattr(semimatch.augment, "_decode_agrees", lambda: self_check)
+        seqs = [TokenSequence(np.random.default_rng([5, n]).integers(0, 30, n), 30)
+                for n in (1, 40, 300)]
+        for kind, resources, alternatives in REPLACE_CASES:
+            rng, slow = generator(5, bit_generator), generator(5, bit_generator)
+            out = augment_tokens(seqs, kind, rng, p=0.4, **resources)
+            assert_same_draws(out, _replace_each_token(seqs, alternatives, slow, 0.4),
+                              rng, slow)
 
 
 class TestRoleAssignment:

@@ -95,6 +95,30 @@ class TestConfigParsing:
         config = train_config_from_text("\n# comment\nepochs = 7\n\n")
         assert config.epochs == 7
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", "epochs = 2\nepochs 3\n", "line 2: expected 'key = value'"),
+        ("train", "# a\n = 3\n", "line 2: empty key"),
+        ("train", "epochs = 2\n\nepochs = 3\n", "line 3: duplicate key 'epochs'"),
+        ("train", "epochs = 2\nmethodology = fixmatch\n",
+         "line 2: unknown train config key 'methodology'"),
+        ("train", "epochs = 2\nhidden_size = x\n",
+         "line 2: key 'hidden_size': expected an integer, got 'x'"),
+        ("train", "epochs = 2\nnoise_scale = -1\n", "noise_scale must be non-negative"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, x\n",
+         "line 2: key 'intent_counts': expected an integer, got 'x'"),
+        ("gen-data", "seed = 1\nsize = 3\n", "line 2: unknown generator config key 'size'"),
+        ("gen-data", "unlabelled_count = 5\n", "generator config needs 'emotion_counts'"),
+    ])
+    def test_file_errors_name_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                            command, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text(text)
+        (tmp_path / "corpus.jsonl").write_text("")
+        argv = {"train": ["train", "--corpus", "corpus.jsonl"], "gen-data": ["gen-data"]}[command]
+        assert main(argv + ["--config", "bad.cfg", "--out", "run"]) == 1
+        assert capsys.readouterr().err == f"error: bad.cfg: {message}\n"
+        assert not (tmp_path / "run").exists()
+
 
 NON_DEFAULT_TRAIN = TrainConfig(
     method="fullmatch", modality="tokens", weak_aug_kind="swap", weak_aug_on_unlabelled=False,
@@ -111,9 +135,10 @@ NON_DEFAULT_GENERATOR = GeneratorConfig(
     vocab_size=24, embedding_dim=8, seed=3, emotion_names=("calm", "joy", "rage"),
     intent_names=("ask", "tell"))
 
-# each augmentation field with a value just outside the range its operator enforces
+# each featurizer and augmentation field with a value just outside the range
+# its function enforces
 AUG_OUT_OF_RANGE = [
-    ("flip_max_seconds", "0"), ("time_mask_max_frames", "0"), ("pitch_max_steps", "0"),
+    ("signal_bins", "0"), ("token_max_len", "0"), ("flip_max_seconds", "0"), ("time_mask_max_frames", "0"), ("pitch_max_steps", "0"),
     ("noise_scale", "-1"), ("swap_count", "-1"), ("delete_prob", "7"),
     ("synonym_prob", "-0.5"), ("contextual_prob", "1.5"), ("contextual_neighbors", "0"),
 ]
@@ -170,8 +195,8 @@ class TestConfigFields:
     @pytest.mark.parametrize("modality", ["signal", "tokens"])
     @pytest.mark.parametrize("key, value", AUG_OUT_OF_RANGE)
     def test_augmentation_out_of_range_rejected(self, workdir, capsys, modality, key, value):
-        """Rejected before the corpus is read, naming the key, whether or not
-        the modality's operators use the field."""
+        """Rejected before the corpus is read, naming the file and the key,
+        whether or not the modality's featurizer and operators use the field."""
         (workdir / "gen.cfg").write_text(GEN_CFG + "modality_mix = 0.5\n")
         make_corpus(workdir)
         text = TRAIN_CFG.replace("weak_aug_kind = flip\n", "").replace(
@@ -180,7 +205,7 @@ class TestConfigFields:
         assert main(["train", "--config", "aug.cfg", "--corpus", "corpus.jsonl",
                      "--out", "run"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must") and err.count("\n") == 1
+        assert err.startswith(f"error: aug.cfg: {key} must") and err.count("\n") == 1
         assert not (workdir / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "gen-data"])

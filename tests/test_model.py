@@ -138,6 +138,22 @@ class TestBackprop:
         total, _ = backprop(model, spec)
         assert total == batch_loss(model, spec).total
 
+    def test_given_strong_forward_equals_its_own(self):
+        """The caller's strong forward at the same parameters gives the bits
+        the loss's own strong forward gives; one of another batch is refused."""
+        rng = np.random.default_rng(6)
+        model = init_model(16, 8, 7, 8, rng)
+        spec = _random_fullmatch_spec(rng, model)
+        own, own_grads = loss_and_gradients(model, spec)
+        given, given_grads = loss_and_gradients(
+            model, spec, forward_batch(model, spec.strong_features, parts=True))
+        assert given == own
+        for field in PARAM_FIELDS:
+            np.testing.assert_array_equal(getattr(given_grads, field), getattr(own_grads, field))
+        other = forward_batch(model, spec.strong_features[:3], parts=True)
+        with pytest.raises(ContractError, match="strong forward parts"):
+            loss_and_gradients(model, spec, other)
+
     @pytest.mark.parametrize("evaluate", [batch_loss, loss_and_gradients])
     @pytest.mark.parametrize("branch", ["lab_features", "strong_features"])
     def test_feature_width_mismatch_rejected(self, evaluate, branch):

@@ -221,11 +221,11 @@ class TestSplitFor:
 
 class TestForwardCount:
     """Each branch runs one forward per step: labelled only for baseline;
-    labelled, weak and strong plus the loss's own strong pass for the SSL
-    methods. Every evaluation adds one."""
+    labelled, weak and strong for the SSL methods, whose loss reuses the
+    strong forward the batch decisions ran. Every evaluation adds one."""
 
     @pytest.mark.parametrize("method, per_step", [
-        ("baseline", 1), ("fixmatch", 4), ("fullmatch", 4)])
+        ("baseline", 1), ("fixmatch", 3), ("fullmatch", 3)])
     def test_forwards_per_step(self, method, per_step, monkeypatch):
         calls = {"_forward_parts": 0, "adam_step": 0, "evaluate": 0}
 
