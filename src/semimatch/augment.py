@@ -12,12 +12,14 @@ vocabulary. ``augment_signal`` / ``augment_tokens`` apply one operator to a
 whole list of sequences in one call and draw the same numbers, in the same
 order, as the per-sequence operators called in a loop.
 
-The two replace operators (synonym, contextual) share one batched body.
-It decodes a whole list's interleaved scalar draws from the raw words of a
-PCG64 generator in one pass and leaves the generator where the scalar draws
-would. It falls back to the kept per-token loop for any other bit
-generator, when a bounded draw would reject, or when a one-time self-check
-finds that this numpy draws differently.
+The two replace operators (synonym, contextual) share one batched body
+with three paths. On a PCG64 generator it decodes a whole list's
+interleaved scalar draws from the raw words in one pass and leaves the
+generator where the scalar draws would: in numpy when every token of the
+call has two or more alternatives, so that every hit is a bounded draw,
+and by a Python walk over the hits otherwise. The kept per-token loop runs
+for any other bit generator, when a bounded draw would reject, or when a
+one-time self-check finds that this numpy draws differently.
 
 Featurizers map either payload into a fixed-dimension vector: binned
 summary statistics for signals (order-sensitive), mean token embedding
@@ -78,6 +80,26 @@ class TokenSequence:
             raise ContractError("vocab_size must be positive")
         if np.any(self.tokens < 0) or np.any(self.tokens >= self.vocab_size):
             raise ContractError("token index outside the vocabulary")
+
+    @classmethod
+    def from_concatenated(cls, tokens, lengths, vocab_sizes) -> list["TokenSequence"]:
+        """Sequences cut in order from one token array, the i-th holding
+        ``lengths[i]`` tokens of a ``vocab_sizes[i]`` vocabulary.
+        ``__post_init__``'s checks run once, over the whole array."""
+        tokens = np.asarray(tokens, dtype=int)
+        if tokens.ndim != 1 or min(lengths) < 1 or len(tokens) != sum(lengths):
+            raise ContractError("token sequence must be non-empty and 1-D")
+        if min(vocab_sizes) <= 0:
+            raise ContractError("vocab_size must be positive")
+        if tokens.min() < 0 or np.any(tokens >= np.repeat(vocab_sizes, lengths)):
+            raise ContractError("token index outside the vocabulary")
+        out, end = [], 0
+        for length, vocab_size in zip(lengths, vocab_sizes):
+            seq = cls.__new__(cls)
+            seq.tokens, seq.vocab_size = tokens[end:end + length], vocab_size
+            out.append(seq)
+            end += length
+        return out
 
     def __len__(self):
         return len(self.tokens)
@@ -325,24 +347,69 @@ def _replace_decoded(seqs, alternatives, bitgen: np.random.PCG64, p: float):
     is Lemire's ``(r32 * n) >> 32``, where r32 is the half-word PCG64 keeps
     buffered (``has_uint32`` / ``uinteger``) if there is one, and otherwise
     the low half of a fresh word whose high half is then buffered; n = 1
-    draws nothing. Python walks the hits only.
+    draws nothing. When every token has two or more alternatives,
+    ``_decode_bounded`` reads the hits from their runs in numpy; otherwise
+    ``_decode_walk`` walks them in Python.
     """
     lengths = [len(s) for s in seqs]
     tokens = np.concatenate([s.tokens for s in seqs])
     total = len(tokens)
     saved = bitgen.state
-    raw = bitgen.random_raw(2 * total + 8)   # enough: each token reads at most 1.5 words
+    # enough: bounded draws alternate fresh and buffered halves, so at most
+    # half the tokens, rounded up, read a second word
+    raw = bitgen.random_raw(3 * total // 2 + 1)
     bitgen.state = saved
-    has_half, half = saved["has_uint32"], saved["uinteger"]
+    hit = (raw >> 11) * 2.0**-53 < p
+    options = _bounded_options(tokens, alternatives)
+    if options is None:
+        decoded = _decode_walk(raw, hit, tokens, alternatives,
+                               saved["has_uint32"], saved["uinteger"])
+    else:
+        decoded = _decode_bounded(raw, hit, tokens, *options,
+                                  saved["has_uint32"], saved["uinteger"])
+    if decoded is None:
+        return None
+    at, values, words, has_half, half = decoded
+    bitgen.advance(words)
+    state = bitgen.state                     # advance() clears the half-word buffer
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bitgen.state = state
+    out = tokens.copy()
+    out[at] = values
+    return TokenSequence.from_concatenated(out, lengths, [s.vocab_size for s in seqs])
+
+
+def _bounded_options(tokens, alternatives):
+    """``(counts, table)`` indexed by token value, where ``table[t, :counts[t]]``
+    are ``alternatives(t)``, if every token of ``tokens`` has two or more
+    alternatives; otherwise None."""
+    distinct = np.flatnonzero(np.bincount(tokens)).tolist()
+    options = [alternatives(t) or () for t in distinct]
+    sizes = [len(alts) for alts in options]
+    if min(sizes) < 2:
+        return None
+    width = max(sizes)
+    counts = np.zeros(distinct[-1] + 1, dtype=np.uint64)
+    table = np.zeros((len(counts), width), dtype=int)
+    counts[distinct] = sizes
+    table[distinct] = [list(alts) + [0] * (width - len(alts)) for alts in options]
+    return counts, table
+
+
+def _decode_walk(raw, hit, tokens, alternatives, has_half: int, half: int):
+    """The hits of any mix of alternative counts, walked in Python:
+    ``(token indices, replacements, words read, has_uint32, uinteger)``,
+    or None on a rejection."""
+    total = len(tokens)
     at, values = [], []
     word = start = 0   # the next word to read, and the token that reads it
-    for hit in np.flatnonzero((raw >> 11) * 2.0**-53 < p).tolist():
-        if hit < word:          # a word a bounded draw took
+    for hit_word in np.flatnonzero(hit).tolist():
+        if hit_word < word:     # a word a bounded draw took
             continue
-        t = start + hit - word
+        t = start + hit_word - word
         if t >= total:
             break
-        word, start = hit + 1, t + 1
+        word, start = hit_word + 1, t + 1
         alts = alternatives(int(tokens[t]))
         if not alts:
             continue
@@ -360,30 +427,72 @@ def _replace_decoded(seqs, alternatives, bitgen: np.random.PCG64, p: float):
             pick = scaled >> 32
         at.append(t)
         values.append(alts[pick])
-    bitgen.advance(word + total - start)
-    state = bitgen.state                     # advance() clears the half-word buffer
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bitgen.state = state
-    out = tokens.copy()
-    out[at] = values
-    return [TokenSequence(tokens=part, vocab_size=seq.vocab_size)
-            for seq, part in zip(seqs, np.split(out, np.cumsum(lengths)[:-1]))]
+    return at, values, word + total - start, has_half, half
+
+
+def _decode_bounded(raw, hit, tokens, counts, table, has_half: int, half: int):
+    """``_decode_walk`` when every hit is a bounded draw, in numpy.
+
+    Take a run of consecutive hit words entered with buffer bit b. A word
+    after a miss is always a token's own word, so each run starts with one;
+    then at offset o the run holds, by ``(o - b) % 3``: 0, a hit drawing
+    the low half of the next (fresh) word; 1, that fresh word; 2, a hit
+    drawing the buffered high half. A run of length L leaves b as it was
+    if ``L % 3 == 0``, flips it if 1, and sets it if 2, so one scan gives
+    every run's entry bit.
+    """
+    padded = np.zeros(len(hit) + 2, dtype=bool)
+    padded[1:-1] = hit
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, run_lengths = edges[0::2], edges[1::2] - edges[0::2]
+    remainder = run_lengths % 3
+    flips = np.cumsum(remainder == 1)
+    last_set = np.maximum.accumulate(np.where(remainder == 2, np.arange(len(starts)), -1))
+    # b after a run: 1 plus the flips since the last run that set it, if any
+    exit_bit = np.where(last_set >= 0, 1 + flips - flips[last_set], has_half + flips) & 1
+    entry_bit = np.concatenate(([has_half], exit_bit))[:-1]
+    words = np.flatnonzero(hit)
+    phase = (words - np.repeat(starts + entry_bit, run_lengths)) % 3
+    fresh = phase == 0
+    at = words - (np.cumsum(fresh) - fresh)   # a draw's token: its word less earlier fresh words
+    draw = phase != 1
+    words, fresh, at = words[draw], fresh[draw], at[draw]
+    kept = np.searchsorted(at, len(tokens))
+    words, fresh, at = words[:kept], fresh[:kept], at[:kept]
+    # the word whose half each draw takes: its own fresh word, or the last one before it
+    source = np.maximum.accumulate(np.where(fresh, words + 1, -1))
+    word = raw[source]
+    r32 = np.where(fresh, word & _LOW32, np.where(source >= 0, word >> 32, half))
+    n = counts[tokens[at]]
+    scaled = r32 * n
+    if np.any(scaled & _LOW32 < (2**32 - n) % n):
+        return None
+    if kept:
+        has_half = int(fresh[-1])
+        if source[-1] >= 0:
+            half = int(word[-1] >> 32)   # stale after a buffered draw, as numpy leaves it
+    return at, table[tokens[at], scaled >> 32], len(tokens) + int(fresh.sum()), has_half, half
 
 
 @cache
 def _decode_agrees() -> bool:
     """Whether ``_replace_decoded`` reproduces this numpy's scalar draws,
-    checked once per process on a fixed case that starts from a buffered
-    half-word and takes fresh words after it."""
+    checked once per process on two fixed cases, each starting from a
+    buffered half-word and taking fresh words after it: one with 0 to 5
+    alternatives per token (walked), one with 2 to 5 (decoded in numpy)."""
     seqs = [TokenSequence(tokens=np.arange(200) % 6, vocab_size=6)]
-    alternatives = ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)).__getitem__
-    fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-    fast.integers(0, 3)     # leaves the high half of a word buffered
-    slow.integers(0, 3)
-    decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, 0.5)
-    expected = _replace_each_token(seqs, alternatives, slow, 0.5)
-    return (decoded is not None and fast.bit_generator.state == slow.bit_generator.state
-            and decoded[0].tokens.tolist() == expected[0].tokens.tolist())
+    mixed = ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
+    bounded = ((1, 2), (2, 3, 0), (0, 1, 2, 3), (4, 0, 1, 2, 5), (5, 3), (0, 4, 1))
+    for alternatives in (mixed.__getitem__, bounded.__getitem__):
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        fast.integers(0, 3)     # leaves the high half of a word buffered
+        slow.integers(0, 3)
+        decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, 0.5)
+        expected = _replace_each_token(seqs, alternatives, slow, 0.5)
+        if (decoded is None or fast.bit_generator.state != slow.bit_generator.state
+                or decoded[0].tokens.tolist() != expected[0].tokens.tolist()):
+            return False
+    return True
 
 
 def _replace_all(seqs, alternatives, rng: np.random.Generator,
@@ -522,6 +631,23 @@ def featurize_tokens(seq: TokenSequence, table: EmbeddingTable,
     return np.concatenate([mean_vec, [len(seq) / max_length]])
 
 
+def featurize_tokens_batch(seqs, table: EmbeddingTable, max_length: int = 64) -> np.ndarray:
+    """``featurize_tokens`` of every sequence, stacked -> (N, dim + 1).
+
+    Each row's mean is its tokens' embedding sum divided by their count,
+    which is how numpy's ``mean`` computes it, so the bits are equal.
+    """
+    if max_length < 1:
+        raise ConfigError("max_length must be positive")
+    if any(seq.vocab_size != table.vocab_size for seq in seqs):
+        raise ContractError("embedding table vocabulary does not match the sequence")
+    out = np.empty((len(seqs), table.dim + 1))
+    for row, seq in zip(out, seqs):
+        row[:-1] = table.vectors[seq.tokens].sum(axis=0) / len(seq)
+    out[:, -1] = np.array([len(seq) for seq in seqs]) / max_length
+    return out
+
+
 @dataclass
 class FeatureExtractor:
     """Modality-aware featurizer with a fixed output dimension."""
@@ -549,8 +675,7 @@ class FeatureExtractor:
             raise ContractError("featurizing needs a non-empty payload list")
         if self.modality == "signal":
             return featurize_signal_batch(payloads, self.bins)
-        return np.stack([featurize_tokens(p, self.table, self.max_token_len)
-                         for p in payloads])
+        return featurize_tokens_batch(payloads, self.table, self.max_token_len)
 
 
 def weak_kinds(modality: str) -> tuple[str, ...]:
@@ -566,7 +691,8 @@ __all__ = [
     "STRONG_SIGNAL_KIND", "STRONG_TOKEN_KIND", "SignalSequence",
     "SynonymLexicon", "TokenSequence", "WEAK_SIGNAL_KINDS", "WEAK_TOKEN_KINDS",
     "augment_signal", "augment_tokens", "contextual_replace", "delete_tokens",
-    "featurize_signal", "featurize_signal_batch", "featurize_tokens", "flip_segment",
+    "featurize_signal", "featurize_signal_batch", "featurize_tokens",
+    "featurize_tokens_batch", "flip_segment",
     "gaussian_noise", "nearest_neighbours", "pitch_shift", "strong_kind",
     "swap_adjacent", "synonym_replace", "time_mask", "weak_kinds",
 ]

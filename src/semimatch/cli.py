@@ -58,9 +58,19 @@ def _metrics_files(out_dir: str, metrics: MetricsReport, emotion_names, intent_n
                       confusion_csv(metrics.confusion_int, intent_names))
 
 
+def _seed_override(args) -> dict:
+    """The config override ``--seed`` asks for, checked before any config
+    file is read, so that a bad value is not reported as the file's."""
+    if args.seed is None:
+        return {}
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return {"seed": args.seed}
+
+
 def cmd_gen_data(args) -> int:
+    overrides = _seed_override(args)
     _require_file(args.config, "config")
-    overrides = {} if args.seed is None else {"seed": args.seed}
     config = load_generator_config(args.config, **overrides)
     corpus = synthesize_corpus(config)
     save_corpus(corpus, args.out)
@@ -84,9 +94,9 @@ def _train_summary(config, result) -> dict:
 
 
 def cmd_train(args) -> int:
+    overrides = _seed_override(args)
     _require_file(args.config, "config")
     _require_file(args.corpus, "corpus")
-    overrides = {} if args.seed is None else {"seed": args.seed}
     config = load_train_config(args.config, **overrides)
     corpus = load_corpus(args.corpus)
     result = train(config, corpus)
@@ -177,9 +187,9 @@ _SWEEP_COLUMNS = [
 def cmd_sweep(args) -> int:
     """Grid of method x weak augmentation x ablation state, one CSV row per
     (method, augment) with the two ablation states side by side."""
+    overrides = _seed_override(args)
     _require_file(args.config, "config")
     _require_file(args.corpus, "corpus")
-    overrides = {} if args.seed is None else {"seed": args.seed}
     base = load_train_config(args.config, **overrides)
     if base.test_frac <= 0:
         raise ConfigError("sweep needs test_frac > 0 to report test metrics")

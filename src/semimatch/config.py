@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .data import GeneratorConfig
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 from .fileio import read_text
 from .trainer import TrainConfig
 
@@ -92,6 +92,31 @@ TRAIN_CONFIG_KEYS = tuple(_TRAIN_PARSERS)
 GENERATOR_CONFIG_KEYS = tuple(_GENERATOR_PARSERS)
 
 
+# dataclass field annotation -> the JSON value types it accepts, and their name
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+}
+_TRAIN_JSON_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(TrainConfig)}
+
+
+def train_config_from_json(values) -> TrainConfig:
+    """A :class:`TrainConfig` from a JSON object, as a checkpoint stores it.
+    Each value must have its field's JSON type; a bool is not a number."""
+    if not isinstance(values, dict):
+        raise SchemaError("config must be a JSON object")
+    for key, value in values.items():
+        if key not in _TRAIN_JSON_TYPES:
+            raise SchemaError(f"unknown train config key '{key}'")
+        types, name = _TRAIN_JSON_TYPES[key]
+        if type(value) not in types:
+            raise SchemaError(f"config key '{key}': expected {name}, got {value!r}")
+    return TrainConfig(**values)
+
+
 def _build(mapping: dict[str, tuple[int, str]], parsers: dict, what: str) -> dict:
     built = {}
     for key, (line_no, raw) in mapping.items():
@@ -139,5 +164,5 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
 __all__ = [
     "GENERATOR_CONFIG_KEYS", "TRAIN_CONFIG_KEYS", "generator_config_from_text",
     "load_generator_config", "load_train_config", "parse_key_values",
-    "train_config_from_text",
+    "train_config_from_json", "train_config_from_text",
 ]

@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .config import train_config_from_json
 from .errors import SchemaError
 from .fileio import (
     FORMAT_VERSION,
@@ -59,7 +60,7 @@ def load_checkpoint(path: str) -> tuple[TwoHeadModel, TrainConfig, list[str], li
     doc = read_json(path, CHECKPOINT_FORMAT)
     with located(path):
         params = {f: np.asarray(doc["params"][f], dtype=float) for f in PARAM_FIELDS}
-        return (TwoHeadModel(**params), TrainConfig(**doc["config"]),
+        return (TwoHeadModel(**params), train_config_from_json(doc["config"]),
                 name_list(doc.get("emotion_names"), "emotion_names"),
                 name_list(doc.get("intent_names"), "intent_names"))
 

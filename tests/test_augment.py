@@ -1,5 +1,7 @@
 """Augmentation operators, their invariants, and the featurizers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from semimatch.augment import (
     featurize_signal,
     featurize_signal_batch,
     featurize_tokens,
+    featurize_tokens_batch,
     flip_segment,
     gaussian_noise,
     nearest_neighbours,
@@ -337,6 +340,49 @@ class TestDecodedReplacement:
             if decoded is not None:
                 assert_same_draws(decoded, expected, fast, slow)
 
+    @settings(max_examples=150, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+           sizes=st.lists(st.integers(2, 5), min_size=30, max_size=30),
+           seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0),
+           buffered=st.none() | st.integers(0, 2**32 - 1))
+    @example(lengths=[400, 1, 3], sizes=[5] * 30, seed=1, p=1.0, buffered=None)
+    @example(lengths=[400], sizes=[2] * 30, seed=2, p=1.0, buffered=9)
+    @example(lengths=[1], sizes=[3] * 30, seed=3, p=1.0, buffered=None)
+    @example(lengths=[7, 300], sizes=[4] * 30, seed=4, p=0.0, buffered=11)
+    @example(lengths=[5], sizes=[5] * 30, seed=5, p=1.0, buffered=0)   # rejects
+    def test_bounded_decode_equals_loop(self, lengths, sizes, seed, p, buffered):
+        """With 2 to 5 alternatives for every token, each hit is a bounded
+        draw and the numpy decode runs, never the walk. At p = 1 every word
+        is a hit, so all of them form one run."""
+        alternatives = [tuple((t + 1 + k) % 30 for k in range(n))
+                        for t, n in enumerate(sizes)].__getitem__
+        seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
+                for n in lengths]
+        fast, slow = generator(seed, buffered=buffered), generator(seed, buffered=buffered)
+        untouched = fast.bit_generator.state
+        with mock.patch.object(semimatch.augment, "_decode_walk", side_effect=AssertionError):
+            decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, p)
+        expected = _replace_each_token(seqs, alternatives, slow, p)
+        if decoded is None:     # a rejection: see test_body_equals_loop
+            assert buffered == 0
+            assert fast.bit_generator.state == untouched
+        else:
+            assert_same_draws(decoded, expected, fast, slow)
+
+    def test_bounded_calls_skip_the_walk_and_ragged_calls_take_it(self):
+        """The numpy decode runs exactly when every token of the call has two
+        or more alternatives; a call holding a token with 0 or 1 walks."""
+        semimatch.augment._decode_agrees()     # its one-time check walks once
+        seqs = [TokenSequence(np.arange(30), 30), TokenSequence(np.arange(29, -1, -1), 30)]
+        for kind, resources, alternatives in REPLACE_CASES:
+            rng, slow = generator(6), generator(6)
+            with mock.patch.object(semimatch.augment, "_decode_walk",
+                                   wraps=semimatch.augment._decode_walk) as walk:
+                out = augment_tokens(seqs, kind, rng, p=0.6, **resources)
+            assert walk.call_count == (resources.get("lexicon") is RAGGED)
+            assert_same_draws(out, _replace_each_token(seqs, alternatives, slow, 0.6),
+                              rng, slow)
+
     def test_self_check_passes_where_the_decode_is_exact(self):
         assert semimatch.augment._decode_agrees()
 
@@ -369,6 +415,38 @@ class TestDecodedReplacement:
             out = augment_tokens(seqs, kind, rng, p=0.4, **resources)
             assert_same_draws(out, _replace_each_token(seqs, alternatives, slow, 0.4),
                               rng, slow)
+
+
+class TestFromConcatenated:
+    """The batch constructor cuts one array into sequences and checks it as
+    the per-sequence constructor would check each part."""
+
+    def test_cuts_in_order(self):
+        seqs = TokenSequence.from_concatenated(np.arange(6), [2, 1, 3], [6, 3, 8])
+        assert [s.tokens.tolist() for s in seqs] == [[0, 1], [2], [3, 4, 5]]
+        assert [s.vocab_size for s in seqs] == [6, 3, 8]
+        assert all(type(s) is TokenSequence and s.tokens.dtype == int for s in seqs)
+
+    @pytest.mark.parametrize("tokens, lengths, vocab_sizes, bad_part", [
+        ([0, -1, 2], [3], [5], 0),
+        ([0, 1, 5], [3], [5], 0),
+        ([0, 1, 4, 2], [2, 2], [5, 4], 1),
+        ([0, 1, 2], [1, 2], [5, 0], 1),
+        ([0, 1, 2], [3, 0], [5, 5], 1),
+    ], ids=["negative", "out-of-vocabulary", "outside-own-vocabulary", "vocab-zero",
+            "empty"])
+    def test_rejects_as_the_constructor_does(self, tokens, lengths, vocab_sizes, bad_part):
+        ends = np.cumsum(lengths)
+        parts = [(tokens[end - n:end], v) for end, n, v in zip(ends, lengths, vocab_sizes)]
+        with pytest.raises(ContractError) as per_sequence:
+            TokenSequence(np.array(parts[bad_part][0], dtype=int), parts[bad_part][1])
+        with pytest.raises(ContractError) as batched:
+            TokenSequence.from_concatenated(tokens, lengths, vocab_sizes)
+        assert str(batched.value) == str(per_sequence.value)
+
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ContractError, match="non-empty and 1-D"):
+            TokenSequence.from_concatenated(np.zeros((2, 2), dtype=int), [2, 2], [3, 3])
 
 
 class TestRoleAssignment:
@@ -457,6 +535,26 @@ class TestBatchedFeaturizer:
         extractor = FeatureExtractor("tokens", max_token_len=16, table=table)
         expected = np.stack([featurize_tokens(s, table, 16) for s in seqs])
         np.testing.assert_array_equal(extractor(seqs), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 24),
+           exponent=st.integers(0, 8))
+    def test_token_batch_equals_stacked_on_any_table(self, lengths, seed, dim, exponent):
+        rng = np.random.default_rng(seed)
+        table = EmbeddingTable(vectors=rng.standard_normal((20, dim))
+                               * 10.0 ** rng.integers(-exponent, exponent + 1, (20, 1)))
+        seqs = [TokenSequence(rng.integers(0, 20, n), 20) for n in lengths]
+        expected = np.stack([featurize_tokens(s, table, 50) for s in seqs])
+        assert featurize_tokens_batch(seqs, table, 50).tobytes() == expected.tobytes()
+
+    def test_token_batch_checks_like_the_reference(self):
+        table = EmbeddingTable.from_seed(vocab_size=8, dim=5, seed=1)
+        with pytest.raises(ConfigError, match="max_length"):
+            featurize_tokens_batch([TokenSequence(np.arange(3), 8)], table, 0)
+        with pytest.raises(ContractError, match="vocabulary does not match"):
+            featurize_tokens_batch([TokenSequence(np.arange(3), 8),
+                                    TokenSequence(np.arange(3), 9)], table)
 
     def test_empty_list_rejected(self):
         table = EmbeddingTable.from_seed(vocab_size=8, dim=5, seed=1)

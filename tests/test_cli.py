@@ -108,6 +108,9 @@ class TestConfigParsing:
          "line 2: key 'intent_counts': expected an integer, got 'x'"),
         ("gen-data", "seed = 1\nsize = 3\n", "line 2: unknown generator config key 'size'"),
         ("gen-data", "unlabelled_count = 5\n", "generator config needs 'emotion_counts'"),
+        ("train", "epochs = 2\nseed = -1\n", "seed must be non-negative"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nseed = -1\n",
+         "seed must be non-negative"),
     ])
     def test_file_errors_name_file_and_line(self, tmp_path, monkeypatch, capsys,
                                             command, text, message):
@@ -238,6 +241,19 @@ class TestGenData:
         assert main(["gen-data", "--config", "gen.cfg", "--out", "other.jsonl",
                      "--seed", "77"]) == 0
         assert (workdir / "other.jsonl").read_bytes() != (workdir / "corpus.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "sweep"])
+    def test_negative_seed_option_named_before_any_file_is_read(self, workdir, capsys,
+                                                                 command):
+        """The error names ``--seed``, not the config file, which is never
+        read: the corpus the train and sweep commands name does not exist."""
+        argv = [command, "--config", "gen.cfg" if command == "gen-data" else "train.cfg",
+                "--out", "out", "--seed", "-1"]
+        if command != "gen-data":
+            argv += ["--corpus", "missing.jsonl"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+        assert not (workdir / "out").exists()
 
     def test_missing_config_fails_with_name(self, workdir, capsys):
         assert main(["gen-data", "--config", "nope.cfg", "--out", "x.jsonl"]) == 1

@@ -20,7 +20,12 @@ from semimatch.data import (
 from semimatch.errors import SchemaError
 from semimatch.fileio import read_jsonl
 from semimatch.model import init_model
-from semimatch.persist import load_predictions, save_checkpoint, save_predictions
+from semimatch.persist import (
+    load_checkpoint,
+    load_predictions,
+    save_checkpoint,
+    save_predictions,
+)
 from semimatch.trainer import TrainConfig
 
 N_EMOTION, N_INTENT = 3, 2
@@ -210,6 +215,16 @@ class TestCheckpointFields:
         code, out = run_main("checkpoint", files, files["checkpoint.json"], tmp_path)
         assert code == 0 and (out / "metrics.json").exists()
 
+    def test_typed_config_values_load(self, files, tmp_path):
+        """An integer is a number; null is a kind left to its default."""
+        path = files["checkpoint.json"]
+        doc = json.loads(path.read_text())
+        doc["config"].update(tau=1, weak_aug_kind=None)
+        path.write_text(json.dumps(doc))
+        _, config, _, _ = load_checkpoint(str(path))
+        assert config.tau == 1 and config.weak_aug_kind == "flip"
+        assert config == TrainConfig(**doc["config"])
+
     @pytest.mark.parametrize("edit, needle", [
         (lambda doc: doc["params"]["b_trunk"].pop(), "trunk bias shape"),
         (lambda doc: doc["config"].update(tau=2.0), "tau must lie in (0, 1]"),
@@ -220,8 +235,23 @@ class TestCheckpointFields:
         (lambda doc: doc["params"].pop("w_int"), "missing field 'w_int'"),
         (lambda doc: doc["config"].update(no_such_key=1), "no_such_key"),
         (lambda doc: doc["config"].update(delete_prob=7), "delete_prob must lie in [0, 1]"),
+        (lambda doc: doc["config"].update(epochs=2.5),
+         "config key 'epochs': expected an integer, got 2.5"),
+        (lambda doc: doc["config"].update(hidden_size=True),
+         "config key 'hidden_size': expected an integer, got True"),
+        (lambda doc: doc["config"].update(tau=True),
+         "config key 'tau': expected a number, got True"),
+        (lambda doc: doc["config"].update(weak_aug_on_unlabelled=1),
+         "config key 'weak_aug_on_unlabelled': expected a boolean, got 1"),
+        (lambda doc: doc["config"].update(method=None),
+         "config key 'method': expected a string, got None"),
+        (lambda doc: doc["config"].update(weak_aug_kind=3),
+         "config key 'weak_aug_kind': expected a string or null, got 3"),
+        (lambda doc: doc.update(config=[]), "config must be a JSON object"),
     ], ids=["short-bias", "tau-2", "nan-weight", "names-string", "names-missing",
-            "param-missing", "unknown-config-key", "delete-prob-7"])
+            "param-missing", "unknown-config-key", "delete-prob-7", "epochs-float",
+            "hidden-size-bool", "tau-bool", "flag-int", "method-null", "kind-int",
+            "config-list"])
     def test_bad_field_names_file(self, files, tmp_path, capsys, edit, needle):
         path = files["checkpoint.json"]
         doc = json.loads(path.read_text())
