@@ -61,6 +61,26 @@ class SignalSequence:
         if self.sample_rate <= 0:
             raise ContractError("sample_rate must be positive")
 
+    @classmethod
+    def from_concatenated(cls, frames, lengths, sample_rates) -> list["SignalSequence"]:
+        """Sequences cut in order from one frame array, the i-th holding
+        ``lengths[i]`` frames at ``sample_rates[i]``. ``__post_init__``'s
+        checks run once, over the whole array."""
+        frames = np.asarray(frames, dtype=float)
+        if frames.ndim != 1 or min(lengths) < 1 or len(frames) != sum(lengths):
+            raise ContractError("signal must be a non-empty 1-D frame array")
+        if not np.all(np.isfinite(frames)):
+            raise ContractError("signal frames must be finite")
+        if min(sample_rates) <= 0:
+            raise ContractError("sample_rate must be positive")
+        out, end = [], 0
+        for length, sample_rate in zip(lengths, sample_rates):
+            seq = cls.__new__(cls)
+            seq.frames, seq.sample_rate = frames[end:end + length], sample_rate
+            out.append(seq)
+            end += length
+        return out
+
     def __len__(self):
         return len(self.frames)
 
@@ -232,16 +252,14 @@ def _pitch_shift_all(seqs, rng: np.random.Generator, max_steps: int = 4):
     if max_steps < 1:
         raise ConfigError("max_steps must be positive")
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
-    out = []
-    for seq, steps in zip(seqs, rng.choice(choices, size=len(seqs))):
-        factor = 2.0 ** (int(steps) / 12.0)
-        n = len(seq)
-        positions = np.arange(n) * factor
-        frames = np.zeros(n)
+    lengths = [len(s) for s in seqs]
+    frames, end = np.zeros(sum(lengths)), 0
+    for seq, n, steps in zip(seqs, lengths, rng.choice(choices, size=len(seqs))):
+        positions = np.arange(n) * 2.0 ** (int(steps) / 12.0)
         valid = positions <= n - 1
-        frames[valid] = np.interp(positions[valid], np.arange(n), seq.frames)
-        out.append(SignalSequence(frames=frames, sample_rate=seq.sample_rate))
-    return out
+        frames[end:end + n][valid] = np.interp(positions[valid], np.arange(n), seq.frames)
+        end += n
+    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
 
 
 def gaussian_noise(seq: SignalSequence, rng: np.random.Generator,
@@ -258,8 +276,7 @@ def _gaussian_noise_all(seqs, rng: np.random.Generator, scale: float = 0.05):
     lengths = [len(s) for s in seqs]
     frames = np.concatenate([s.frames for s in seqs])
     frames += rng.normal(0.0, scale, size=len(frames))
-    return [SignalSequence(frames=f, sample_rate=s.sample_rate)
-            for s, f in zip(seqs, np.split(frames, np.cumsum(lengths)[:-1]))]
+    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
 
 
 def _each(op):

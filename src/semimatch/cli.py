@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -292,17 +293,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one ``warning: ...`` line, without its source line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # only the shown text changes: a caller recording warnings still records them
+    format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (SemimatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":  # pragma: no cover

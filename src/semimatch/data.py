@@ -137,14 +137,13 @@ def stratified_split(samples, spec: SplitSpec):
     n_positive = sum(1 for f in fractions if f > 0)
     rng = np.random.default_rng([int(spec.seed), 11003])
     splits: tuple[list[Sample], ...] = ([], [], [])
+    tiny = []   # joint classes with fewer samples than splits, all placed in train
     for key in sorted(groups):
         members = groups[key]
         order = rng.permutation(len(members))
         shuffled = [members[i] for i in order]
         if len(members) < n_positive:
-            warnings.warn(
-                f"joint class {key} has fewer samples ({len(members)}) than splits; "
-                "placing all of them in train", stacklevel=2)
+            tiny.append(f"{key}: {len(members)}")
             splits[0].extend(shuffled)
             continue
         counts = _largest_remainder(len(members), fractions)
@@ -152,6 +151,10 @@ def stratified_split(samples, spec: SplitSpec):
         for split, count in zip(splits, counts):
             split.extend(shuffled[at:at + count])
             at += count
+    if tiny:
+        warnings.warn(
+            f"joint classes with fewer samples than splits ({n_positive}), "
+            f"all placed in train: {', '.join(tiny)}", stacklevel=2)
     return splits
 
 

@@ -7,6 +7,13 @@ corpus produce bit-identical trajectories. The labelled streams are
 independent of the unlabelled ones, which is what makes a fixmatch run
 whose gate never opens reproduce the baseline trajectory exactly.
 
+Each augmentation branch (labelled weak, unlabelled weak, unlabelled
+strong) has one stream per epoch, consumed in step order, and neither
+augmenting nor featurizing depends on the model. So an epoch's branch is
+drawn in one call over all its steps' samples, and its features in one
+featurize call with the other branches (a block of steps at a time, to
+bound memory on large epochs).
+
 The weak-augmentation ablation switch (``weak_aug_on_unlabelled``) turns
 only the unlabelled weak branch into the identity; labelled samples are
 always weakly augmented.
@@ -202,6 +209,53 @@ def _augment(config: TrainConfig, corpus: Corpus, samples, kind: str | None,
                           table=corpus.embedding, **params)
 
 
+# the most samples, labelled and unlabelled, that one block of an epoch's
+# steps augments and featurizes at once
+_BLOCK_SAMPLES = 4096
+
+
+def _blocks(steps):
+    """Consecutive runs of whole steps, each holding at most
+    ``_BLOCK_SAMPLES`` samples unless one step alone holds more."""
+    block, size = [], 0
+    for step in steps:
+        n = len(step[0]) + len(step[1])
+        if block and size + n > _BLOCK_SAMPLES:
+            yield block
+            block, size = [], 0
+        block.append(step)
+        size += n
+    if block:
+        yield block
+
+
+def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor,
+                    steps, epoch: int):
+    """``(lab_batch, unlab_batch, lab_x, weak_x, strong_x)`` for each step of
+    an epoch, in order: the step's batches and the feature rows of its
+    labelled, unlabelled weak and unlabelled strong branches. A block of
+    steps takes one augment call per non-empty branch and one featurize
+    call; each step's rows are slices of the block's features."""
+    rng_lab = np.random.default_rng([config.seed, _STREAM_LAB_AUG, epoch])
+    rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
+    rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
+    weak_unlab_kind = config.weak_aug_kind if config.weak_aug_on_unlabelled else None
+    augment = partial(_augment, config, corpus)
+    for block in _blocks(steps):
+        lab = [s for lab_batch, _ in block for s in lab_batch]
+        unlab = [s for _, unlab_batch in block for s in unlab_batch]
+        feats = extractor(augment(lab, config.weak_aug_kind, rng_lab)
+                          + augment(unlab, weak_unlab_kind, rng_weak)
+                          + augment(unlab, config.strong_aug_kind, rng_strong))
+        lab_x, weak_x, strong_x = np.split(feats, [len(lab), len(lab) + len(unlab)])
+        lab_at = unlab_at = 0
+        for lab_batch, unlab_batch in block:
+            lab_end, unlab_end = lab_at + len(lab_batch), unlab_at + len(unlab_batch)
+            yield (lab_batch, unlab_batch, lab_x[lab_at:lab_end],
+                   weak_x[unlab_at:unlab_end], strong_x[unlab_at:unlab_end])
+            lab_at, unlab_at = lab_end, unlab_end
+
+
 def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):
     """Per-task probability tables for a list of samples (no augmentation)."""
     return forward_batch(model, extractor([s.payload for s in samples]))
@@ -275,8 +329,6 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
-    augment = partial(_augment, config, corpus)
-    weak_unlab_kind = config.weak_aug_kind if config.weak_aug_on_unlabelled else None
     coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
                               entropy=config.entropy_weight)
     mu = 0.0 if config.method == "baseline" else config.unlabelled_ratio
@@ -287,29 +339,20 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         lr = lr_at_epoch(config.learning_rate, config.lr_decay, epoch)
         steps = make_batches(train_set, unlab_pool, config.batch_size, mu,
                              seed=[config.seed, _STREAM_BATCH, epoch])
-        rng_lab = np.random.default_rng([config.seed, _STREAM_LAB_AUG, epoch])
-        rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
-        rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
 
         results = []
-        for lab_batch, unlab_batch in steps:
-            # one featurize call per step: labelled, then unlabelled weak and strong rows
-            payloads = (augment(lab_batch, config.weak_aug_kind, rng_lab)
-                        + augment(unlab_batch, weak_unlab_kind, rng_weak)
-                        + augment(unlab_batch, config.strong_aug_kind, rng_strong))
-            feats = extractor(payloads)
-            n_lab, n_unlab = len(lab_batch), len(unlab_batch)
+        for lab_batch, unlab_batch, lab_x, weak_x, strong_x in _epoch_features(
+                config, corpus, extractor, steps, epoch):
             spec = BatchLossSpec(
-                lab_features=feats[:n_lab],
+                lab_features=lab_x,
                 emo_labels=np.array([s.emotion for s in lab_batch]),
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
 
             strong = None   # the strong branch's forward, which the loss reuses
             if unlab_batch:
-                weak_feats = feats[n_lab:n_lab + n_unlab]
-                spec.strong_features = feats[n_lab + n_unlab:]
-                pw_emo, pw_int = forward_batch(model, weak_feats)
+                spec.strong_features = strong_x
+                pw_emo, pw_int = forward_batch(model, weak_x)
                 strong = forward_batch(model, spec.strong_features, parts=True)
                 ps_emo, ps_int = strong[3:]
                 gate, sigma = method_policy(config.method, pw_emo, pw_int,

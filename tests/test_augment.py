@@ -1,5 +1,6 @@
 """Augmentation operators, their invariants, and the featurizers."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -285,6 +286,39 @@ class TestBatchedDispatch:
         assert rng.bit_generator.state == rng2.bit_generator.state
 
 
+class TestSplitInvariance:
+    """One dispatcher call over a list gives what consecutive calls over any
+    split of that list give, empty parts included, and leaves the generator
+    in the same state: the property that lets training augment an epoch's
+    branch in one call instead of one call per step."""
+
+    @pytest.mark.parametrize("kind", [*WEAK_SIGNAL_KINDS, STRONG_SIGNAL_KIND,
+                                      *WEAK_TOKEN_KINDS, STRONG_TOKEN_KIND])
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 300), max_size=16),
+           cuts=st.lists(st.integers(0, 16), max_size=5), seed=st.integers(0, 2**32 - 1))
+    def test_one_call_equals_consecutive_calls(self, kind, lengths, cuts, seed):
+        if kind in WEAK_SIGNAL_KINDS or kind == STRONG_SIGNAL_KIND:
+            seqs = [signal(np.random.default_rng([seed, n]).standard_normal(n),
+                           sr=(8000, 16000)[n % 2]) for n in lengths]
+            augment, fields = augment_signal, ("frames", "sample_rate")
+        else:
+            seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
+                    for n in lengths]
+            augment = partial(augment_tokens, lexicon=LEXICON, table=TABLE)
+            fields = ("tokens", "vocab_size")
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = augment(seqs, kind, rng)
+        bounds = [0, *sorted(min(c, len(seqs)) for c in cuts), len(seqs)]
+        parts = [out for a, b in zip(bounds, bounds[1:])
+                 for out in augment(seqs[a:b], kind, rng2)]
+        assert len(whole) == len(parts) == len(seqs)
+        for a, b in zip(whole, parts):
+            for name in fields:
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+
 # Lexicon whose tokens have 0 to 4 alternatives: no draw and no change at 0,
 # a replacement without a draw at 1, bounded draws over n = 2, 3 and 4.
 RAGGED = SynonymLexicon(mapping={
@@ -447,6 +481,37 @@ class TestFromConcatenated:
     def test_rejects_a_two_dimensional_array(self):
         with pytest.raises(ContractError, match="non-empty and 1-D"):
             TokenSequence.from_concatenated(np.zeros((2, 2), dtype=int), [2, 2], [3, 3])
+
+
+class TestSignalFromConcatenated:
+    """The signal batch constructor cuts one frame array into sequences and
+    checks it as the per-sequence constructor would check each part."""
+
+    def test_cuts_in_order(self):
+        seqs = SignalSequence.from_concatenated(np.arange(6), [2, 1, 3], [16000, 8000, 22050])
+        assert [s.frames.tolist() for s in seqs] == [[0.0, 1.0], [2.0], [3.0, 4.0, 5.0]]
+        assert [s.sample_rate for s in seqs] == [16000, 8000, 22050]
+        assert all(type(s) is SignalSequence and s.frames.dtype == float for s in seqs)
+
+    @pytest.mark.parametrize("frames, lengths, sample_rates, bad_part", [
+        ([0.0, 1.0, 2.0], [3, 0], [16000, 16000], 1),
+        ([0.0, np.nan, 2.0], [1, 2], [16000, 16000], 1),
+        ([np.inf, 1.0, 2.0], [3], [16000], 0),
+        ([0.0, 1.0, 2.0], [1, 2], [16000, 0], 1),
+        ([0.0, 1.0, 2.0], [2, 1], [-8000, 16000], 0),
+    ], ids=["empty", "nan", "inf", "rate-zero", "rate-negative"])
+    def test_rejects_as_the_constructor_does(self, frames, lengths, sample_rates, bad_part):
+        ends = np.cumsum(lengths)
+        parts = [(frames[end - n:end], r) for end, n, r in zip(ends, lengths, sample_rates)]
+        with pytest.raises(ContractError) as per_sequence:
+            SignalSequence(np.array(parts[bad_part][0], dtype=float), parts[bad_part][1])
+        with pytest.raises(ContractError) as batched:
+            SignalSequence.from_concatenated(frames, lengths, sample_rates)
+        assert str(batched.value) == str(per_sequence.value)
+
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ContractError, match="non-empty 1-D frame array"):
+            SignalSequence.from_concatenated(np.zeros((2, 2)), [2, 2], [16000, 16000])
 
 
 class TestRoleAssignment:

@@ -1,6 +1,8 @@
 """Config parsing and the command-line surface, end to end on tiny corpora."""
 
 import json
+import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import pytest
@@ -278,6 +280,30 @@ class TestTrain:
         main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "a"])
         main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "b"])
         assert (workdir / "a/epochs.csv").read_bytes() == (workdir / "b/epochs.csv").read_bytes()
+
+    def test_split_warning_is_one_stderr_line(self, workdir, capsys, monkeypatch):
+        # many joint classes of one or two samples, all of them placed in train
+        (workdir / "gen.cfg").write_text(
+            "emotion_counts = 4, 4, 4, 4\nintent_counts = 4, 4, 4, 4\nseed = 9\n"
+            "min_len = 40\nmax_len = 80\ncorrelation = 0.0\n")
+        (workdir / "train.cfg").write_text(
+            "epochs = 1\nhidden_size = 4\ntrain_frac = 0.6\nvalid_frac = 0.2\n"
+            "test_frac = 0.2\n")
+        make_corpus(workdir)
+        capsys.readouterr()
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            # the default display, which pytest replaces with its own record
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+        monkeypatch.setattr(warnings, "showwarning", show)
+        format_warning = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                         "--out", "run"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: joint classes with fewer samples")
+        assert warnings.formatwarning is format_warning
 
     def test_missing_corpus_leaves_no_artifacts(self, workdir, capsys):
         assert main(["train", "--config", "train.cfg", "--corpus", "missing.jsonl",

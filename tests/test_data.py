@@ -228,6 +228,15 @@ class TestStratifiedSplit:
             train, valid, test = stratified_split(samples, SplitSpec(0.5, 0.3, 0.2))
         assert sum(1 for s in train if s.emotion == 1) == 1
 
+    def test_one_warning_names_every_class_placed_in_train(self):
+        samples = [labelled_sample(i, 0, 0) for i in range(6)] + [
+            labelled_sample(6, 1, 0), labelled_sample(7, 2, 1), labelled_sample(8, 2, 1)]
+        with pytest.warns(UserWarning) as caught:
+            stratified_split(samples, SplitSpec(0.5, 0.3, 0.2))
+        assert [str(w.message) for w in caught] == [
+            "joint classes with fewer samples than splits (3), "
+            "all placed in train: (1, 0): 1, (2, 1): 2"]
+
     def test_unlabelled_rejected(self):
         bad = Sample(id="u", modality="signal", payload=SignalSequence(np.ones(3)))
         with pytest.raises(ContractError):

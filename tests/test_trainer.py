@@ -7,7 +7,12 @@ import pytest
 
 import semimatch.model
 import semimatch.trainer
-from semimatch.augment import FeatureExtractor, SignalSequence
+from semimatch.augment import (
+    FeatureExtractor,
+    SignalSequence,
+    featurize_signal,
+    featurize_tokens,
+)
 from semimatch.data import GeneratorConfig, Sample, SplitSpec, stratified_split, synthesize_corpus
 from semimatch.errors import ConfigError, ContractError
 from semimatch.model import PARAM_FIELDS, TwoHeadModel
@@ -247,21 +252,22 @@ class TestForwardCount:
 
 
 class TestFeaturizeCount:
-    """Each step featurizes its labelled, weak and strong samples in one
-    extractor call, and each evaluation featurizes its split in one."""
+    """Each epoch featurizes its labelled, weak and strong samples in one
+    extractor call (the whole epoch is one block), and each evaluation
+    featurizes its split in one."""
 
     @pytest.mark.parametrize("method, weak_on_unlabelled", [
         ("baseline", True), ("fixmatch", True), ("fixmatch", False),
         ("fullmatch", True), ("fullmatch", False)])
     def test_one_call_per_step_and_evaluation(self, method, weak_on_unlabelled, monkeypatch):
-        calls = {"featurize": 0, "adam_step": 0, "evaluate": 0}
+        calls = {"featurize": 0, "make_batches": 0, "evaluate": 0}
         featurize = FeatureExtractor.__call__
 
         def counted_featurize(self, payloads):
             calls["featurize"] += 1
             return featurize(self, payloads)
         monkeypatch.setattr(FeatureExtractor, "__call__", counted_featurize)
-        for name in ("adam_step", "evaluate"):
+        for name in ("make_batches", "evaluate"):
             fn = getattr(semimatch.trainer, name)
 
             def wrapper(*args, _name=name, _fn=fn, **kwargs):
@@ -270,23 +276,29 @@ class TestFeaturizeCount:
             monkeypatch.setattr(semimatch.trainer, name, wrapper)
         run(quick_config(method=method, epochs=2, weak_aug_on_unlabelled=weak_on_unlabelled),
             quick_corpus())
-        steps, evals = calls["adam_step"], calls["evaluate"]
-        assert steps > 0 and evals == 3
-        assert calls["featurize"] == steps + evals
+        epochs, evals = calls["make_batches"], calls["evaluate"]
+        assert epochs == 2 and evals == 3
+        assert calls["featurize"] == epochs + evals
+
+
+def tokens_corpus():
+    return synthesize_corpus(GeneratorConfig(
+        emotion_counts=(20, 20, 20), intent_counts=(30, 30), unlabelled_count=60,
+        min_len=5, max_len=20, modality_mix=0.0, seed=5))
 
 
 class TestAugmentCount:
-    """Each step augments each non-empty branch in one call: labelled weak,
+    """Each epoch augments each non-empty branch in one call: labelled weak,
     then unlabelled weak (unless ``weak_aug_on_unlabelled`` is off) and
     unlabelled strong."""
 
-    @pytest.mark.parametrize("method, modality, weak_on_unlabelled, per_step", [
+    @pytest.mark.parametrize("method, modality, weak_on_unlabelled, branches", [
         ("baseline", "signal", True, 1), ("fixmatch", "signal", True, 3),
         ("fixmatch", "signal", False, 2), ("fullmatch", "signal", True, 3),
         ("fullmatch", "signal", False, 2), ("fullmatch", "tokens", True, 3)])
-    def test_one_call_per_branch(self, method, modality, weak_on_unlabelled, per_step,
+    def test_one_call_per_branch(self, method, modality, weak_on_unlabelled, branches,
                                  monkeypatch):
-        calls = {"augment_signal": 0, "augment_tokens": 0, "adam_step": 0}
+        calls = {"augment_signal": 0, "augment_tokens": 0, "make_batches": 0}
         for name in calls:
             fn = getattr(semimatch.trainer, name)
 
@@ -294,12 +306,86 @@ class TestAugmentCount:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(semimatch.trainer, name, wrapper)
-        corpus = quick_corpus() if modality == "signal" else synthesize_corpus(GeneratorConfig(
-            emotion_counts=(20, 20, 20), intent_counts=(30, 30), unlabelled_count=60,
-            min_len=5, max_len=20, modality_mix=0.0, seed=5))
+        corpus = quick_corpus() if modality == "signal" else tokens_corpus()
         run(quick_config(method=method, modality=modality, epochs=2,
                          weak_aug_on_unlabelled=weak_on_unlabelled), corpus)
-        steps = calls["adam_step"]
-        assert steps > 0
-        assert calls[f"augment_{modality}"] == per_step * steps
-        assert calls["augment_signal"] + calls["augment_tokens"] == per_step * steps
+        epochs = calls["make_batches"]
+        assert epochs == 2
+        assert calls[f"augment_{modality}"] == branches * epochs
+        assert calls["augment_signal"] + calls["augment_tokens"] == branches * epochs
+
+
+    def test_each_branch_draws_its_own_stream(self, monkeypatch):
+        seen = []
+        augment = semimatch.trainer.augment_signal
+
+        def recording(seqs, kind, rng, **params):
+            seen.append((kind, rng.bit_generator.state))
+            return augment(seqs, kind, rng, **params)
+        monkeypatch.setattr(semimatch.trainer, "augment_signal", recording)
+        config = quick_config(method="fixmatch", weak_aug_kind="pitch_shift", epochs=2)
+        run(config, quick_corpus())
+        trainer = semimatch.trainer
+        assert seen == [
+            (kind, np.random.default_rng([config.seed, stream, epoch]).bit_generator.state)
+            for epoch in range(2)
+            for kind, stream in (("pitch_shift", trainer._STREAM_LAB_AUG),
+                                 ("pitch_shift", trainer._STREAM_WEAK_AUG),
+                                 ("gaussian_noise", trainer._STREAM_STRONG_AUG))]
+
+
+def one_sample_per_call(augment):
+    """A dispatcher that augments a list one sample per inner call."""
+    return lambda seqs, kind, rng, **params: [augment([seq], kind, rng, **params)[0]
+                                              for seq in seqs]
+
+
+def featurize_each(self, payloads):
+    """``FeatureExtractor.__call__`` through the per-sample featurizers."""
+    if self.modality == "signal":
+        return np.stack([featurize_signal(p, self.bins) for p in payloads])
+    return np.stack([featurize_tokens(p, self.table, self.max_token_len) for p in payloads])
+
+
+def run_outputs(config, corpus):
+    result = run(config, corpus)
+    return (epoch_reports_csv(result.reports),
+            [getattr(result.model, name).tobytes() for name in PARAM_FIELDS],
+            result.test_metrics.to_dict())
+
+
+class TestChunkingInvariance:
+    """Augmenting and featurizing an epoch a branch at a time, or a block of
+    steps at a time, trains exactly as one sample per call does."""
+
+    @pytest.mark.parametrize("method", ["baseline", "fixmatch", "fullmatch"])
+    @pytest.mark.parametrize("modality, weak_kind, weak_on_unlabelled", [
+        ("signal", "flip", True), ("signal", "flip", False),
+        ("signal", "time_mask", True), ("signal", "time_mask", False),
+        ("signal", "pitch_shift", True), ("signal", "pitch_shift", False),
+        ("tokens", "swap", True), ("tokens", "delete", True), ("tokens", "synonym", True)])
+    def test_outputs_equal_one_sample_per_call(self, method, modality, weak_kind,
+                                               weak_on_unlabelled, monkeypatch):
+        config = quick_config(method=method, modality=modality, weak_aug_kind=weak_kind,
+                              weak_aug_on_unlabelled=weak_on_unlabelled, epochs=2,
+                              unlabelled_ratio=2.0, tau=0.5)
+        corpus = quick_corpus() if modality == "signal" else tokens_corpus()
+        whole_epoch = run_outputs(config, corpus)
+        with monkeypatch.context() as patch:
+            patch.setattr(semimatch.trainer, "_BLOCK_SAMPLES", 50)
+            blocks = run_outputs(config, corpus)
+        with monkeypatch.context() as patch:
+            for name in ("augment_signal", "augment_tokens"):
+                patch.setattr(semimatch.trainer, name,
+                              one_sample_per_call(getattr(semimatch.trainer, name)))
+            patch.setattr(FeatureExtractor, "__call__", featurize_each)
+            per_sample = run_outputs(config, corpus)
+        assert whole_epoch == per_sample
+        assert blocks == per_sample
+
+    def test_blocks_hold_whole_steps(self, monkeypatch):
+        monkeypatch.setattr(semimatch.trainer, "_BLOCK_SAMPLES", 10)
+        steps = [([1] * 2, [2] * 2), ([1] * 2, [2] * 2), ([1] * 4, [2] * 4), ([1] * 12, []),
+                 ([1] * 2, [])]
+        assert list(semimatch.trainer._blocks(steps)) == [steps[:2], steps[2:3], steps[3:4],
+                                                         steps[4:]]
