@@ -211,29 +211,42 @@ class EmbeddingTable:
 def flip_segment(seq: SignalSequence, rng: np.random.Generator,
                  max_seconds: float = 6.25) -> SignalSequence:
     """Reverse one contiguous segment; position and length drawn uniformly."""
-    if max_seconds <= 0:
-        raise ConfigError("max_seconds must be positive")
-    n = len(seq)
-    cap = max(1, min(n, int(round(max_seconds * seq.sample_rate))))
-    length = int(rng.integers(1, cap + 1))
-    start = int(rng.integers(0, n - length + 1))
-    frames = seq.frames.copy()
-    frames[start:start + length] = frames[start:start + length][::-1]
-    return SignalSequence(frames=frames, sample_rate=seq.sample_rate)
+    return _flip_all([seq], rng, max_seconds)[0]
 
 
 def time_mask(seq: SignalSequence, rng: np.random.Generator,
               max_frames: int = 30000) -> SignalSequence:
     """Zero one contiguous sub-clip of up to max_frames frames."""
+    return _time_mask_all([seq], rng, max_frames)[0]
+
+
+def _segment_all(seqs, rng: np.random.Generator, caps, reverse: bool):
+    """Per sequence, in order, draw a segment length in [1, cap] and then its
+    start, as a per-sequence loop would (each start's bound depends on the
+    length just drawn), and reverse or zero that segment of one
+    concatenated frame array."""
+    lengths = [len(s) for s in seqs]
+    frames, end = np.concatenate([s.frames for s in seqs]), 0
+    for n, cap in zip(lengths, caps):
+        length = int(rng.integers(1, cap + 1))
+        start = end + int(rng.integers(0, n - length + 1))
+        segment = frames[start:start + length]
+        segment[:] = segment[::-1] if reverse else 0.0
+        end += n
+    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
+
+
+def _flip_all(seqs, rng: np.random.Generator, max_seconds: float = 6.25):
+    if max_seconds <= 0:
+        raise ConfigError("max_seconds must be positive")
+    caps = [max(1, min(len(s), int(round(max_seconds * s.sample_rate)))) for s in seqs]
+    return _segment_all(seqs, rng, caps, reverse=True)
+
+
+def _time_mask_all(seqs, rng: np.random.Generator, max_frames: int = 30000):
     if max_frames < 1:
         raise ConfigError("max_frames must be positive")
-    n = len(seq)
-    cap = min(n, max_frames)
-    length = int(rng.integers(1, cap + 1))
-    start = int(rng.integers(0, n - length + 1))
-    frames = seq.frames.copy()
-    frames[start:start + length] = 0.0
-    return SignalSequence(frames=frames, sample_rate=seq.sample_rate)
+    return _segment_all(seqs, rng, [min(len(s), max_frames) for s in seqs], reverse=False)
 
 
 def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
@@ -289,8 +302,8 @@ def _each(op):
 
 
 _SIGNAL_OPS = {
-    "flip": _each(flip_segment),
-    "time_mask": _each(time_mask),
+    "flip": _flip_all,
+    "time_mask": _time_mask_all,
     "pitch_shift": _pitch_shift_all,
     "gaussian_noise": _gaussian_noise_all,
 }

@@ -6,6 +6,10 @@ analytic backprop for the composed semi-supervised loss, a bias-corrected
 Adam update, and a central finite-difference oracle used to cross-check the
 analytic gradients.
 
+The model, its gradient and both Adam moments share one layout: one flat
+float64 vector in :data:`PARAM_FIELDS` order, of which the named arrays are
+views. Adam, the finiteness checks and the oracle each make one pass over it.
+
 Gradient semantics: pseudo labels, confidence gates, the selected rank cut
 ``k``, rank masks, and soft targets are all frozen constants of the batch
 (see :class:`semimatch.losses.TaskTerms`). Gradients flow only through the
@@ -14,6 +18,7 @@ probabilities of the labelled pass and the strongly-augmented pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,22 +37,53 @@ from .losses import (
 PARAM_FIELDS = ("w_trunk", "b_trunk", "w_emo", "b_emo", "w_int", "b_int")
 
 
-@dataclass
-class TwoHeadModel:
-    """Shared trunk plus one linear head per task.
+class Gradients:
+    """The parameter layout, and the gradient's type: the arrays named in
+    :data:`PARAM_FIELDS` are C-order views of one float64 vector ``flat``.
+    The constructor copies the six arrays, by position or name, into it."""
+
+    def __init__(self, *arrays, **named):
+        arrays += tuple(named.pop(f) for f in PARAM_FIELDS[len(arrays):] if f in named)
+        if named or len(arrays) != len(PARAM_FIELDS):
+            raise TypeError(f"{type(self).__name__} takes the arrays {', '.join(PARAM_FIELDS)}")
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        self._bind(np.concatenate([a.ravel() for a in arrays]), tuple(a.shape for a in arrays))
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, shapes: tuple) -> "Gradients":
+        """``flat`` itself, not a copy, in the layout of ``shapes``."""
+        out = cls.__new__(cls)
+        out._bind(flat, shapes)
+        return out
+
+    def _bind(self, flat: np.ndarray, shapes: tuple):
+        self.flat, self._shapes, end = flat, shapes, 0
+        for field, shape in zip(PARAM_FIELDS, shapes):
+            size = math.prod(shape)
+            setattr(self, field, flat[end:end + size].reshape(shape))
+            end += size
+
+    def _non_finite_field(self) -> str | None:
+        if not np.isfinite(self.flat).all():
+            return next(f for f in PARAM_FIELDS if not np.isfinite(getattr(self, f)).all())
+
+    def copy(self):
+        return self._wrap(self.flat.copy(), self._shapes)
+
+    @classmethod
+    def zeros_like(cls, model: "TwoHeadModel") -> "Gradients":
+        return cls._wrap(np.zeros_like(model.flat), model._shapes)
+
+
+class TwoHeadModel(Gradients):
+    """Shared trunk plus one linear head per task, in the parameter layout.
 
     Shapes: ``w_trunk (d, H)``, ``b_trunk (H,)``, ``w_emo (H, C_e)``,
     ``b_emo (C_e,)``, ``w_int (H, C_i)``, ``b_int (C_i,)``.
     """
 
-    w_trunk: np.ndarray
-    b_trunk: np.ndarray
-    w_emo: np.ndarray
-    b_emo: np.ndarray
-    w_int: np.ndarray
-    b_int: np.ndarray
-
-    def __post_init__(self):
+    def _bind(self, flat: np.ndarray, shapes: tuple):
+        super()._bind(flat, shapes)
         if self.w_trunk.ndim != 2:
             raise ContractError("trunk weights must be a 2-D matrix")
         hidden = self.w_trunk.shape[1]
@@ -60,9 +96,8 @@ class TwoHeadModel:
                 raise ContractError(f"{name} head bias shape does not match head width")
             if w.shape[1] < 2:
                 raise ContractError(f"{name} head needs at least 2 classes")
-        for field in PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(self, field))):
-                raise NumericError(f"non-finite values in parameter {field}")
+        if field := self._non_finite_field():
+            raise NumericError(f"non-finite values in parameter {field}")
 
     @property
     def input_dim(self) -> int:
@@ -79,9 +114,6 @@ class TwoHeadModel:
     @property
     def n_intent(self) -> int:
         return self.w_int.shape[1]
-
-    def copy(self) -> "TwoHeadModel":
-        return TwoHeadModel(*(getattr(self, f).copy() for f in PARAM_FIELDS))
 
 
 @dataclass
@@ -102,32 +134,16 @@ class TaskProbs:
 
 
 @dataclass
-class Gradients:
-    """Loss gradient, shaped exactly like :class:`TwoHeadModel`."""
-
-    w_trunk: np.ndarray
-    b_trunk: np.ndarray
-    w_emo: np.ndarray
-    b_emo: np.ndarray
-    w_int: np.ndarray
-    b_int: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: TwoHeadModel) -> "Gradients":
-        return cls(*(np.zeros_like(getattr(model, f)) for f in PARAM_FIELDS))
-
-
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First and second moment vectors, laid out like ``flat``, plus the step counter."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros_like(cls, model: TwoHeadModel) -> "AdamState":
-        return cls(m=Gradients.zeros_like(model), v=Gradients.zeros_like(model), step=0)
+        return cls(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat), step=0)
 
 
 def init_model(input_dim: int, hidden_size: int, n_emotion: int, n_intent: int,
@@ -319,9 +335,8 @@ def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec,
         g_int = _unsup_logit_grad(p_int, spec.int_terms, spec.coeffs, spec.intent_weight)
         accumulate(*strong[:3], g_emo, g_int)
 
-    for field in PARAM_FIELDS:
-        if not np.all(np.isfinite(getattr(grads, field))):
-            raise NumericError(f"non-finite gradient for parameter {field}")
+    if field := grads._non_finite_field():
+        raise NumericError(f"non-finite gradient for parameter {field}")
     return result, grads
 
 
@@ -334,25 +349,21 @@ def backprop(model: TwoHeadModel, spec: BatchLossSpec) -> tuple[float, Gradients
 def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[TwoHeadModel, AdamState]:
-    """One bias-corrected Adam update; returns fresh model and state."""
+    """One bias-corrected Adam update in one pass over the flat vectors. Never
+    in place: the trainer keeps the best epoch's model while training goes on."""
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
-    for field in PARAM_FIELDS:
-        if getattr(grads, field).shape != getattr(model, field).shape:
-            raise ContractError(f"gradient shape mismatch for {field}")
+    if grads._shapes != model._shapes:
+        field = next(f for f, a, b in zip(PARAM_FIELDS, grads._shapes, model._shapes) if a != b)
+        raise ContractError(f"gradient shape mismatch for {field}")
     t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
-    for field in PARAM_FIELDS:
-        g = getattr(grads, field)
-        m = beta1 * getattr(state.m, field) + (1.0 - beta1) * g
-        v = beta2 * getattr(state.v, field) + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params[field] = getattr(model, field) - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[field] = m
-        new_v[field] = v
-    return (TwoHeadModel(**new_params),
-            AdamState(m=Gradients(**new_m), v=Gradients(**new_v), step=t))
+    g = grads.flat
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    new_flat = model.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return TwoHeadModel._wrap(new_flat, model._shapes), AdamState(m=m, v=v, step=t)
 
 
 def finite_difference_gradient(loss_fn, model: TwoHeadModel, eps: float = 1e-5) -> Gradients:
@@ -364,19 +375,13 @@ def finite_difference_gradient(loss_fn, model: TwoHeadModel, eps: float = 1e-5) 
     """
     work = model.copy()
     out = Gradients.zeros_like(model)
-    for field in PARAM_FIELDS:
-        param = getattr(work, field)
-        grad = getattr(out, field)
-        it = np.nditer(param, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + eps
-            plus = loss_fn(work)
-            param[idx] = orig - eps
-            minus = loss_fn(work)
-            param[idx] = orig
-            grad[idx] = (plus - minus) / (2.0 * eps)
+    for i, orig in enumerate(model.flat):
+        work.flat[i] = orig + eps
+        plus = loss_fn(work)
+        work.flat[i] = orig - eps
+        minus = loss_fn(work)
+        work.flat[i] = orig
+        out.flat[i] = (plus - minus) / (2.0 * eps)
     return out
 
 
@@ -387,13 +392,8 @@ def max_relative_error(analytic: Gradients, numeric: Gradients, floor: float = 1
     comparison into an absolute one for entries smaller than ``floor``,
     which keeps finite-difference rounding noise from dominating.
     """
-    worst = 0.0
-    for field in PARAM_FIELDS:
-        a = getattr(analytic, field)
-        n = getattr(numeric, field)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    a, n = analytic.flat, numeric.flat
+    return float(np.max(np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)))
 
 
 __all__ = [

@@ -208,6 +208,26 @@ class TestTokenOperators:
             augment_tokens([seq], "contextual", rng)
 
 
+def loop_flip(seq, rng, max_seconds=6.25):
+    """Reference: ``flip`` as a per-sequence loop over a copy of each sequence."""
+    n = len(seq)
+    length = int(rng.integers(1, max(1, min(n, int(round(max_seconds * seq.sample_rate)))) + 1))
+    start = int(rng.integers(0, n - length + 1))
+    frames = seq.frames.copy()
+    frames[start:start + length] = frames[start:start + length][::-1]
+    return signal(frames, seq.sample_rate)
+
+
+def loop_time_mask(seq, rng, max_frames=30000):
+    """Reference: ``time_mask`` as a per-sequence loop over a copy of each sequence."""
+    n = len(seq)
+    length = int(rng.integers(1, min(n, max_frames) + 1))
+    start = int(rng.integers(0, n - length + 1))
+    frames = seq.frames.copy()
+    frames[start:start + length] = 0.0
+    return signal(frames, seq.sample_rate)
+
+
 def loop_pitch_shift(seq, rng, max_steps=4):
     """Reference: ``pitch_shift`` as a per-sequence loop, one scalar draw each."""
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
@@ -239,7 +259,8 @@ def contextual_loop(seq, rng):
 
 # kind -> per-sequence operator the batched dispatcher must reproduce
 SIGNAL_REFERENCES = [
-    ("flip", flip_segment), ("time_mask", time_mask),
+    ("flip", flip_segment), ("flip", loop_flip),
+    ("time_mask", time_mask), ("time_mask", loop_time_mask),
     ("pitch_shift", pitch_shift), ("pitch_shift", loop_pitch_shift),
     ("gaussian_noise", gaussian_noise), ("gaussian_noise", loop_gaussian_noise),
 ]
@@ -267,6 +288,22 @@ class TestBatchedDispatch:
         for a, b in zip(out, expected):
             np.testing.assert_array_equal(a.frames, b.frames)
             assert a.sample_rate == b.sample_rate
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+    @pytest.mark.parametrize("kind, op, params", [
+        ("flip", loop_flip, {"max_seconds": 0.001}),
+        ("time_mask", loop_time_mask, {"max_frames": 7})])
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), max_size=20), seed=st.integers(0, 2**32 - 1))
+    def test_capped_segment_batch_equals_loop(self, kind, op, params, lengths, seed):
+        """Segment caps below the length, and per sequence (flip's cap
+        follows each sample rate), draw the loop's numbers too."""
+        seqs = [signal(np.random.default_rng([seed, n]).standard_normal(n),
+                       sr=(8000, 16000)[n % 2]) for n in lengths]
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment_signal(seqs, kind, rng, **params)
+        for a, seq in zip(out, seqs, strict=True):
+            np.testing.assert_array_equal(a.frames, op(seq, rng2, **params).frames)
         assert rng.bit_generator.state == rng2.bit_generator.state
 
     @pytest.mark.parametrize("kind, op", TOKEN_REFERENCES)

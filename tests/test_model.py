@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semimatch.errors import ConfigError, ContractError
+from semimatch.errors import ConfigError, ContractError, NumericError
 from semimatch.gradcheck import run_gradient_checks
 from semimatch.losses import LossCoefficients, build_task_terms
 from semimatch.model import (
@@ -25,6 +25,8 @@ from semimatch.model import (
     max_relative_error,
     PARAM_FIELDS,
 )
+from semimatch.persist import load_checkpoint, save_checkpoint
+from semimatch.trainer import TrainConfig
 
 
 def tiny_model(d=2, hidden=2, n_emo=2, n_int=2, seed=3):
@@ -229,3 +231,90 @@ class TestModelValidation:
         with pytest.raises(ContractError):
             TwoHeadModel(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 1)),
                          np.zeros(1), np.zeros((4, 2)), np.zeros(2))
+
+
+class TestParameterLayout:
+    """Model, gradient and Adam moments share one flat layout; the named
+    arrays are views of it, and no operation writes into its inputs."""
+
+    def test_named_arrays_are_views_of_flat(self):
+        model = tiny_model(d=3, hidden=4, n_emo=2, n_int=3)
+        grads = Gradients.zeros_like(model)
+        for layout in (model, grads):
+            assert layout.flat.dtype == np.float64 and layout.flat.ndim == 1
+            np.testing.assert_array_equal(
+                layout.flat, np.concatenate([getattr(layout, f).ravel() for f in PARAM_FIELDS]))
+            for field in PARAM_FIELDS:
+                assert np.shares_memory(getattr(layout, field), layout.flat)
+        grads.b_int[2] = 7.0
+        assert grads.flat[-1] == 7.0 and np.count_nonzero(grads.flat) == 1
+
+    def test_constructor_copies_by_position_or_name(self):
+        model = tiny_model(d=3, hidden=4)
+        arrays = [getattr(model, f) for f in PARAM_FIELDS]
+        for built in (TwoHeadModel(*arrays), TwoHeadModel(**dict(zip(PARAM_FIELDS, arrays))),
+                      TwoHeadModel(*arrays[:2], **dict(zip(PARAM_FIELDS[2:], arrays[2:])))):
+            np.testing.assert_array_equal(built.flat, model.flat)
+            assert not np.shares_memory(built.flat, model.flat)
+        for args, kwargs in ((arrays[:5], {}), (arrays, {"w_trunk": arrays[0]}),
+                             (arrays[1:], {"extra": arrays[0]})):
+            with pytest.raises(TypeError, match="takes the arrays w_trunk, b_trunk"):
+                TwoHeadModel(*args, **kwargs)
+
+    def test_copy_is_independent(self):
+        model = tiny_model()
+        clone = model.copy()
+        assert type(clone) is TwoHeadModel
+        np.testing.assert_array_equal(clone.flat, model.flat)
+        before = model.flat.copy()
+        clone.w_trunk[0, 0] += 1.0
+        clone.flat[-1] = 5.0
+        np.testing.assert_array_equal(model.flat, before)
+
+    def test_adam_step_leaves_its_inputs(self, rng):
+        """The trainer keeps the best epoch's model while training goes on."""
+        model = tiny_model(d=3, hidden=4)
+        grads = Gradients.zeros_like(model)
+        grads.flat[:] = rng.standard_normal(grads.flat.size)
+        _, state = adam_step(model, grads, AdamState.zeros_like(model), lr=0.1)
+        saved = [a.copy() for a in (model.flat, grads.flat, state.m, state.v)]
+        new_model, new_state = adam_step(model, grads, state, lr=0.1)
+        for kept, now in zip(saved, (model.flat, grads.flat, state.m, state.v)):
+            np.testing.assert_array_equal(now, kept)
+        assert state.step == 1 and new_state.step == 2
+        for fresh in (new_model.flat, new_state.m, new_state.v):
+            for old in (model.flat, grads.flat, state.m, state.v):
+                assert not np.shares_memory(fresh, old)
+
+    def test_checkpoint_round_trip_is_bit_identical(self, tmp_path, rng):
+        model = init_model(5, 4, 3, 2, rng)
+        path = str(tmp_path / "checkpoint.json")
+        save_checkpoint(path, model, TrainConfig(), ["a", "b", "c"], ["x", "y"])
+        loaded, _, _, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        for field in PARAM_FIELDS:
+            assert getattr(loaded, field).shape == getattr(model, field).shape
+
+    @pytest.mark.parametrize("field", PARAM_FIELDS)
+    def test_non_finite_model_names_field(self, field):
+        model = tiny_model(d=3, hidden=4, n_emo=2, n_int=3)
+        arrays = {f: getattr(model, f).copy() for f in PARAM_FIELDS}
+        arrays[field].flat[-1] = math.nan
+        with pytest.raises(NumericError, match=f"non-finite values in parameter {field}$"):
+            TwoHeadModel(**arrays)
+        grads = Gradients.zeros_like(model)
+        getattr(grads, field).flat[0] = math.inf   # Adam's inf / inf step is NaN
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=f"non-finite values in parameter {field}$"):
+            adam_step(model, grads, AdamState.zeros_like(model), lr=0.1)
+
+    @pytest.mark.parametrize("field", PARAM_FIELDS)
+    def test_non_finite_gradient_names_field(self, field, monkeypatch):
+        rng = np.random.default_rng(9)
+        model = init_model(16, 8, 7, 8, rng)
+        spec = _random_fullmatch_spec(rng, model)
+        seeded = Gradients.zeros_like(model)
+        getattr(seeded, field).flat[0] = math.nan   # backprop adds into it
+        monkeypatch.setattr(Gradients, "zeros_like", classmethod(lambda cls, m: seeded))
+        with pytest.raises(NumericError, match=f"non-finite gradient for parameter {field}$"):
+            loss_and_gradients(model, spec)
