@@ -5,7 +5,9 @@ samples (carrying neither), the class name lists, and the token-side
 resources (synonym lexicon, embedding table). The on-disk format is one
 JSON object per line: a header with the shared resources first, then one
 record per sample. The embedding table is stored as seed + dimensions and
-regenerated on load.
+regenerated on load. Version 2, the one written, stores signal frames under
+``frames`` as one base64 string of little-endian float64 bytes; version 1,
+still read, as a JSON number list under ``payload``, like token payloads.
 
 The synthetic generator builds class-conditional payloads: piecewise
 amplitude signatures plus unit noise for signals, class-tilted unigram
@@ -17,6 +19,7 @@ correlation level: correlation 1 leaves the sorted streams aligned
 
 from __future__ import annotations
 
+import binascii
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +28,7 @@ import numpy as np
 from .augment import EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
 from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
 from .fileio import (
+    CORPUS_FORMAT,
     atomic_write_text,
     json_int,
     json_str,
@@ -33,8 +37,6 @@ from .fileio import (
     name_list,
     read_jsonl,
 )
-
-FORMAT_NAME = "semimatch-corpus"
 
 
 @dataclass
@@ -309,7 +311,8 @@ def synthesize_corpus(config: GeneratorConfig) -> Corpus:
 def _sample_record(sample: Sample) -> dict:
     record: dict = {"id": sample.id, "modality": sample.modality}
     if sample.modality == "signal":
-        record["payload"] = sample.payload.frames.tolist()
+        record["frames"] = binascii.b2a_base64(
+            sample.payload.frames.astype("<f8").tobytes(), newline=False).decode("ascii")
         record["sample_rate"] = sample.payload.sample_rate
     else:
         record["payload"] = sample.payload.tokens.tolist()
@@ -339,7 +342,7 @@ def corpus_to_text(corpus: Corpus) -> str:
             "seed": corpus.embedding.seed,
             "group_size": corpus.embedding.group_size,
         }
-    return jsonl_text(FORMAT_NAME, header,
+    return jsonl_text(CORPUS_FORMAT, header,
                       map(_sample_record, corpus.labelled + corpus.unlabelled))
 
 
@@ -354,23 +357,51 @@ def _lexicon_token(key: str) -> int:
     return token
 
 
-def _parse_record(record: dict, embedding: EmbeddingTable | None) -> Sample:
-    modality, payload = record["modality"], record["payload"]
+# (version, modality): the keys a record may carry besides the two labels
+_RECORD_KEYS = {
+    (1, "signal"): {"id", "modality", "payload", "sample_rate"},
+    (2, "signal"): {"id", "modality", "frames", "sample_rate"},
+    (1, "tokens"): {"id", "modality", "payload", "vocab_size"},
+    (2, "tokens"): {"id", "modality", "payload", "vocab_size"},
+}
+
+
+def _frames(value) -> np.ndarray:
+    """Version-2 signal frames: strict base64 of little-endian float64 bytes,
+    decoded into a writable native float64 array."""
+    if type(value) is not str:
+        raise SchemaError("frames must be a base64 JSON string")
+    raw = binascii.a2b_base64(value, strict_mode=True)
+    if len(raw) % 8:
+        raise SchemaError(f"frames holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, "<f8").astype(float)
+
+
+def _parse_record(record: dict, embedding: EmbeddingTable | None, version: int) -> Sample:
+    modality = record["modality"]
     has_emo, has_int = "emotion" in record, "intent" in record
     if has_emo != has_int:
         raise SchemaError("record carries exactly one of the two labels")
+    if modality not in ("signal", "tokens"):
+        raise SchemaError(f"unknown modality '{modality}'")
+    if unknown := record.keys() - _RECORD_KEYS[version, modality] - {"emotion", "intent"}:
+        raise SchemaError(f"unknown field(s) {sorted(unknown)} in a version-{version} "
+                          f"{modality} record")
     if modality == "signal":
-        seq = SignalSequence(frames=np.asarray(payload, dtype=float),
+        if version == 1 and not set(map(type, record["payload"])) <= {int, float}:
+            raise SchemaError("signal payload must be a list of JSON numbers")
+        frames = (_frames(record["frames"]) if version == 2
+                  else np.asarray(record["payload"], dtype=float))
+        seq = SignalSequence(frames=frames,
                              sample_rate=json_int(record["sample_rate"], "sample_rate"))
-    elif modality == "tokens":
+    else:
+        payload = record["payload"]
         if not set(map(type, payload)) <= {int}:
             raise SchemaError("token payload must be a list of JSON integers")
         seq = TokenSequence(tokens=np.asarray(payload, dtype=int),
                             vocab_size=json_int(record["vocab_size"], "vocab_size"))
         if embedding is not None and seq.vocab_size != embedding.vocab_size:
             raise SchemaError("vocab_size differs from the embedding table")
-    else:
-        raise SchemaError(f"unknown modality '{modality}'")
     return Sample(id=json_str(record["id"], "id"), modality=modality, payload=seq,
                   emotion=json_int(record["emotion"], "emotion") if has_emo else None,
                   intent=json_int(record["intent"], "intent") if has_int else None)
@@ -379,7 +410,7 @@ def _parse_record(record: dict, embedding: EmbeddingTable | None) -> Sample:
 def load_corpus(path: str) -> Corpus:
     """Parse a corpus file, one line at a time; errors name the file and
     the offending 1-based line."""
-    records = read_jsonl(path, FORMAT_NAME)
+    records = read_jsonl(path, CORPUS_FORMAT)
     _, header = next(records)
     lexicon = embedding = None
     with located(f"{path} line 1"):
@@ -400,7 +431,7 @@ def load_corpus(path: str) -> Corpus:
     labelled, unlabelled = [], []
     for line_no, record in records:
         with located(f"{path} line {line_no}"):
-            sample = _parse_record(record, embedding)
+            sample = _parse_record(record, embedding, header["version"])
         (labelled if sample.is_labelled else unlabelled).append(sample)
     with located(f"{path}: corpus invariant violated"):
         return Corpus(labelled=labelled, unlabelled=unlabelled,

@@ -3,7 +3,8 @@ every file.
 
 A corpus or prediction file is a header object with ``format`` and ``version``
 on line 1, then one JSON object per line (blank lines skipped); a checkpoint
-is one JSON document that is its own header. Every file is UTF-8. Read errors
+is one JSON document that is its own header. ``VERSIONS`` gives each format's
+written version and accepted versions. Every file is UTF-8. Read errors
 name the file, and the 1-based line for line-delimited files.
 """
 
@@ -14,7 +15,14 @@ from contextlib import contextmanager
 
 from .errors import SchemaError, SemimatchError
 
-FORMAT_VERSION = 1   # the only version any writer has produced
+CORPUS_FORMAT = "semimatch-corpus"
+PREDICTIONS_FORMAT = "semimatch-predictions"
+CHECKPOINT_FORMAT = "semimatch-checkpoint"
+
+# format: (the version written, the versions read)
+VERSIONS = {CORPUS_FORMAT: (2, (1, 2)),
+            PREDICTIONS_FORMAT: (1, (1,)),
+            CHECKPOINT_FORMAT: (1, (1,))}
 
 
 def atomic_write_text(path: str, text: str):
@@ -34,7 +42,7 @@ def atomic_write_text(path: str, text: str):
 
 def jsonl_text(format_name: str, header: dict, records) -> str:
     """The header line, ``format`` and ``version`` first, then one line per record."""
-    lines = [json.dumps({"format": format_name, "version": FORMAT_VERSION, **header})]
+    lines = [json.dumps({"format": format_name, "version": VERSIONS[format_name][0], **header})]
     lines.extend(map(json.dumps, records))
     return "\n".join(lines) + "\n"
 
@@ -52,11 +60,11 @@ def located(where: str):
 
 
 def _check_header(where: str, doc, format_name: str) -> dict:
-    """``doc`` if it is an object of format ``format_name`` at the current
-    version; otherwise a :class:`SchemaError` prefixed with ``where``."""
+    """``doc`` if it is an object of format ``format_name`` at a version its
+    reader accepts; otherwise a :class:`SchemaError` prefixed with ``where``."""
     if not isinstance(doc, dict) or doc.get("format") != format_name:
         raise SchemaError(f"{where}: not a {format_name} file")
-    if doc.get("version") != FORMAT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] not in VERSIONS[format_name][1]:
         raise SchemaError(f"{where}: unsupported {format_name} version {doc.get('version')!r}")
     return doc
 

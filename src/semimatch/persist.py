@@ -18,7 +18,9 @@ import numpy as np
 from .config import train_config_from_json
 from .errors import SchemaError
 from .fileio import (
-    FORMAT_VERSION,
+    CHECKPOINT_FORMAT,
+    PREDICTIONS_FORMAT,
+    VERSIONS,
     atomic_write_text,
     json_int,
     json_str,
@@ -31,15 +33,12 @@ from .fileio import (
 from .model import PARAM_FIELDS, TwoHeadModel
 from .trainer import TrainConfig
 
-CHECKPOINT_FORMAT = "semimatch-checkpoint"
-PREDICTIONS_FORMAT = "semimatch-predictions"
-
 
 def checkpoint_to_text(model: TwoHeadModel, config: TrainConfig,
                        emotion_names, intent_names, extras: dict | None = None) -> str:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": VERSIONS[CHECKPOINT_FORMAT][0],
         "config": asdict(config),
         "emotion_names": list(emotion_names),
         "intent_names": list(intent_names),

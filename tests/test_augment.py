@@ -139,6 +139,18 @@ class TestTokenOperators:
             out = augment_tokens([seq], "swap", rng, n_swaps=int(rng.integers(0, 5)))[0]
             assert sorted(out.tokens.tolist()) == sorted(seq.tokens.tolist())
 
+    def test_swap_is_invisible_to_the_token_featurizer(self, rng):
+        """Token features are a mean embedding and a length fraction, which
+        ignore order, so a ``swap`` weak branch feeds the model what no weak
+        augmentation would, up to the rounding of the reordered sums."""
+        table = EmbeddingTable.from_seed(vocab_size=20, dim=5, seed=3)
+        seqs = [random_tokens(rng) for _ in range(200)]
+        swapped = augment_tokens(seqs, "swap", rng, n_swaps=3)
+        assert sum(not np.array_equal(a.tokens, b.tokens) for a, b in zip(seqs, swapped)) > 100
+        np.testing.assert_allclose(featurize_tokens_batch(swapped, table),
+                                   featurize_tokens_batch(seqs, table), rtol=1e-12,
+                                   atol=1e-12 * np.abs(table.vectors).max())
+
     def test_delete_probability_zero_is_identity(self, rng):
         seq = random_tokens(rng)
         out = augment_tokens([seq], "delete", rng, p=0.0)[0]

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import MISSING, fields
 
 import pytest
+from conftest import BAD_VERSION_2_RECORDS
 
 from semimatch.augment import FeatureExtractor
 from semimatch.cli import main
@@ -443,6 +444,27 @@ class TestCorpusFieldTypes:
         assert "line 2" in err and "Traceback" not in err
         assert not (workdir / "run").exists()
         assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("modality, edit, needle",
+                             [case[1:] for case in BAD_VERSION_2_RECORDS],
+                             ids=[case[0] for case in BAD_VERSION_2_RECORDS])
+    def test_bad_version_2_record_rejected_on_its_line(self, workdir, capsys,
+                                                       modality, edit, needle):
+        """Base64, byte-count, finiteness and key-set errors of a version-2
+        record, ``binascii.Error`` included, reach the CLI as one line."""
+        mix = 1.0 if modality == "signal" else 0.0
+        (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {mix}\n")
+        path = make_corpus(workdir)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
+        assert needle in err and "Traceback" not in err
+        assert not (workdir / "run").exists()
 
 
 class TestSweep:

@@ -1,12 +1,18 @@
 """Corpus schema, serialization round-trips, stratified splitting, the
 synthetic generator, and batch iteration."""
 
+import base64
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from conftest import BAD_VERSION_2_RECORDS
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from semimatch.augment import SignalSequence
+from semimatch.augment import SignalSequence, TokenSequence
 from semimatch.data import (
     Corpus,
     GeneratorConfig,
@@ -179,6 +185,169 @@ class TestStrictFieldTypes:
         header[section][key] = value
         with pytest.raises(SchemaError, match=f"line 1: .*{message}"):
             self._load(tmp_path, header={section: header[section]}, modality_mix=0.0)
+
+
+def as_version_1(text: str) -> str:
+    """A version-2 corpus text restated at version 1: each signal record's
+    ``frames`` becomes a ``payload`` list of JSON numbers, in its place."""
+    def restate(key, value):
+        if key != "frames":
+            return key, value
+        return "payload", np.frombuffer(base64.b64decode(value), "<f8").tolist()
+
+    header, *records = map(json.loads, text.splitlines())
+    header["version"] = 1
+    records = [dict(restate(*item) for item in record.items()) for record in records]
+    return "\n".join(map(json.dumps, [header] + records)) + "\n"
+
+
+def assert_same_corpus(got: Corpus, expected: Corpus):
+    """Names, resources, and every sample's id, labels and payload bits."""
+    assert got.emotion_names == expected.emotion_names
+    assert got.intent_names == expected.intent_names
+    assert (got.lexicon is None) == (expected.lexicon is None)
+    if got.lexicon is not None:
+        assert got.lexicon.mapping == expected.lexicon.mapping
+        assert got.embedding.vectors.tobytes() == expected.embedding.vectors.tobytes()
+    assert len(got.labelled) == len(expected.labelled)
+    assert len(got.unlabelled) == len(expected.unlabelled)
+    for a, b in zip(got.labelled + got.unlabelled, expected.labelled + expected.unlabelled):
+        assert (a.id, a.modality, a.emotion, a.intent) == (b.id, b.modality, b.emotion, b.intent)
+        if a.modality == "signal":
+            assert a.payload.sample_rate == b.payload.sample_rate
+            frames = a.payload.frames
+            assert frames.dtype == np.float64 and frames.dtype.isnative
+            assert frames.flags.writeable
+            assert frames.tobytes() == b.payload.frames.tobytes()
+        else:
+            assert a.payload.vocab_size == b.payload.vocab_size
+            assert a.payload.tokens.tolist() == b.payload.tokens.tolist()
+
+
+def write_and_load(text: str, directory: str) -> Corpus:
+    path = os.path.join(directory, "corpus.jsonl")
+    with open(path, "w") as handle:
+        handle.write(text)
+    return load_corpus(path)
+
+
+FINFO = np.finfo(np.float64)
+EDGE_FRAMES = [-0.0, 0.0, FINFO.smallest_subnormal, -FINFO.smallest_subnormal,
+               FINFO.smallest_normal * 0.5, 1e308, -1e308, FINFO.max, -FINFO.max]
+
+
+class TestFormatVersions:
+    """Corpora are written at version 2 (signal frames as base64 float64
+    bytes) and read at versions 1 and 2 with the same meaning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signals=st.lists(st.tuples(
+               st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=30),
+               st.integers(1, 10**6),
+               st.one_of(st.none(), st.tuples(st.integers(0, 1), st.integers(0, 2)))),
+               min_size=1, max_size=6),
+           tokens=st.lists(st.integers(0, 9), min_size=1, max_size=12))
+    @example(signals=[([-0.0], 16000, None)], tokens=[0])
+    @example(signals=[([x], 8000, (1, 2)) for x in EDGE_FRAMES], tokens=[3])
+    @example(signals=[(EDGE_FRAMES, 1, (0, 0))], tokens=[9, 9])
+    def test_versions_1_and_2_load_identically(self, signals, tokens):
+        samples = [Sample(id=f"s{i}", modality="signal",
+                          payload=SignalSequence(np.array(frames), sample_rate),
+                          emotion=None if labels is None else labels[0],
+                          intent=None if labels is None else labels[1])
+                   for i, (frames, sample_rate, labels) in enumerate(signals)]
+        samples.append(Sample(id="t", modality="tokens",
+                              payload=TokenSequence(np.array(tokens), vocab_size=10)))
+        corpus = Corpus(labelled=[s for s in samples if s.is_labelled],
+                        unlabelled=[s for s in samples if not s.is_labelled],
+                        emotion_names=["a", "b"], intent_names=["x", "y", "z"])
+        text = corpus_to_text(corpus)
+        assert json.loads(text.splitlines()[0])["version"] == 2
+        with tempfile.TemporaryDirectory() as directory:
+            version_2 = write_and_load(text, directory)
+            version_1 = write_and_load(as_version_1(text), directory)
+        assert_same_corpus(version_2, corpus)
+        assert_same_corpus(version_1, corpus)
+        assert_same_corpus(version_2, version_1)
+
+    def test_signal_record_keys(self):
+        corpus = synthesize_corpus(small_config(unlabelled_count=1, modality_mix=0.5))
+        records = [json.loads(line) for line in corpus_to_text(corpus).splitlines()[1:]]
+        keys = {r["modality"]: list(r) for r in records if "emotion" in r}
+        assert keys == {
+            "signal": ["id", "modality", "frames", "sample_rate", "emotion", "intent"],
+            "tokens": ["id", "modality", "payload", "vocab_size", "emotion", "intent"]}
+
+    @pytest.mark.parametrize("modality, edit, needle",
+                             [case[1:] for case in BAD_VERSION_2_RECORDS],
+                             ids=[case[0] for case in BAD_VERSION_2_RECORDS])
+    def test_bad_version_2_record_names_file_and_line(self, tmp_path, modality, edit, needle):
+        corpus = synthesize_corpus(small_config(
+            unlabelled_count=0, modality_mix=1.0 if modality == "signal" else 0.0))
+        lines = corpus_to_text(corpus).splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_corpus(str(path))
+        assert str(info.value).startswith(f"{path} line 2: ")
+        assert needle in str(info.value)
+
+    def test_version_2_field_in_a_version_1_file_rejected(self, tmp_path):
+        """The key set is per version: ``frames`` in a version-1 file is an
+        unknown field."""
+        corpus = synthesize_corpus(small_config(unlabelled_count=0))
+        lines = corpus_to_text(corpus).splitlines()
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(lines[0].replace('"version": 2', '"version": 1') + "\n"
+                        + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(SchemaError, match=r"line 2: unknown field\(s\) \['frames'\] "
+                                              r"in a version-1 signal record"):
+            load_corpus(str(path))
+
+
+# Written by the version-1 writer, from synthesize_corpus(FIXTURE_CONFIG).
+FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "data", "corpus_v1.jsonl")
+FIXTURE_CONFIG = GeneratorConfig(emotion_counts=(2, 2, 2), intent_counts=(3, 3),
+                                 unlabelled_count=4, min_len=1, max_len=24,
+                                 modality_mix=0.5, vocab_size=12, embedding_dim=4, seed=5)
+
+
+class TestVersion1Fixture:
+    def test_loads_as_generated(self):
+        with open(FIXTURE_V1) as handle:
+            assert json.loads(handle.readline())["version"] == 1
+        loaded = load_corpus(FIXTURE_V1)
+        assert {s.modality for s in loaded.labelled} == {"signal", "tokens"}
+        assert loaded.unlabelled
+        assert_same_corpus(loaded, synthesize_corpus(FIXTURE_CONFIG))
+
+    def test_resave_gives_version_2_with_same_content(self, tmp_path):
+        first = load_corpus(FIXTURE_V1)
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(first, str(path))
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0])["version"] == 2
+        assert all("frames" in json.loads(line) for line in lines[1:] if '"signal"' in line)
+        assert_same_corpus(load_corpus(str(path)), first)
+
+    @pytest.mark.parametrize("frame", ["1.5", True, None, [1.5]])
+    def test_non_number_frame_rejected(self, tmp_path, frame):
+        """A version-1 frame must be a JSON number: ``"1.5"`` and ``true``
+        are errors, not 1.5 and 1.0."""
+        with open(FIXTURE_V1) as handle:
+            lines = handle.read().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"signal"' in line)
+        record = json.loads(lines[at])
+        record["payload"][0] = frame
+        lines[at] = json.dumps(record)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"line {at + 1}: signal payload must be a list "
+                                              "of JSON numbers"):
+            load_corpus(str(path))
 
 
 class TestSplitSpec:

@@ -106,7 +106,8 @@ FRAMING_CASES = [
     ("non-JSON line 1", lambda lines: ["{not json"] + lines[1:], 1),
     ("JSON array on line 1", lambda lines: ["[1, 2]"] + lines[1:], 1),
     ("wrong format", lambda lines: _set_header(lines, format="semimatch-other"), 1),
-    ("wrong version", lambda lines: _set_header(lines, version=2), 1),
+    ("wrong version", lambda lines: _set_header(lines, version=3), 1),
+    ("float version", lambda lines: _set_header(lines, version=1.0), 1),
     ("missing version", lambda lines: [json.dumps(
         {k: v for k, v in json.loads(lines[0]).items() if k != "version"})] + lines[1:], 1),
     ("non-JSON record", lambda lines: lines[:2] + ["{not json"] + lines[3:], 3),
@@ -161,6 +162,20 @@ class TestLineFraming:
             for a, b in zip(got[1:], expected[1:]):
                 np.testing.assert_array_equal(a, b)
 
+    def test_version_2_read_only_for_corpora(self, files, tmp_path, capsys):
+        """Corpora are written at version 2, predictions and checkpoints at
+        version 1; a prediction file claiming version 2 is rejected (for
+        checkpoints, see ``TestCheckpointFraming``)."""
+        assert json.loads(lines_of(files["corpus.jsonl"])[0])["version"] == 2
+        assert json.loads(lines_of(files["p2.jsonl"])[0])["version"] == 1
+        assert json.loads(files["checkpoint.json"].read_text())["version"] == 1
+        path = files["p2.jsonl"]
+        write_lines(path, _set_header(lines_of(path), version=2))
+        with pytest.raises(SchemaError, match="line 1: unsupported semimatch-predictions "
+                                              "version 2"):
+            load_predictions(str(path))
+        assert_rejected("predictions", files, path, tmp_path, capsys, f"{path} line 1:")
+
     def test_raw_utf8_and_crlf_read_intact(self, files):
         """Unescaped non-ASCII text and CRLF line ends read as they would
         escaped and with LF."""
@@ -195,12 +210,13 @@ class TestCheckpointFraming:
         ("{not json", "invalid JSON"),
         ("[1, 2]", "not a semimatch-checkpoint file"),
         ('{"format": "semimatch-corpus", "version": 1}', "not a semimatch-checkpoint file"),
+        ('{"format": "semimatch-checkpoint", "version": 3}', "unsupported"),
         ('{"format": "semimatch-checkpoint", "version": 2}', "unsupported"),
         ('{"format": "semimatch-checkpoint"}', "unsupported"),
         (b'{"format": "semimatch-checkpoint", "version": 1, "x": "\xff"}', "not UTF-8"),
         ('{"format": "semimatch-checkpoint", "version": 1}'.encode("utf-16"), "not UTF-8"),
     ], ids=["empty", "blank", "non-json", "array", "wrong-format", "wrong-version",
-            "no-version", "non-utf8", "utf16"])
+            "corpus-only-version", "no-version", "non-utf8", "utf16"])
     def test_bad_document_names_file(self, files, tmp_path, capsys, text, needle):
         path = files["checkpoint.json"]
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
