@@ -12,14 +12,11 @@ vocabulary. ``augment_signal`` / ``augment_tokens`` apply one operator to a
 whole list of sequences in one call and draw the same numbers, in the same
 order, as the per-sequence operators called in a loop.
 
-The two replace operators (synonym, contextual) share one batched body
-with three paths. On a PCG64 generator it decodes a whole list's
-interleaved scalar draws from the raw words in one pass and leaves the
-generator where the scalar draws would: in numpy when every token of the
-call has two or more alternatives, so that every hit is a bounded draw,
-and by a Python walk over the hits otherwise. The kept per-token loop runs
-for any other bit generator, when a bounded draw would reject, or when a
-one-time self-check finds that this numpy draws differently.
+The two replace operators (synonym, contextual) share one body. Each
+token takes a pair of doubles ``(u, v)``, all pairs from one
+``rng.random((total, 2))`` call; a token with n >= 1 alternatives is
+replaced when ``u < p``, by alternative ``floor(v * n)``. A token with no
+alternative keeps its value but still takes its pair.
 
 Featurizers map either payload into a fixed-dimension vector: binned
 summary statistics for signals (order-sensitive), mean token embedding
@@ -31,7 +28,6 @@ featurizes a whole list of payloads in one call; the per-sample
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -347,197 +343,33 @@ def delete_tokens(seq: TokenSequence, rng: np.random.Generator,
     return TokenSequence(tokens=seq.tokens[keep], vocab_size=seq.vocab_size)
 
 
-def _replace_each_token(seqs, alternatives, rng: np.random.Generator,
-                        p: float) -> list[TokenSequence]:
-    """The replace operators' reference walk, one scalar draw at a time:
-    each token takes ``rng.random() < p``, and each hit whose
-    ``alternatives(token)`` is non-empty becomes one of them, picked by
-    ``rng.integers(0, len(alts))``."""
-    out = []
-    for seq in seqs:
-        tokens = seq.tokens.tolist()
-        for j, tok in enumerate(tokens):
-            if rng.random() < p:
-                alts = alternatives(tok)
-                if alts:
-                    tokens[j] = alts[int(rng.integers(0, len(alts)))]
-        out.append(TokenSequence(tokens=tokens, vocab_size=seq.vocab_size))
-    return out
-
-
-_LOW32 = 2**32 - 1
-
-
-def _replace_decoded(seqs, alternatives, bitgen: np.random.PCG64, p: float):
-    """``_replace_each_token`` over a PCG64 bit generator, decoded from the
-    raw 64-bit words the scalar draws would read; None, with the generator
-    untouched, when a bounded draw would reject and so read more words.
-
-    A double is ``(word >> 11) * 2**-53``. A bounded draw over n > 1 items
-    is Lemire's ``(r32 * n) >> 32``, where r32 is the half-word PCG64 keeps
-    buffered (``has_uint32`` / ``uinteger``) if there is one, and otherwise
-    the low half of a fresh word whose high half is then buffered; n = 1
-    draws nothing. When every token has two or more alternatives,
-    ``_decode_bounded`` reads the hits from their runs in numpy; otherwise
-    ``_decode_walk`` walks them in Python.
-    """
-    lengths = [len(s) for s in seqs]
-    tokens = np.concatenate([s.tokens for s in seqs])
-    total = len(tokens)
-    saved = bitgen.state
-    # enough: bounded draws alternate fresh and buffered halves, so at most
-    # half the tokens, rounded up, read a second word
-    raw = bitgen.random_raw(3 * total // 2 + 1)
-    bitgen.state = saved
-    hit = (raw >> 11) * 2.0**-53 < p
-    options = _bounded_options(tokens, alternatives)
-    if options is None:
-        decoded = _decode_walk(raw, hit, tokens, alternatives,
-                               saved["has_uint32"], saved["uinteger"])
-    else:
-        decoded = _decode_bounded(raw, hit, tokens, *options,
-                                  saved["has_uint32"], saved["uinteger"])
-    if decoded is None:
-        return None
-    at, values, words, has_half, half = decoded
-    bitgen.advance(words)
-    state = bitgen.state                     # advance() clears the half-word buffer
-    state["has_uint32"], state["uinteger"] = has_half, half
-    bitgen.state = state
-    out = tokens.copy()
-    out[at] = values
-    return TokenSequence.from_concatenated(out, lengths, [s.vocab_size for s in seqs])
-
-
-def _bounded_options(tokens, alternatives):
-    """``(counts, table)`` indexed by token value, where ``table[t, :counts[t]]``
-    are ``alternatives(t)``, if every token of ``tokens`` has two or more
-    alternatives; otherwise None."""
-    distinct = np.flatnonzero(np.bincount(tokens)).tolist()
-    options = [alternatives(t) or () for t in distinct]
-    sizes = [len(alts) for alts in options]
-    if min(sizes) < 2:
-        return None
-    width = max(sizes)
-    counts = np.zeros(distinct[-1] + 1, dtype=np.uint64)
-    table = np.zeros((len(counts), width), dtype=int)
-    counts[distinct] = sizes
-    table[distinct] = [list(alts) + [0] * (width - len(alts)) for alts in options]
-    return counts, table
-
-
-def _decode_walk(raw, hit, tokens, alternatives, has_half: int, half: int):
-    """The hits of any mix of alternative counts, walked in Python:
-    ``(token indices, replacements, words read, has_uint32, uinteger)``,
-    or None on a rejection."""
-    total = len(tokens)
-    at, values = [], []
-    word = start = 0   # the next word to read, and the token that reads it
-    for hit_word in np.flatnonzero(hit).tolist():
-        if hit_word < word:     # a word a bounded draw took
-            continue
-        t = start + hit_word - word
-        if t >= total:
-            break
-        word, start = hit_word + 1, t + 1
-        alts = alternatives(int(tokens[t]))
-        if not alts:
-            continue
-        n, pick = len(alts), 0
-        if n > 1:
-            if has_half:
-                r32, has_half = half, 0
-            else:
-                fresh = int(raw[word])
-                r32, half, has_half = fresh & _LOW32, fresh >> 32, 1
-                word += 1
-            scaled = r32 * n
-            if scaled & _LOW32 < (2**32 - n) % n:
-                return None
-            pick = scaled >> 32
-        at.append(t)
-        values.append(alts[pick])
-    return at, values, word + total - start, has_half, half
-
-
-def _decode_bounded(raw, hit, tokens, counts, table, has_half: int, half: int):
-    """``_decode_walk`` when every hit is a bounded draw, in numpy.
-
-    Take a run of consecutive hit words entered with buffer bit b. A word
-    after a miss is always a token's own word, so each run starts with one;
-    then at offset o the run holds, by ``(o - b) % 3``: 0, a hit drawing
-    the low half of the next (fresh) word; 1, that fresh word; 2, a hit
-    drawing the buffered high half. A run of length L leaves b as it was
-    if ``L % 3 == 0``, flips it if 1, and sets it if 2, so one scan gives
-    every run's entry bit.
-    """
-    padded = np.zeros(len(hit) + 2, dtype=bool)
-    padded[1:-1] = hit
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, run_lengths = edges[0::2], edges[1::2] - edges[0::2]
-    remainder = run_lengths % 3
-    flips = np.cumsum(remainder == 1)
-    last_set = np.maximum.accumulate(np.where(remainder == 2, np.arange(len(starts)), -1))
-    # b after a run: 1 plus the flips since the last run that set it, if any
-    exit_bit = np.where(last_set >= 0, 1 + flips - flips[last_set], has_half + flips) & 1
-    entry_bit = np.concatenate(([has_half], exit_bit))[:-1]
-    words = np.flatnonzero(hit)
-    phase = (words - np.repeat(starts + entry_bit, run_lengths)) % 3
-    fresh = phase == 0
-    at = words - (np.cumsum(fresh) - fresh)   # a draw's token: its word less earlier fresh words
-    draw = phase != 1
-    words, fresh, at = words[draw], fresh[draw], at[draw]
-    kept = np.searchsorted(at, len(tokens))
-    words, fresh, at = words[:kept], fresh[:kept], at[:kept]
-    # the word whose half each draw takes: its own fresh word, or the last one before it
-    source = np.maximum.accumulate(np.where(fresh, words + 1, -1))
-    word = raw[source]
-    r32 = np.where(fresh, word & _LOW32, np.where(source >= 0, word >> 32, half))
-    n = counts[tokens[at]]
-    scaled = r32 * n
-    if np.any(scaled & _LOW32 < (2**32 - n) % n):
-        return None
-    if kept:
-        has_half = int(fresh[-1])
-        if source[-1] >= 0:
-            half = int(word[-1] >> 32)   # stale after a buffered draw, as numpy leaves it
-    return at, table[tokens[at], scaled >> 32], len(tokens) + int(fresh.sum()), has_half, half
-
-
-@cache
-def _decode_agrees() -> bool:
-    """Whether ``_replace_decoded`` reproduces this numpy's scalar draws,
-    checked once per process on two fixed cases, each starting from a
-    buffered half-word and taking fresh words after it: one with 0 to 5
-    alternatives per token (walked), one with 2 to 5 (decoded in numpy)."""
-    seqs = [TokenSequence(tokens=np.arange(200) % 6, vocab_size=6)]
-    mixed = ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
-    bounded = ((1, 2), (2, 3, 0), (0, 1, 2, 3), (4, 0, 1, 2, 5), (5, 3), (0, 4, 1))
-    for alternatives in (mixed.__getitem__, bounded.__getitem__):
-        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-        fast.integers(0, 3)     # leaves the high half of a word buffered
-        slow.integers(0, 3)
-        decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, 0.5)
-        expected = _replace_each_token(seqs, alternatives, slow, 0.5)
-        if (decoded is None or fast.bit_generator.state != slow.bit_generator.state
-                or decoded[0].tokens.tolist() != expected[0].tokens.tolist()):
-            return False
-    return True
-
-
 def _replace_all(seqs, alternatives, rng: np.random.Generator,
                  p: float) -> list[TokenSequence]:
-    """The body both replace operators share: ``_replace_each_token``'s
-    output and final generator state, decoded in one pass per call when the
-    bit generator is exactly PCG64 and the decode agrees with this numpy's
-    scalar draws; otherwise, and when a bounded draw would reject, the loop."""
+    """The body both replace operators share. One ``rng.random((total, 2))``
+    draw gives each token, in order, a pair ``(u, v)``; a token with n >= 1
+    ``alternatives`` is replaced when ``u < p``, by ``alternatives[floor(v * n)]``.
+    The pairs are read one token after another, so a call over a list draws
+    what per-sequence calls in a loop draw, on any bit generator."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("replacement probability must lie in [0, 1]")
-    if seqs and type(rng.bit_generator) is np.random.PCG64 and _decode_agrees():
-        out = _replace_decoded(seqs, alternatives, rng.bit_generator, p)
-        if out is not None:
-            return out
-    return _replace_each_token(seqs, alternatives, rng, p)
+    if not seqs:
+        return []
+    lengths = [len(s) for s in seqs]
+    tokens = np.concatenate([s.tokens for s in seqs])
+    u, v = rng.random((len(tokens), 2)).T
+    # (counts, table) indexed by token value: table[t, :counts[t]] are t's alternatives
+    distinct = np.flatnonzero(np.bincount(tokens)).tolist()
+    options = [alternatives(t) or () for t in distinct]
+    counts = np.zeros(distinct[-1] + 1, dtype=int)
+    counts[distinct] = [len(alts) for alts in options]
+    width = counts.max()
+    table = np.zeros((len(counts), width), dtype=int)
+    table[distinct] = [list(alts) + [0] * (width - len(alts)) for alts in options]
+    n = counts[tokens]
+    hit = (u < p) & (n > 0)
+    out = tokens.copy()
+    out[hit] = table[tokens[hit], (v[hit] * n[hit]).astype(int)]
+    return TokenSequence.from_concatenated(out, lengths, [s.vocab_size for s in seqs])
 
 
 def _synonym_all(seqs, rng: np.random.Generator, lexicon: SynonymLexicon | None = None,

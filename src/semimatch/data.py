@@ -371,7 +371,10 @@ def _frames(value) -> np.ndarray:
     decoded into a writable native float64 array."""
     if type(value) is not str:
         raise SchemaError("frames must be a base64 JSON string")
-    raw = binascii.a2b_base64(value, strict_mode=True)
+    try:
+        raw = binascii.a2b_base64(value, strict_mode=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII string
+        raise SchemaError(f"frames: {exc}") from exc
     if len(raw) % 8:
         raise SchemaError(f"frames holds {len(raw)} bytes, not a multiple of 8")
     return np.frombuffer(raw, "<f8").astype(float)

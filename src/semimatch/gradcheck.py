@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .losses import LossCoefficients, build_task_terms, method_policy
+from .losses import LossCoefficients, batch_terms, build_task_terms
 from .model import (
     BatchLossSpec,
     batch_loss,
@@ -55,13 +55,9 @@ def _specs_for_batch(rng, model, batch_size, input_dim, sigma=0.99):
     fix_emo = build_task_terms(pw_emo, None, _GATE_TAU)
     fix_int = build_task_terms(pw_int, None, _GATE_TAU)
 
-    def method_terms(method):
-        gate, rank_sigma = method_policy(method, pw_emo, pw_int, _GATE_TAU, sigma)
-        return (build_task_terms(pw_emo, ps_emo, _GATE_TAU, rank_sigma, gate),
-                build_task_terms(pw_int, ps_int, _GATE_TAU, rank_sigma, gate))
-
-    joint_emo, joint_int = method_terms("fixmatch")
-    full_emo, full_int = method_terms("fullmatch")
+    weak, strong = (pw_emo, pw_int), (ps_emo, ps_int)
+    joint_emo, joint_int = batch_terms("fixmatch", weak, strong, _GATE_TAU, sigma)
+    full_emo, full_int = batch_terms("fullmatch", weak, strong, _GATE_TAU, sigma)
 
     lab = dict(lab_features=x_lab, emo_labels=emo_labels, int_labels=int_labels)
     return {

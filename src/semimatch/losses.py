@@ -260,6 +260,14 @@ def method_policy(method: str, weak_emo: np.ndarray, weak_int: np.ndarray,
     raise ConfigError(f"method '{method}' has no unlabelled terms")
 
 
+def batch_terms(method: str, weak, strong, tau: float, sigma: float):
+    """Both tasks' batch decisions under :func:`method_policy`:
+    ``(emo_terms, int_terms)`` from the ``(emotion, intent)`` pairs of
+    weak- and strong-branch probabilities."""
+    gate, sigma = method_policy(method, *weak, tau, sigma)
+    return tuple(build_task_terms(w, s, tau, sigma, gate) for w, s in zip(weak, strong))
+
+
 def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
                      tau: float, sigma: float | None = None,
                      gate: np.ndarray | None = None) -> TaskTerms:
@@ -386,11 +394,8 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
     _check_tau(tau)
     unsup = [(None, None), (None, None)]   # (strong probs, terms) per task
     if method != "baseline" and emo_unlabelled:
-        weak_e, strong_e = _stack_unlabelled(emo_unlabelled)
-        weak_i, strong_i = _stack_unlabelled(int_unlabelled)
-        gate, sigma = method_policy(method, weak_e, weak_i, tau, sigma)
-        unsup = [(strong_e, build_task_terms(weak_e, strong_e, tau, sigma, gate)),
-                 (strong_i, build_task_terms(weak_i, strong_i, tau, sigma, gate))]
+        weak, strong = zip(_stack_unlabelled(emo_unlabelled), _stack_unlabelled(int_unlabelled))
+        unsup = list(zip(strong, batch_terms(method, weak, strong, tau, sigma)))
     coeffs = LossCoefficients(lam1, lam2, lam3)
     emo = task_loss_from_terms(*_split_labelled(emo_labelled), *unsup[0], coeffs)
     intent = task_loss_from_terms(*_split_labelled(int_labelled), *unsup[1], coeffs)
@@ -400,7 +405,7 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
 __all__ = [
     "CLAMP_MIN", "LossBreakdown", "LossCoefficients", "METHODS", "MultitaskLoss",
     "PseudoLabelDecision", "SoftTargets", "TaskTerms", "TopKSelection",
-    "adaptive_negative_loss", "build_task_terms", "combine_breakdown",
+    "adaptive_negative_loss", "batch_terms", "build_task_terms", "combine_breakdown",
     "entropy_meaning_loss", "entropy_meaning_soft_label", "fixmatch_loss",
     "fullmatch_loss", "gate_pseudo_label", "method_policy", "multitask_loss",
     "rank_classes", "rank_matrix", "safe_log", "select_k", "task_loss_from_terms",

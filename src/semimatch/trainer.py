@@ -37,7 +37,8 @@ from .augment import (
 )
 from .data import Corpus, SplitSpec, make_batches, stratified_split
 from .errors import ConfigError, ContractError, require_finite_fields
-from .losses import METHODS, LossCoefficients, build_task_terms, method_policy
+from .losses import METHODS, LossCoefficients, batch_terms
+from .losses import build_task_terms  # noqa: F401  perfbench/tracer.py wraps this name
 from .metrics import MetricsReport
 from .model import (
     AdamState,
@@ -352,13 +353,10 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
             strong = None   # the strong branch's forward, which the loss reuses
             if unlab_batch:
                 spec.strong_features = strong_x
-                pw_emo, pw_int = forward_batch(model, weak_x)
+                weak = forward_batch(model, weak_x)
                 strong = forward_batch(model, spec.strong_features, parts=True)
-                ps_emo, ps_int = strong[3:]
-                gate, sigma = method_policy(config.method, pw_emo, pw_int,
-                                            config.tau, config.sigma)
-                spec.emo_terms = build_task_terms(pw_emo, ps_emo, config.tau, sigma, gate)
-                spec.int_terms = build_task_terms(pw_int, ps_int, config.tau, sigma, gate)
+                spec.emo_terms, spec.int_terms = batch_terms(
+                    config.method, weak, strong[3:], config.tau, config.sigma)
 
             result, grads = loss_and_gradients(model, spec, strong)
             model, state = adam_step(model, grads, state, lr)

@@ -1,14 +1,12 @@
 """Augmentation operators, their invariants, and the featurizers."""
 
 from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import semimatch.augment
 from semimatch.augment import (
     EmbeddingTable,
     FeatureExtractor,
@@ -35,7 +33,6 @@ from semimatch.augment import (
     synonym_replace,
     time_mask,
 )
-from semimatch.augment import _replace_decoded, _replace_each_token
 from semimatch.errors import ConfigError, ContractError
 
 
@@ -368,8 +365,8 @@ class TestSplitInvariance:
         assert rng.bit_generator.state == rng2.bit_generator.state
 
 
-# Lexicon whose tokens have 0 to 4 alternatives: no draw and no change at 0,
-# a replacement without a draw at 1, bounded draws over n = 2, 3 and 4.
+# Lexicon whose tokens have 0 to 4 alternatives: no change at 0, a
+# replacement whatever v is at 1, a pick by v over n = 2, 3 and 4.
 RAGGED = SynonymLexicon(mapping={
     t: tuple((t + k) % 30 for k in range(1, t % 5 + 1)) for t in range(30) if t % 5})
 # (kind, resource keywords, the alternatives the kind's operator replaces from)
@@ -380,124 +377,47 @@ REPLACE_CASES = [
 ]
 
 
-def generator(seed, bit_generator=np.random.PCG64, buffered=None):
-    """A generator; ``buffered`` preloads PCG64's half-word buffer."""
-    rng = np.random.Generator(bit_generator(seed))
-    if buffered is not None:
-        state = rng.bit_generator.state
-        state["has_uint32"], state["uinteger"] = 1, buffered
-        rng.bit_generator.state = state
-    return rng
+def loop_replace(seq, alternatives, rng, p):
+    """Reference: the replace rule as a per-token loop, one pair of draws each."""
+    tokens = seq.tokens.tolist()
+    for j, tok in enumerate(tokens):
+        u, v = rng.random(2)
+        alts = alternatives(tok)
+        if alts and u < p:
+            tokens[j] = alts[int(v * len(alts))]
+    return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
 
 
-def assert_same_draws(out, expected, rng, rng_expected):
-    assert [s.tokens.tolist() for s in out] == [s.tokens.tolist() for s in expected]
-    assert [s.vocab_size for s in out] == [s.vocab_size for s in expected]
-    np.testing.assert_equal(rng.bit_generator.state, rng_expected.bit_generator.state)
+class TestReplaceRule:
+    """The replace operators' one body equals ``loop_replace`` over each
+    sequence in turn, on any bit generator: the same tokens, vocabulary
+    sizes and final generator state."""
 
-
-class TestDecodedReplacement:
-    """The replace operators' batched body equals the per-token loop it
-    keeps as the reference, on the decoded path and on every fallback."""
-
+    @pytest.mark.parametrize("bit_generator",
+                             [np.random.PCG64, np.random.MT19937, np.random.Philox])
     @pytest.mark.parametrize("case", range(len(REPLACE_CASES)))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(lengths=st.lists(st.integers(1, 400), max_size=20), seed=st.integers(0, 2**32 - 1),
-           p=st.floats(0.0, 1.0), buffered=st.none() | st.integers(0, 2**32 - 1))
-    @example(lengths=[], seed=0, p=0.5, buffered=None)
-    @example(lengths=[1, 1, 2], seed=3, p=1.0, buffered=7)
-    @example(lengths=[1], seed=4, p=0.0, buffered=None)
-    def test_body_equals_loop(self, case, lengths, seed, p, buffered):
+           p=st.floats(0.0, 1.0))
+    @example(lengths=[], seed=0, p=0.5)
+    @example(lengths=[1, 1, 2], seed=3, p=1.0)
+    @example(lengths=[40, 7], seed=4, p=0.0)
+    @example(lengths=[2, 2], seed=2, p=1.0)   # tokens 15 and 25: no RAGGED alternative
+    def test_body_equals_loop(self, bit_generator, case, lengths, seed, p):
         kind, resources, alternatives = REPLACE_CASES[case]
         seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
                 for n in lengths]
-        rng, fast, slow = (generator(seed, buffered=buffered) for _ in range(3))
-        expected = _replace_each_token(seqs, alternatives, slow, p)
-        assert_same_draws(augment_tokens(seqs, kind, rng, p=p, **resources), expected,
-                          rng, slow)
-        if seqs:
-            decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, p)
-            # a rejection needs r32 == 0 and n = 3 or 5: a buffered 0 gives it,
-            # a fresh word with chance 2**-32 per draw
-            assert decoded is not None or buffered == 0
-            if decoded is not None:
-                assert_same_draws(decoded, expected, fast, slow)
+        rng, slow = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        out = augment_tokens(seqs, kind, rng, p=p, **resources)
+        expected = [loop_replace(seq, alternatives, slow, p) for seq in seqs]
+        assert [s.tokens.tolist() for s in out] == [s.tokens.tolist() for s in expected]
+        assert [s.vocab_size for s in out] == [s.vocab_size for s in expected]
+        np.testing.assert_equal(rng.bit_generator.state, slow.bit_generator.state)
 
-    @settings(max_examples=150, deadline=None)
-    @given(lengths=st.lists(st.integers(1, 400), min_size=1, max_size=12),
-           sizes=st.lists(st.integers(2, 5), min_size=30, max_size=30),
-           seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0),
-           buffered=st.none() | st.integers(0, 2**32 - 1))
-    @example(lengths=[400, 1, 3], sizes=[5] * 30, seed=1, p=1.0, buffered=None)
-    @example(lengths=[400], sizes=[2] * 30, seed=2, p=1.0, buffered=9)
-    @example(lengths=[1], sizes=[3] * 30, seed=3, p=1.0, buffered=None)
-    @example(lengths=[7, 300], sizes=[4] * 30, seed=4, p=0.0, buffered=11)
-    @example(lengths=[5], sizes=[5] * 30, seed=5, p=1.0, buffered=0)   # rejects
-    def test_bounded_decode_equals_loop(self, lengths, sizes, seed, p, buffered):
-        """With 2 to 5 alternatives for every token, each hit is a bounded
-        draw and the numpy decode runs, never the walk. At p = 1 every word
-        is a hit, so all of them form one run."""
-        alternatives = [tuple((t + 1 + k) % 30 for k in range(n))
-                        for t, n in enumerate(sizes)].__getitem__
-        seqs = [TokenSequence(np.random.default_rng([seed, n]).integers(0, 30, n), 30)
-                for n in lengths]
-        fast, slow = generator(seed, buffered=buffered), generator(seed, buffered=buffered)
-        untouched = fast.bit_generator.state
-        with mock.patch.object(semimatch.augment, "_decode_walk", side_effect=AssertionError):
-            decoded = _replace_decoded(seqs, alternatives, fast.bit_generator, p)
-        expected = _replace_each_token(seqs, alternatives, slow, p)
-        if decoded is None:     # a rejection: see test_body_equals_loop
-            assert buffered == 0
-            assert fast.bit_generator.state == untouched
-        else:
-            assert_same_draws(decoded, expected, fast, slow)
-
-    def test_bounded_calls_skip_the_walk_and_ragged_calls_take_it(self):
-        """The numpy decode runs exactly when every token of the call has two
-        or more alternatives; a call holding a token with 0 or 1 walks."""
-        semimatch.augment._decode_agrees()     # its one-time check walks once
-        seqs = [TokenSequence(np.arange(30), 30), TokenSequence(np.arange(29, -1, -1), 30)]
-        for kind, resources, alternatives in REPLACE_CASES:
-            rng, slow = generator(6), generator(6)
-            with mock.patch.object(semimatch.augment, "_decode_walk",
-                                   wraps=semimatch.augment._decode_walk) as walk:
-                out = augment_tokens(seqs, kind, rng, p=0.6, **resources)
-            assert walk.call_count == (resources.get("lexicon") is RAGGED)
-            assert_same_draws(out, _replace_each_token(seqs, alternatives, slow, 0.6),
-                              rng, slow)
-
-    def test_self_check_passes_where_the_decode_is_exact(self):
-        assert semimatch.augment._decode_agrees()
-
-    def test_rejection_falls_back_to_the_loop(self):
-        """With r32 = 0 buffered, a draw over 5 neighbours rejects:
-        (2**32 - 5) % 5 == 1 > 0."""
-        seqs = [TokenSequence(np.arange(12), 30), TokenSequence(np.arange(7, 30), 30)]
-        alternatives = TABLE.neighbour_lists(5).__getitem__
-        rng, fast, slow = (generator(9, buffered=0) for _ in range(3))
-        untouched = fast.bit_generator.state
-        assert _replace_decoded(seqs, alternatives, fast.bit_generator, 1.0) is None
-        assert fast.bit_generator.state == untouched
-        expected = _replace_each_token(seqs, alternatives, slow, 1.0)
-        out = augment_tokens(seqs, "contextual", rng, table=TABLE, p=1.0)
-        assert_same_draws(out, expected, rng, slow)
-
-    @pytest.mark.parametrize("bit_generator, self_check", [
-        (np.random.MT19937, True), (np.random.PCG64DXSM, True), (np.random.Philox, True),
-        (np.random.PCG64, False)])
-    def test_other_generators_and_failed_self_check_take_the_loop(
-            self, monkeypatch, bit_generator, self_check):
-        def no_decode(*args):
-            raise AssertionError("decoded where the loop must run")
-        monkeypatch.setattr(semimatch.augment, "_replace_decoded", no_decode)
-        monkeypatch.setattr(semimatch.augment, "_decode_agrees", lambda: self_check)
-        seqs = [TokenSequence(np.random.default_rng([5, n]).integers(0, 30, n), 30)
-                for n in (1, 40, 300)]
-        for kind, resources, alternatives in REPLACE_CASES:
-            rng, slow = generator(5, bit_generator), generator(5, bit_generator)
-            out = augment_tokens(seqs, kind, rng, p=0.4, **resources)
-            assert_same_draws(out, _replace_each_token(seqs, alternatives, slow, 0.4),
-                              rng, slow)
+    def test_largest_draw_picks_the_last_alternative(self):
+        """``floor(v * n)`` stays below n for the largest double below 1."""
+        v = np.nextafter(1.0, 0.0)
+        assert [int(np.floor(v * n)) for n in range(1, 1001)] == list(range(1000))
 
 
 class TestFromConcatenated:

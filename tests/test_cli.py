@@ -49,6 +49,10 @@ valid_frac = 0.2
 test_frac = 0.2
 """
 
+# the BAD_VERSION_2_RECORDS texts that binascii.a2b_base64 raises itself
+A2B_BASE64_ERRORS = ("Only base64 data is allowed", "Incorrect padding",
+                     "Excess data after padding", "only ASCII characters")
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -464,6 +468,8 @@ class TestCorpusFieldTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
         assert needle in err and "Traceback" not in err
+        # a2b_base64's own messages do not name the field; the reader adds it
+        assert ("line 2: frames: " in err) == (needle in A2B_BASE64_ERRORS)
         assert not (workdir / "run").exists()
 
 
