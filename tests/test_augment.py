@@ -414,6 +414,20 @@ class TestReplaceRule:
         assert [s.vocab_size for s in out] == [s.vocab_size for s in expected]
         np.testing.assert_equal(rng.bit_generator.state, slow.bit_generator.state)
 
+    @pytest.mark.parametrize("case", range(len(REPLACE_CASES)))
+    def test_one_call_is_one_draw(self, case):
+        """A list call advances the generator as one ``random((total, 2))``
+        does, and at ``p = 1`` every token with alternatives takes one."""
+        kind, resources, alternatives = REPLACE_CASES[case]
+        seqs = [TokenSequence(np.arange(n) % 30, 30) for n in (30, 7, 12)]
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        out = augment_tokens(seqs, kind, rng, p=1.0, **resources)
+        reference.random((sum(len(s.tokens) for s in seqs), 2))
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+        for seq, new in zip(seqs, out):
+            for tok, rep in zip(seq.tokens.tolist(), new.tokens.tolist()):
+                assert rep in (alternatives(tok) or [tok])
+
     def test_largest_draw_picks_the_last_alternative(self):
         """``floor(v * n)`` stays below n for the largest double below 1."""
         v = np.nextafter(1.0, 0.0)
