@@ -38,6 +38,7 @@ STRONG_SIGNAL_KIND = "gaussian_noise"
 WEAK_TOKEN_KINDS = ("swap", "delete", "synonym")
 STRONG_TOKEN_KIND = "contextual"
 
+MODALITIES = ("signal", "tokens")
 DEFAULT_SAMPLE_RATE = 16000
 
 
@@ -49,19 +50,12 @@ class SignalSequence:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=float)
-        if self.frames.ndim != 1 or len(self.frames) == 0:
-            raise ContractError("signal must be a non-empty 1-D frame array")
-        if not np.all(np.isfinite(self.frames)):
-            raise ContractError("signal frames must be finite")
-        if self.sample_rate <= 0:
-            raise ContractError("sample_rate must be positive")
+        frames = np.asarray(self.frames, dtype=float)
+        self.frames = self._checked(frames, [frames.size], [self.sample_rate])
 
-    @classmethod
-    def from_concatenated(cls, frames, lengths, sample_rates) -> list["SignalSequence"]:
-        """Sequences cut in order from one frame array, the i-th holding
-        ``lengths[i]`` frames at ``sample_rates[i]``. ``__post_init__``'s
-        checks run once, over the whole array."""
+    @staticmethod
+    def _checked(frames, lengths, sample_rates) -> np.ndarray:
+        """``frames`` as floats, checked as ``lengths`` sequences at ``sample_rates``."""
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 1 or min(lengths) < 1 or len(frames) != sum(lengths):
             raise ContractError("signal must be a non-empty 1-D frame array")
@@ -69,6 +63,14 @@ class SignalSequence:
             raise ContractError("signal frames must be finite")
         if min(sample_rates) <= 0:
             raise ContractError("sample_rate must be positive")
+        return frames
+
+    @classmethod
+    def from_concatenated(cls, frames, lengths, sample_rates) -> list["SignalSequence"]:
+        """Sequences cut in order from one frame array, the i-th holding
+        ``lengths[i]`` frames at ``sample_rates[i]``. The constructor's
+        checks run once, over the whole array."""
+        frames = cls._checked(frames, lengths, sample_rates)
         out, end = [], 0
         for length, sample_rate in zip(lengths, sample_rates):
             seq = cls.__new__(cls)
@@ -89,19 +91,12 @@ class TokenSequence:
     vocab_size: int
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=int)
-        if self.tokens.ndim != 1 or len(self.tokens) == 0:
-            raise ContractError("token sequence must be non-empty and 1-D")
-        if self.vocab_size <= 0:
-            raise ContractError("vocab_size must be positive")
-        if np.any(self.tokens < 0) or np.any(self.tokens >= self.vocab_size):
-            raise ContractError("token index outside the vocabulary")
+        tokens = np.asarray(self.tokens, dtype=int)
+        self.tokens = self._checked(tokens, [tokens.size], [self.vocab_size])
 
-    @classmethod
-    def from_concatenated(cls, tokens, lengths, vocab_sizes) -> list["TokenSequence"]:
-        """Sequences cut in order from one token array, the i-th holding
-        ``lengths[i]`` tokens of a ``vocab_sizes[i]`` vocabulary.
-        ``__post_init__``'s checks run once, over the whole array."""
+    @staticmethod
+    def _checked(tokens, lengths, vocab_sizes) -> np.ndarray:
+        """``tokens`` as ints, checked as ``lengths`` sequences of ``vocab_sizes``."""
         tokens = np.asarray(tokens, dtype=int)
         if tokens.ndim != 1 or min(lengths) < 1 or len(tokens) != sum(lengths):
             raise ContractError("token sequence must be non-empty and 1-D")
@@ -109,6 +104,14 @@ class TokenSequence:
             raise ContractError("vocab_size must be positive")
         if tokens.min() < 0 or np.any(tokens >= np.repeat(vocab_sizes, lengths)):
             raise ContractError("token index outside the vocabulary")
+        return tokens
+
+    @classmethod
+    def from_concatenated(cls, tokens, lengths, vocab_sizes) -> list["TokenSequence"]:
+        """Sequences cut in order from one token array, the i-th holding
+        ``lengths[i]`` tokens of a ``vocab_sizes[i]`` vocabulary. The
+        constructor's checks run once, over the whole array."""
+        tokens = cls._checked(tokens, lengths, vocab_sizes)
         out, end = [], 0
         for length, vocab_size in zip(lengths, vocab_sizes):
             seq = cls.__new__(cls)
@@ -305,14 +308,19 @@ _SIGNAL_OPS = {
 }
 
 
+def _apply(ops: dict, what: str, seqs, kind: str, rng: np.random.Generator, **params):
+    """Apply the operator ``ops[kind]`` to every sequence of a list; an
+    empty list gives an empty list, without a draw."""
+    if kind not in ops:
+        raise ConfigError(f"unknown {what} augmentation '{kind}'")
+    seqs = list(seqs)
+    return ops[kind](seqs, rng, **params) if seqs else []
+
+
 def augment_signal(seqs, kind: str, rng: np.random.Generator,
                    **params) -> list[SignalSequence]:
     """Apply one signal operator, by name, to every sequence of a list."""
-    try:
-        op = _SIGNAL_OPS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown signal augmentation '{kind}'") from None
-    return op(seqs, rng, **params) if seqs else []
+    return _apply(_SIGNAL_OPS, "signal", seqs, kind, rng, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +360,6 @@ def _replace_all(seqs, alternatives, rng: np.random.Generator,
     what per-sequence calls in a loop draw, on any bit generator."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("replacement probability must lie in [0, 1]")
-    if not seqs:
-        return []
     lengths = [len(s) for s in seqs]
     tokens = np.concatenate([s.tokens for s in seqs])
     u, v = rng.random((len(tokens), 2)).T
@@ -428,11 +434,8 @@ def augment_tokens(seqs, kind: str, rng: np.random.Generator,
                    lexicon: SynonymLexicon | None = None,
                    table: EmbeddingTable | None = None, **params) -> list[TokenSequence]:
     """Apply one token operator, by name, to every sequence of a list."""
-    try:
-        op = _TOKEN_OPS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown token augmentation '{kind}'") from None
-    return op(list(seqs), rng, lexicon=lexicon, table=table, **params)
+    return _apply(_TOKEN_OPS, "token", seqs, kind, rng, lexicon=lexicon, table=table,
+                  **params)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +523,7 @@ class FeatureExtractor:
     table: EmbeddingTable | None = None
 
     def __post_init__(self):
-        if self.modality not in ("signal", "tokens"):
+        if self.modality not in MODALITIES:
             raise ConfigError(f"unknown modality '{self.modality}'")
         if self.modality == "tokens" and self.table is None:
             raise ConfigError("token featurization needs an embedding table")
@@ -549,7 +552,7 @@ def strong_kind(modality: str) -> str:
 
 
 __all__ = [
-    "DEFAULT_SAMPLE_RATE", "EmbeddingTable", "FeatureExtractor",
+    "DEFAULT_SAMPLE_RATE", "EmbeddingTable", "FeatureExtractor", "MODALITIES",
     "STRONG_SIGNAL_KIND", "STRONG_TOKEN_KIND", "SignalSequence",
     "SynonymLexicon", "TokenSequence", "WEAK_SIGNAL_KINDS", "WEAK_TOKEN_KINDS",
     "augment_signal", "augment_tokens", "contextual_replace", "delete_tokens",

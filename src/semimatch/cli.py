@@ -129,12 +129,20 @@ def _split_samples(corpus, config, split_name: str):
 def cmd_eval(args) -> int:
     if len(args.checkpoints) != 1:
         raise ConfigError("eval expects exactly one checkpoint")
-    _require_file(args.checkpoints[0], "checkpoint")
+    checkpoint = args.checkpoints[0]
+    _require_file(checkpoint, "checkpoint")
     _require_file(args.corpus, "corpus")
-    model, config, emotion_names, intent_names = load_checkpoint(args.checkpoints[0])
+    model, config, emotion_names, intent_names = load_checkpoint(checkpoint)
     corpus = load_corpus(args.corpus)
+    if [corpus.emotion_names, corpus.intent_names] != [emotion_names, intent_names]:
+        raise ConfigError(f"the class names of corpus {args.corpus} differ from those "
+                          f"of checkpoint {checkpoint}")
     samples = _split_samples(corpus, config, args.split)
-    emo_probs, int_probs = predict_probs(model, samples, extractor_for(config, corpus))
+    extractor = extractor_for(config, corpus)
+    if extractor.dim != model.input_dim:
+        raise ConfigError(f"checkpoint {checkpoint} reads {model.input_dim} features, but "
+                          f"its config gives {extractor.dim} on corpus {args.corpus}")
+    emo_probs, int_probs = predict_probs(model, samples, extractor)
     metrics = metrics_from_probs(samples, emo_probs, int_probs)
 
     os.makedirs(args.out, exist_ok=True)
@@ -161,6 +169,8 @@ def cmd_fuse(args) -> int:
             raise ContractError(f"{path}: sample ids do not match the first file")
         if not (np.array_equal(entry[1], emo_labels) and np.array_equal(entry[2], int_labels)):
             raise ContractError(f"{path}: labels do not match the first file")
+        if (entry[3].shape, entry[4].shape) != (loaded[0][3].shape, loaded[0][4].shape):
+            raise ContractError(f"{path}: class counts do not match the first file")
 
     emo_preds = margin_fusion([entry[3] for entry in loaded])
     int_preds = margin_fusion([entry[4] for entry in loaded])

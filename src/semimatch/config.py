@@ -70,37 +70,29 @@ def parse_key_values(text: str) -> dict[str, tuple[int, str]]:
     return mapping
 
 
-# dataclass field annotation -> parser of its config value
-_PARSER_BY_TYPE = {
-    "str": str,
-    "str | None": str,
-    "bool": _to_bool,
-    "int": _to_int,
-    "float": _to_float,
-    "tuple[int, ...]": _to_int_list,
-    "tuple[str, ...] | None": _to_str_list,
+# dataclass field annotation -> (parser of its config-file value, the JSON
+# value types a checkpoint may store for it, their name); the list-valued
+# generator fields never go into a checkpoint
+_FIELD_TYPES = {
+    "str": (str, (str,), "a string"),
+    "str | None": (str, (str, type(None)), "a string or null"),
+    "bool": (_to_bool, (bool,), "a boolean"),
+    "int": (_to_int, (int,), "an integer"),
+    "float": (_to_float, (int, float), "a number"),
+    "tuple[int, ...]": (_to_int_list, None, None),
+    "tuple[str, ...] | None": (_to_str_list, None, None),
 }
 
 
 def _parsers(config_class) -> dict:
-    return {f.name: _PARSER_BY_TYPE[f.type] for f in fields(config_class)}
+    return {f.name: _FIELD_TYPES[f.type][0] for f in fields(config_class)}
 
 
 _TRAIN_PARSERS = _parsers(TrainConfig)
 _GENERATOR_PARSERS = _parsers(GeneratorConfig)
 TRAIN_CONFIG_KEYS = tuple(_TRAIN_PARSERS)
 GENERATOR_CONFIG_KEYS = tuple(_GENERATOR_PARSERS)
-
-
-# dataclass field annotation -> the JSON value types it accepts, and their name
-_JSON_TYPES = {
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "bool": ((bool,), "a boolean"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-}
-_TRAIN_JSON_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(TrainConfig)}
+_TRAIN_JSON_TYPES = {f.name: _FIELD_TYPES[f.type][1:] for f in fields(TrainConfig)}
 
 
 def train_config_from_json(values) -> TrainConfig:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
+from .augment import MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
 from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
 from .fileio import (
     CORPUS_FORMAT,
@@ -50,7 +50,7 @@ class Sample:
     intent: int | None = None
 
     def __post_init__(self):
-        if self.modality not in ("signal", "tokens"):
+        if self.modality not in MODALITIES:
             raise SchemaError(f"sample {self.id}: unknown modality '{self.modality}'")
         if (self.emotion is None) != (self.intent is None):
             raise SchemaError(
@@ -385,7 +385,7 @@ def _parse_record(record: dict, embedding: EmbeddingTable | None, version: int) 
     has_emo, has_int = "emotion" in record, "intent" in record
     if has_emo != has_int:
         raise SchemaError("record carries exactly one of the two labels")
-    if modality not in ("signal", "tokens"):
+    if modality not in MODALITIES:
         raise SchemaError(f"unknown modality '{modality}'")
     if unknown := record.keys() - _RECORD_KEYS[version, modality] - {"emotion", "intent"}:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in a version-{version} "
@@ -446,6 +446,16 @@ def load_corpus(path: str) -> Corpus:
 # batching
 # ---------------------------------------------------------------------------
 
+def unlabelled_per_step(batch_size: int, unlabelled_ratio: float) -> int:
+    """The unlabelled samples each step draws: ``unlabelled_ratio`` times the
+    batch size, rounded half to even."""
+    if batch_size < 1:
+        raise ConfigError("batch_size must be positive")
+    if unlabelled_ratio < 0:
+        raise ConfigError("unlabelled_ratio must be non-negative")
+    return int(round(unlabelled_ratio * batch_size))
+
+
 def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
                  seed) -> list[tuple[list[Sample], list[Sample]]]:
     """One epoch of (labelled batch, unlabelled batch) steps.
@@ -459,10 +469,7 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
     unlabelled = list(unlabelled)
     if not labelled:
         raise ConfigError("make_batches needs a non-empty labelled pool")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    if unlabelled_ratio < 0:
-        raise ConfigError("unlabelled_ratio must be non-negative")
+    n_unlab = unlabelled_per_step(batch_size, unlabelled_ratio)
     seed = [int(s) for s in np.atleast_1d(seed)]
     if any(s < 0 for s in seed):
         raise ConfigError("seed must be non-negative")
@@ -470,7 +477,6 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
     rng_unlab = np.random.default_rng(seed + [31002])
 
     order = rng_lab.permutation(len(labelled))
-    n_unlab = int(round(unlabelled_ratio * batch_size))
     steps = []
     for start in range(0, len(labelled), batch_size):
         lab_batch = [labelled[i] for i in order[start:start + batch_size]]
@@ -487,5 +493,5 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
 __all__ = [
     "Corpus", "GeneratorConfig", "Sample", "SplitSpec", "corpus_to_text",
     "load_corpus", "make_batches", "save_corpus", "stratified_split",
-    "synthesize_corpus",
+    "synthesize_corpus", "unlabelled_per_step",
 ]

@@ -39,9 +39,9 @@ def safe_log(x):
     return np.log(np.clip(x, CLAMP_MIN, 1.0))
 
 
-def _check_tau(tau: float):
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError("tau must lie in (0, 1]")
+def _check_unit(name: str, value: float):
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1]")
 
 
 def _as_prob_matrix(rows, what: str) -> np.ndarray:
@@ -153,7 +153,7 @@ def rank_matrix(probs: np.ndarray) -> np.ndarray:
 
 def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
-    _check_tau(tau)
+    _check_unit("tau", tau)
     probs = _as_prob_matrix(weak_probs, "gate_pseudo_label")[0]
     cls = int(np.argmax(probs))
     conf = float(probs[cls])
@@ -166,8 +166,7 @@ def select_k(weak_probs_batch, strong_probs_batch, sigma: float) -> TopKSelectio
     Top-k accuracy counts how often the weak-branch argmax appears among the
     k highest strong-branch probabilities.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise ConfigError("sigma must lie in (0, 1]")
+    _check_unit("sigma", sigma)
     weak = np.asarray(weak_probs_batch, dtype=float)
     if weak.size == 0:
         raise ConfigError("select_k requires a non-empty batch")
@@ -346,7 +345,7 @@ def _split_labelled(labelled):
 
 def _single_task_loss(labelled, unlabelled, tau: float, sigma: float | None,
                       coeffs: LossCoefficients) -> LossBreakdown:
-    _check_tau(tau)
+    _check_unit("tau", tau)
     probs, labels = _split_labelled(labelled)
     if not unlabelled:
         return task_loss_from_terms(probs, labels, None, None, coeffs)
@@ -391,7 +390,7 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
         raise ContractError("labelled sample counts differ between tasks")
     if len(emo_unlabelled) != len(int_unlabelled):
         raise ContractError("unlabelled sample counts differ between tasks")
-    _check_tau(tau)
+    _check_unit("tau", tau)
     unsup = [(None, None), (None, None)]   # (strong probs, terms) per task
     if method != "baseline" and emo_unlabelled:
         weak, strong = zip(_stack_unlabelled(emo_unlabelled), _stack_unlabelled(int_unlabelled))

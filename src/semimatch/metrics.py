@@ -23,16 +23,19 @@ def _check_pair(preds, labels, n_classes):
 
 def weighted_f1(preds, labels, n_classes: int) -> float:
     """Support-weighted mean of per-class F1 (a class with P+R = 0 scores 0)."""
-    preds, labels = _check_pair(preds, labels, n_classes)
+    return _weighted_f1(confusion(preds, labels, n_classes))
+
+
+def _weighted_f1(counts: np.ndarray) -> float:
+    """``weighted_f1`` of the predictions a confusion matrix counts."""
     total = 0.0
-    n = len(labels)
-    for c in range(n_classes):
-        support = int(np.sum(labels == c))
+    n = int(counts.sum())
+    for c in range(len(counts)):
+        support = int(counts[c].sum())
         if support == 0:
             continue
-        tp = int(np.sum((preds == c) & (labels == c)))
-        fp = int(np.sum((preds == c) & (labels != c)))
-        fn = support - tp
+        tp = int(counts[c, c])
+        fp = int(counts[:, c].sum()) - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / support
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -99,11 +102,11 @@ class MetricsReport:
     @classmethod
     def from_predictions(cls, emo_preds, emo_labels, int_preds, int_labels,
                          n_emotion: int, n_intent: int) -> "MetricsReport":
-        f1_e = weighted_f1(emo_preds, emo_labels, n_emotion)
-        f1_i = weighted_f1(int_preds, int_labels, n_intent)
+        counts_e = confusion(emo_preds, emo_labels, n_emotion)
+        counts_i = confusion(int_preds, int_labels, n_intent)
+        f1_e, f1_i = _weighted_f1(counts_e), _weighted_f1(counts_i)
         return cls(f1_emo=f1_e, f1_intent=f1_i, jrbm=jrbm(f1_e, f1_i),
-                   confusion_emo=confusion(emo_preds, emo_labels, n_emotion),
-                   confusion_int=confusion(int_preds, int_labels, n_intent))
+                   confusion_emo=counts_e, confusion_int=counts_i)
 
     def to_dict(self) -> dict:
         return {

@@ -30,6 +30,7 @@ from .losses import (
     LossCoefficients,
     MultitaskLoss,
     TaskTerms,
+    _as_prob_matrix,
     combine_breakdown,
     task_loss_from_terms,
 )
@@ -127,10 +128,7 @@ class TaskProbs:
         for vec, name in ((self.emo, "emo"), (self.intent, "intent")):
             if vec.ndim != 1:
                 raise ContractError(f"{name} probabilities must be a vector")
-            if np.any(vec < -1e-12) or np.any(vec > 1 + 1e-12):
-                raise ContractError(f"{name} probabilities outside [0, 1]")
-            if abs(float(vec.sum()) - 1.0) > 1e-6:
-                raise ContractError(f"{name} probabilities do not sum to 1")
+            _as_prob_matrix(vec, name)
 
 
 @dataclass

@@ -59,9 +59,14 @@ def load_checkpoint(path: str) -> tuple[TwoHeadModel, TrainConfig, list[str], li
     doc = read_json(path, CHECKPOINT_FORMAT)
     with located(path):
         params = {f: np.asarray(doc["params"][f], dtype=float) for f in PARAM_FIELDS}
-        return (TwoHeadModel(**params), train_config_from_json(doc["config"]),
-                name_list(doc.get("emotion_names"), "emotion_names"),
-                name_list(doc.get("intent_names"), "intent_names"))
+        model, config = TwoHeadModel(**params), train_config_from_json(doc["config"])
+        emotion_names = name_list(doc.get("emotion_names"), "emotion_names")
+        intent_names = name_list(doc.get("intent_names"), "intent_names")
+        for task, names, width in (("emotion", emotion_names, model.n_emotion),
+                                   ("intent", intent_names, model.n_intent)):
+            if len(names) != width:
+                raise SchemaError(f"{len(names)} {task}_names for a {width}-class {task} head")
+        return model, config, emotion_names, intent_names
 
 
 def predictions_to_text(sample_ids, emo_labels, int_labels,
@@ -85,6 +90,12 @@ def _label(value, name: str, n_classes: int) -> int:
     return value
 
 
+def _width(value, name: str) -> int:
+    if json_int(value, name) < 2:
+        raise SchemaError(f"{name} must be at least 2, got {value}")
+    return value
+
+
 def _prob_row(value, name: str, width: int) -> list[float]:
     """A probability row: ``width`` finite JSON numbers."""
     if (not isinstance(value, list) or len(value) != width
@@ -100,8 +111,8 @@ def load_predictions(path: str):
     records = read_jsonl(path, PREDICTIONS_FORMAT)
     _, header = next(records)
     with located(f"{path} line 1"):
-        n_emotion = json_int(header["n_emotion"], "n_emotion")
-        n_intent = json_int(header["n_intent"], "n_intent")
+        n_emotion = _width(header["n_emotion"], "n_emotion")
+        n_intent = _width(header["n_intent"], "n_intent")
     ids, emo_labels, int_labels, emo_probs, int_probs = [], [], [], [], []
     for line_no, row in records:
         with located(f"{path} line {line_no}"):

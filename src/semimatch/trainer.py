@@ -29,15 +29,16 @@ from operator import add
 import numpy as np
 
 from .augment import (
+    MODALITIES,
     FeatureExtractor,
     augment_signal,
     augment_tokens,
     strong_kind,
     weak_kinds,
 )
-from .data import Corpus, SplitSpec, make_batches, stratified_split
+from .data import Corpus, SplitSpec, make_batches, stratified_split, unlabelled_per_step
 from .errors import ConfigError, ContractError, require_finite_fields
-from .losses import METHODS, LossCoefficients, batch_terms
+from .losses import METHODS, LossCoefficients, _check_unit, batch_terms
 from .losses import build_task_terms  # noqa: F401  perfbench/tracer.py wraps this name
 from .metrics import MetricsReport
 from .model import (
@@ -99,7 +100,7 @@ class TrainConfig:
         require_finite_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method '{self.method}'")
-        if self.modality not in ("signal", "tokens"):
+        if self.modality not in MODALITIES:
             raise ConfigError(f"unknown modality '{self.modality}'")
         if self.weak_aug_kind is None:
             self.weak_aug_kind = "flip" if self.modality == "signal" else "synonym"
@@ -112,18 +113,18 @@ class TrainConfig:
         if self.strong_aug_kind != expected_strong:
             raise ConfigError(
                 f"the strong augmentation for {self.modality} is '{expected_strong}'")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("tau must lie in (0, 1]")
-        if not 0.0 < self.sigma <= 1.0:
-            raise ConfigError("sigma must lie in (0, 1]")
+        for name in ("tau", "sigma", "lr_decay"):
+            _check_unit(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError("lr_decay must lie in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden_size < 1:
             raise ConfigError("epochs, batch_size, and hidden_size must be positive")
-        if self.unlabelled_ratio < 0:
-            raise ConfigError("unlabelled_ratio must be non-negative")
+        # unlabelled_per_step also rejects a negative unlabelled_ratio
+        if (unlabelled_per_step(self.batch_size, self.unlabelled_ratio) == 0
+                and self.method != "baseline"):
+            raise ConfigError(
+                f"unlabelled_ratio {self.unlabelled_ratio} at batch_size {self.batch_size} "
+                f"draws no unlabelled sample per step, which method '{self.method}' needs")
         # loss weights, then featurizer sizes and augmentation settings in the
         # ranges their functions enforce, whatever the modality
         for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight",
@@ -137,9 +138,7 @@ class TrainConfig:
         for name in ("delete_prob", "synonym_prob", "contextual_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        # raises ConfigError on bad fractions
+        # raises ConfigError on bad fractions or a negative seed
         SplitSpec(self.train_frac, self.valid_frac, self.test_frac, seed=self.seed)
 
 
@@ -249,12 +248,12 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
                           + augment(unlab, weak_unlab_kind, rng_weak)
                           + augment(unlab, config.strong_aug_kind, rng_strong))
         lab_x, weak_x, strong_x = np.split(feats, [len(lab), len(lab) + len(unlab)])
-        lab_at = unlab_at = 0
-        for lab_batch, unlab_batch in block:
-            lab_end, unlab_end = lab_at + len(lab_batch), unlab_at + len(unlab_batch)
-            yield (lab_batch, unlab_batch, lab_x[lab_at:lab_end],
-                   weak_x[unlab_at:unlab_end], strong_x[unlab_at:unlab_end])
-            lab_at, unlab_at = lab_end, unlab_end
+        lab_cuts = np.cumsum([len(lab_batch) for lab_batch, _ in block[:-1]])
+        unlab_cuts = np.cumsum([len(unlab_batch) for _, unlab_batch in block[:-1]])
+        for (lab_batch, unlab_batch), *rows in zip(
+                block, np.split(lab_x, lab_cuts), np.split(weak_x, unlab_cuts),
+                np.split(strong_x, unlab_cuts)):
+            yield lab_batch, unlab_batch, *rows
 
 
 def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):

@@ -118,6 +118,12 @@ class TestConfigParsing:
         ("train", "epochs = 2\nseed = -1\n", "seed must be non-negative"),
         ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nseed = -1\n",
          "seed must be non-negative"),
+        ("train", "method = fixmatch\nbatch_size = 4\nunlabelled_ratio = 0.1\n",
+         "unlabelled_ratio 0.1 at batch_size 4 draws no unlabelled sample per step, "
+         "which method 'fixmatch' needs"),
+        ("train", "method = fullmatch\nunlabelled_ratio = 0.05\n",
+         "unlabelled_ratio 0.05 at batch_size 8 draws no unlabelled sample per step, "
+         "which method 'fullmatch' needs"),
     ])
     def test_file_errors_name_file_and_line(self, tmp_path, monkeypatch, capsys,
                                             command, text, message):

@@ -264,16 +264,45 @@ class TestCheckpointFields:
         (lambda doc: doc["config"].update(weak_aug_kind=3),
          "config key 'weak_aug_kind': expected a string or null, got 3"),
         (lambda doc: doc.update(config=[]), "config must be a JSON object"),
+        (lambda doc: doc["emotion_names"].append("extra"),
+         "4 emotion_names for a 3-class emotion head"),
+        (lambda doc: doc["intent_names"].pop(), "1 intent_names for a 2-class intent head"),
     ], ids=["short-bias", "tau-2", "nan-weight", "names-string", "names-missing",
             "param-missing", "unknown-config-key", "delete-prob-7", "epochs-float",
             "hidden-size-bool", "tau-bool", "flag-int", "method-null", "kind-int",
-            "config-list"])
+            "config-list", "emotion-names-long", "intent-names-short"])
     def test_bad_field_names_file(self, files, tmp_path, capsys, edit, needle):
         path = files["checkpoint.json"]
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         assert_rejected("checkpoint", files, path, tmp_path, capsys, f"{path}: ", needle)
+
+
+class TestEvalFit:
+    """eval refuses a corpus whose class names or features the checkpoint
+    does not fit, naming both files, before it writes anything."""
+
+    @pytest.mark.parametrize("emotion_counts, emotion_names", [
+        ((10, 10, 5, 5), None), ((15, 15), None), ((10,) * N_EMOTION, ("a", "b", "c")),
+    ], ids=["more-classes", "fewer-classes", "other-names"])
+    def test_other_class_names_rejected(self, files, tmp_path, capsys, emotion_counts,
+                                        emotion_names):
+        path = tmp_path / "other.jsonl"
+        save_corpus(synthesize_corpus(GeneratorConfig(
+            emotion_counts=emotion_counts, intent_counts=(15,) * N_INTENT,
+            emotion_names=emotion_names, min_len=8, max_len=16, seed=3)), str(path))
+        assert_rejected("corpus", files, path, tmp_path, capsys, f"corpus {path} ",
+                        f"checkpoint {files['checkpoint.json']}", "class names")
+
+    def test_feature_width_mismatch_rejected(self, files, tmp_path, capsys):
+        path = files["checkpoint.json"]
+        doc = json.loads(path.read_text())
+        doc["config"]["signal_bins"] = 2
+        path.write_text(json.dumps(doc))
+        assert_rejected("checkpoint", files, path, tmp_path, capsys,
+                        f"checkpoint {path} reads 16 features",
+                        f"config gives 8 on corpus {files['corpus.jsonl']}")
 
 
 class TestPredictionRows:
@@ -324,6 +353,23 @@ class TestPredictionRows:
         write_lines(path, _set_header(lines_of(path), **change))
         assert_rejected("predictions", files, path, tmp_path, capsys,
                         f"{path} line 1: ", "must be a JSON integer")
+
+    @pytest.mark.parametrize("change", [{"n_emotion": 1}, {"n_intent": 0}],
+                             ids=["n-emotion-1", "n-intent-0"])
+    def test_header_width_below_2_names_line_1(self, files, tmp_path, capsys, change):
+        path = files["p2.jsonl"]
+        (key, value), = change.items()
+        write_lines(path, _set_header(lines_of(path), **change))
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path} line 1: {key} must be at least 2, got {value}")
+
+    def test_width_differing_from_first_file_names_it(self, files, tmp_path, capsys):
+        path = files["p2.jsonl"]
+        save_predictions(str(path), ["a", "b", "c"], [0, 1, 2], [1, 0, 1],
+                         np.full((3, N_EMOTION + 1), 1 / (N_EMOTION + 1)),
+                         np.full((3, N_INTENT), 1 / N_INTENT))
+        assert_rejected("predictions", files, path, tmp_path, capsys,
+                        f"{path}: class counts do not match the first file")
 
     def test_no_rows_names_file(self, files, tmp_path, capsys):
         path = files["p2.jsonl"]

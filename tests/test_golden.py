@@ -7,20 +7,29 @@ grid covers signal (flip, pitch_shift) and tokens (swap, synonym), all three
 methods, and weak augmentation of unlabelled data on and off, on a
 36-labelled / 60-unlabelled corpus at 3 epochs.
 
+``GOLDEN_CLI`` pins what ``semimatch eval --split test`` writes for two
+signal grid checkpoints and one tokens grid checkpoint, and what
+``semimatch fuse`` writes for the two signal ones, which share the split.
+
 A change meant to keep training trajectories (a refactor, a speedup) leaves
 every digest unchanged. A change that moves trajectories by design updates
 these digests and says so in ``CHANGES.md``:
-``PYTHONPATH=src python tests/test_golden.py`` prints ``GOLDEN`` as the
-current tree computes it.
+``PYTHONPATH=src python tests/test_golden.py`` prints ``GOLDEN`` and
+``GOLDEN_CLI`` as the current tree computes them.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 
-from semimatch.data import GeneratorConfig, synthesize_corpus
+from semimatch.cli import main
+from semimatch.data import GeneratorConfig, save_corpus, synthesize_corpus
 from semimatch.persist import checkpoint_to_text
 from semimatch.trainer import METHODS, TrainConfig, epoch_reports_csv, train
 
@@ -69,6 +78,35 @@ GOLDEN = {
 }
 
 
+# eval run id -> its grid cell; fuse reads the predictions of the two signal
+# runs. At 3 epochs most grid models predict one class per task on the test
+# split; the two signal baselines do not, and they disagree on intent.
+EVAL_RUNS = {
+    "signal-flip-baseline-weak-unlab": ("signal", "flip", "baseline", True),
+    "signal-pitch_shift-baseline-weak-unlab": ("signal", "pitch_shift", "baseline", True),
+    "tokens-synonym-fullmatch-weak-unlab": ("tokens", "synonym", "fullmatch", True),
+}
+EVAL_FILES = ("metrics.json", "predictions.jsonl", "confusion_emotion.csv",
+              "confusion_intent.csv")
+
+# output path -> sha256 of its bytes, first 16 hex digits
+GOLDEN_CLI = {
+    "signal-flip-baseline-weak-unlab/metrics.json": 'fec169d1277d6b1c',
+    "signal-flip-baseline-weak-unlab/predictions.jsonl": '96c4ce3f7b66ec29',
+    "signal-flip-baseline-weak-unlab/confusion_emotion.csv": '15ea26df3378351c',
+    "signal-flip-baseline-weak-unlab/confusion_intent.csv": '6fa3281f6c81252e',
+    "signal-pitch_shift-baseline-weak-unlab/metrics.json": '89bd4192456c6085',
+    "signal-pitch_shift-baseline-weak-unlab/predictions.jsonl": '1a1285cf36ff5b7f',
+    "signal-pitch_shift-baseline-weak-unlab/confusion_emotion.csv": '15ea26df3378351c',
+    "signal-pitch_shift-baseline-weak-unlab/confusion_intent.csv": 'b64f495b4881f7b9',
+    "tokens-synonym-fullmatch-weak-unlab/metrics.json": '9d1922cb72ad35db',
+    "tokens-synonym-fullmatch-weak-unlab/predictions.jsonl": '72308ab55a8b4829',
+    "tokens-synonym-fullmatch-weak-unlab/confusion_emotion.csv": 'dbf4e0fe70b6d65f',
+    "tokens-synonym-fullmatch-weak-unlab/confusion_intent.csv": '2358ada7e2cea0cf',
+    "fused/fused_metrics.json": 'fec169d1277d6b1c',
+}
+
+
 def run_id(modality, kind, method, on_unlab):
     return f"{modality}-{kind}-{method}-{'weak-unlab' if on_unlab else 'raw-unlab'}"
 
@@ -80,7 +118,9 @@ def corpus_for(modality):
         modality_mix=1.0 if modality == "signal" else 0.0, seed=5))
 
 
-def digests(modality, kind, method, on_unlab, corpus):
+def trained(modality, kind, method, on_unlab, corpus):
+    """The cell's ``train()`` result and the checkpoint text ``semimatch
+    train`` writes for it."""
     config = TrainConfig(method=method, modality=modality, weak_aug_kind=kind,
                          weak_aug_on_unlabelled=on_unlab, epochs=3, batch_size=8,
                          learning_rate=3e-3, tau=TAU[modality], sigma=0.8, hidden_size=16,
@@ -91,8 +131,41 @@ def digests(modality, kind, method, on_unlab, corpus):
     checkpoint = checkpoint_to_text(
         result.model, config, corpus.emotion_names, corpus.intent_names,
         extras={"best_epoch": result.best_epoch, "val_jrbm": result.val_metrics.jrbm})
-    return tuple(hashlib.sha256(text.encode()).hexdigest()[:16]
+    return result, checkpoint
+
+
+def sha16(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digests(modality, kind, method, on_unlab, corpus):
+    result, checkpoint = trained(modality, kind, method, on_unlab, corpus)
+    return tuple(sha16(text.encode())
                  for text in (epoch_reports_csv(result.reports), checkpoint))
+
+
+def cli_digests(workdir: Path, corpora) -> dict:
+    """``eval --split test`` of each ``EVAL_RUNS`` checkpoint, then ``fuse``
+    of the two signal runs' predictions: the digest of every file written."""
+    for modality, corpus in corpora.items():
+        save_corpus(corpus, str(workdir / f"{modality}.jsonl"))
+    argvs = []
+    for name, cell in EVAL_RUNS.items():
+        (workdir / f"{name}.json").write_text(trained(*cell, corpora[cell[0]])[1])
+        argvs.append(["eval", "--checkpoints", str(workdir / f"{name}.json"),
+                      "--corpus", str(workdir / f"{cell[0]}.jsonl"),
+                      "--out", str(workdir / name), "--split", "test"])
+    argvs.append(["fuse", "--checkpoints"]
+                 + [str(workdir / name / "predictions.jsonl")
+                    for name, cell in EVAL_RUNS.items() if cell[0] == "signal"]
+                 + ["--out", str(workdir / "fused")])
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        for argv in argvs:
+            assert main(argv) == 0, argv
+    paths = [f"{name}/{file}" for name in EVAL_RUNS for file in EVAL_FILES]
+    return {path: sha16((workdir / path).read_bytes())
+            for path in paths + ["fused/fused_metrics.json"]}
 
 
 def test_grid_covers_every_method_kind_and_flag():
@@ -111,11 +184,22 @@ def test_training_digests_unchanged(modality):
     assert not moved, "digests moved:\n" + "\n".join(moved)
 
 
+def test_eval_and_fuse_digests_unchanged(tmp_path):
+    corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
+    assert cli_digests(tmp_path, corpora) == GOLDEN_CLI
+
+
 if __name__ == "__main__":
-    # Print GOLDEN as the current tree computes it, to paste over the dict above
-    # when a change moves trajectories by design; its diff names the runs that moved.
+    # Print GOLDEN and GOLDEN_CLI as the current tree computes them, to paste over
+    # the dicts above when a change moves outputs by design; their diff names the
+    # runs and files that moved.
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
     print("GOLDEN = {")
     for cell in GRID:
         print(f'    "{run_id(*cell)}": {digests(*cell, corpora[cell[0]])!r},')
     print("}")
+    with tempfile.TemporaryDirectory() as workdir:
+        print("GOLDEN_CLI = {")
+        for path, digest in cli_digests(Path(workdir), corpora).items():
+            print(f'    "{path}": {digest!r},')
+        print("}")
