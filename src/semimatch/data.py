@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import binascii
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class Corpus:
     intent_names: list[str]
     lexicon: SynonymLexicon | None = None
     embedding: EmbeddingTable | None = None
+    source: str | None = field(default=None, compare=False, repr=False)  # file read from
 
     def __post_init__(self):
         if len(self.emotion_names) < 2 or len(self.intent_names) < 2:
@@ -83,6 +84,11 @@ class Corpus:
                 raise SchemaError(f"sample {sample.id}: emotion label out of range")
             if not 0 <= sample.intent < len(self.intent_names):
                 raise SchemaError(f"sample {sample.id}: intent label out of range")
+
+    @property
+    def name(self) -> str:
+        """How errors name the corpus: ``corpus <file>`` when read from one."""
+        return "corpus" if self.source is None else f"corpus {self.source}"
 
     @property
     def n_emotion(self) -> int:
@@ -208,6 +214,15 @@ class GeneratorConfig:
             raise ConfigError("separation must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        for names, counts in (("emotion_names", "emotion_counts"),
+                              ("intent_names", "intent_counts")):
+            given, n_classes = getattr(self, names), len(getattr(self, counts))
+            if given is not None and len(given) != n_classes:
+                raise ConfigError(f"{names} must name each of the {n_classes} classes "
+                                  f"of {counts}, got {list(given)}")
+        for key, least in (("sample_rate", 1), ("vocab_size", 2), ("embedding_dim", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 _N_SEGMENTS = 8
@@ -439,7 +454,7 @@ def load_corpus(path: str) -> Corpus:
     with located(f"{path}: corpus invariant violated"):
         return Corpus(labelled=labelled, unlabelled=unlabelled,
                       emotion_names=emotion_names, intent_names=intent_names,
-                      lexicon=lexicon, embedding=embedding)
+                      lexicon=lexicon, embedding=embedding, source=path)
 
 
 # ---------------------------------------------------------------------------

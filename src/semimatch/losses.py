@@ -151,68 +151,76 @@ def rank_matrix(probs: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _checked_branches(weak_probs, strong_probs, what: str):
+    """Check a batch's weak and (unless None) strong matrices once each:
+    ``(weak, strong, pseudo)``, where ``pseudo`` is the weak argmax."""
+    weak = _as_prob_matrix(weak_probs, f"{what} weak branch")
+    if strong_probs is not None:
+        strong_probs = _as_prob_matrix(strong_probs, f"{what} strong branch")
+        if weak.shape != strong_probs.shape:
+            raise ContractError("weak and strong batches must have identical shapes")
+    return weak, strong_probs, np.argmax(weak, axis=1)
+
+
+def _cut(strong: np.ndarray, pseudo: np.ndarray, sigma: float) -> TopKSelection:
+    """:func:`select_k` on checked matrices, by one count of the strong ranks."""
+    _check_unit("sigma", sigma)
+    b, n_classes = strong.shape
+    if b == 0:
+        raise ConfigError("select_k requires a non-empty batch")
+    pseudo_rank = rank_matrix(strong)[np.arange(b), pseudo]
+    acc = np.cumsum(np.bincount(pseudo_rank, minlength=n_classes + 1)[1:]) / b
+    beats = np.flatnonzero(acc > sigma)
+    k = int(beats[0]) + 1 if beats.size else n_classes
+    return TopKSelection(k=k, topk_accuracy=float(acc[k - 1]))
+
+
+def _terms_at_k(weak, strong, pseudo, gate, k: int) -> TaskTerms:
+    """The decisions at cut ``k``: rank masks (weak ranks above k; in [2, k])
+    and the soft target, the strong branch's leftover top-1 mass shared over
+    the k - 1 mid ranks (zeros for k = 1)."""
+    ranks = rank_matrix(weak)
+    top1 = strong[np.arange(len(weak)), pseudo]
+    soft_target = (1.0 - top1) / (k - 1) if k >= 2 else np.zeros(len(weak))
+    return TaskTerms(pseudo, gate, k, ranks > k, (ranks >= 2) & (ranks <= k), soft_target)
+
+
+def _task_terms(weak, strong, pseudo, tau: float, sigma: float | None) -> TaskTerms:
+    """One task's decisions from checked matrices: the confidence gate
+    (max > tau) and, with ``sigma``, the cut k and the terms at it."""
+    gate = weak.max(axis=1) > tau
+    if sigma is None:
+        return TaskTerms(pseudo=pseudo, gate=gate)
+    return _terms_at_k(weak, strong, pseudo, gate, _cut(strong, pseudo, sigma).k)
+
+
 def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
     _check_unit("tau", tau)
-    probs = _as_prob_matrix(weak_probs, "gate_pseudo_label")[0]
-    cls = int(np.argmax(probs))
-    conf = float(probs[cls])
-    return PseudoLabelDecision(predicted_class=cls, confidence=conf, accepted=conf > tau)
+    weak, _, pseudo = _checked_branches(weak_probs, None, "gate_pseudo_label")
+    cls = int(pseudo[0])
+    return PseudoLabelDecision(predicted_class=cls, confidence=float(weak[0, cls]),
+                               accepted=bool(_task_terms(weak, None, pseudo, tau, None).gate[0]))
 
 
 def select_k(weak_probs_batch, strong_probs_batch, sigma: float) -> TopKSelection:
     """Smallest k whose top-k accuracy beats sigma; k = C when none does.
-
     Top-k accuracy counts how often the weak-branch argmax appears among the
-    k highest strong-branch probabilities.
-    """
-    _check_unit("sigma", sigma)
-    weak = np.asarray(weak_probs_batch, dtype=float)
-    if weak.size == 0:
-        raise ConfigError("select_k requires a non-empty batch")
-    weak = _as_prob_matrix(weak, "select_k weak branch")
-    strong = _as_prob_matrix(strong_probs_batch, "select_k strong branch")
-    if weak.shape != strong.shape:
-        raise ContractError("weak and strong batches must have identical shapes")
-    pseudo = np.argmax(weak, axis=1)
-    pseudo_rank = rank_matrix(strong)[np.arange(len(weak)), pseudo]
-    n_classes = weak.shape[1]
-    for k in range(1, n_classes + 1):
-        acc = float(np.mean(pseudo_rank <= k))
-        if acc > sigma:
-            return TopKSelection(k=k, topk_accuracy=acc)
-    return TopKSelection(k=n_classes, topk_accuracy=1.0)
-
-
-def _rank_terms(weak: np.ndarray, strong: np.ndarray, k: int):
-    """Rank masks and soft targets at cut ``k``: the one derivation of them.
-
-    Returns ``(neg_mask, mid_mask, soft_target)``: weak ranks above k, weak
-    ranks in [2, k], and the strong branch's leftover top-1 mass shared over
-    the k - 1 mid ranks (zeros for k = 1).
-    """
-    ranks = rank_matrix(weak)
-    top1 = strong[np.arange(len(weak)), np.argmax(weak, axis=1)]
-    soft_target = (1.0 - top1) / (k - 1) if k >= 2 else np.zeros(len(weak))
-    return ranks > k, (ranks >= 2) & (ranks <= k), soft_target
+    k highest strong-branch probabilities."""
+    _, strong, pseudo = _checked_branches(weak_probs_batch, strong_probs_batch, "select_k")
+    return _cut(strong, pseudo, sigma)
 
 
 def _stack_unlabelled(unlabelled):
-    weak = _as_prob_matrix([w for w, _ in unlabelled], "unlabelled weak branch")
-    strong = _as_prob_matrix([s for _, s in unlabelled], "unlabelled strong branch")
-    if weak.shape != strong.shape:
-        raise ContractError("weak and strong batches must have identical shapes")
-    return weak, strong
+    return _checked_branches([w for w, _ in unlabelled], [s for _, s in unlabelled], "unlabelled")
 
 
 def _fixed_k_terms(unlabelled, k: int):
-    """Stacked strong probs and the batch decisions at a given rank cut,
-    with every gate closed."""
-    weak, strong = _stack_unlabelled(unlabelled)
+    """Stacked strong probs and the batch decisions at cut ``k``, gates closed."""
+    weak, strong, pseudo = _stack_unlabelled(unlabelled)
     if not 1 <= k <= weak.shape[1]:
         raise ContractError("k must lie in [1, C]")
-    return strong, TaskTerms(np.argmax(weak, axis=1), np.zeros(len(weak), dtype=bool), k,
-                             *_rank_terms(weak, strong, k))
+    return strong, _terms_at_k(weak, strong, pseudo, np.zeros(len(weak), dtype=bool), k)
 
 
 def entropy_meaning_soft_label(weak_probs, strong_probs, k: int) -> SoftTargets:
@@ -243,53 +251,43 @@ def entropy_meaning_loss(unlabelled, k: int) -> float:
     return _fixed_k_loss(unlabelled, k).l_ent if unlabelled else 0.0
 
 
+def batch_terms(method: str, weak, strong, tau: float, sigma: float):
+    """Both tasks' batch decisions, ``(emo_terms, int_terms)``, from the
+    ``(emotion, intent)`` pairs of weak- and strong-branch probabilities:
+    fixmatch ANDs the two confidence gates into one and has no rank losses;
+    fullmatch keeps per-task gates and adds the rank losses at ``sigma``."""
+    if method not in METHODS[1:]:
+        raise ConfigError(f"method '{method}' has no unlabelled terms")
+    rank_sigma = sigma if method == "fullmatch" else None
+    emo, intent = (build_task_terms(w, s, tau, rank_sigma) for w, s in zip(weak, strong))
+    if len(emo.gate) != len(intent.gate):
+        raise ContractError("the two tasks' batches differ in length")
+    if rank_sigma is None:
+        emo.gate = intent.gate = emo.gate & intent.gate
+    return emo, intent
+
+
 def method_policy(method: str, weak_emo: np.ndarray, weak_int: np.ndarray,
                   tau: float, sigma: float):
-    """The per-method rules for the unlabelled terms: ``(gate, sigma)``.
-
-    fixmatch: one joint gate, open only where both tasks' weak confidence
-    clears tau, and no rank losses (sigma None). fullmatch: per-task gates
-    (gate None) and rank losses at ``sigma``. These feed
-    :func:`build_task_terms` for each task.
-    """
-    if method == "fixmatch":
-        return (weak_emo.max(axis=1) > tau) & (weak_int.max(axis=1) > tau), None
+    """The per-method rules of :func:`batch_terms` as ``(gate, sigma)``:
+    fixmatch's joint gate and no rank losses (sigma None), or fullmatch's
+    per-task gates (gate None) and rank losses at ``sigma``."""
     if method == "fullmatch":
         return None, sigma
-    raise ConfigError(f"method '{method}' has no unlabelled terms")
-
-
-def batch_terms(method: str, weak, strong, tau: float, sigma: float):
-    """Both tasks' batch decisions under :func:`method_policy`:
-    ``(emo_terms, int_terms)`` from the ``(emotion, intent)`` pairs of
-    weak- and strong-branch probabilities."""
-    gate, sigma = method_policy(method, *weak, tau, sigma)
-    return tuple(build_task_terms(w, s, tau, sigma, gate) for w, s in zip(weak, strong))
+    return batch_terms(method, (weak_emo, weak_int), (None, None), tau, sigma)[0].gate, None
 
 
 def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
-                     tau: float, sigma: float | None = None,
-                     gate: np.ndarray | None = None) -> TaskTerms:
+                     tau: float, sigma: float | None = None) -> TaskTerms:
     """Freeze one task's batch decisions from the weak (and strong) branch.
 
+    The confidence gate opens where the weak branch's max clears tau.
     Passing ``sigma`` turns on the rank losses: the cut k is selected on
     this batch and the rank masks and soft targets are derived from it.
-    ``gate`` overrides the per-task confidence gate (used for the joint
-    two-task gate).
     """
-    weak = _as_prob_matrix(weak_probs, "weak branch")
-    pseudo = np.argmax(weak, axis=1)
-    if gate is None:
-        gate = weak.max(axis=1) > tau
-    else:
-        gate = np.asarray(gate, dtype=bool)
-        if gate.shape != (len(weak),):
-            raise ContractError("gate mask length must match the batch")
-    if sigma is None:
-        return TaskTerms(pseudo=pseudo, gate=gate)
-    strong = _as_prob_matrix(strong_probs, "strong branch")
-    k = select_k(weak, strong, sigma).k   # also checks that the shapes agree
-    return TaskTerms(pseudo, gate, k, *_rank_terms(weak, strong, k))
+    checked = _checked_branches(weak_probs, None if sigma is None else strong_probs,
+                                "build_task_terms")
+    return _task_terms(*checked, tau, sigma)
 
 
 def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None,
@@ -327,12 +325,6 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
                          labelled_empty=labelled_empty, k=k)
 
 
-def combine_breakdown(emo: LossBreakdown, intent: LossBreakdown,
-                      intent_weight: float) -> MultitaskLoss:
-    return MultitaskLoss(total=emo.total + intent_weight * intent.total,
-                         emo=emo, intent=intent)
-
-
 def _split_labelled(labelled):
     if not labelled:
         return None, None
@@ -349,8 +341,8 @@ def _single_task_loss(labelled, unlabelled, tau: float, sigma: float | None,
     probs, labels = _split_labelled(labelled)
     if not unlabelled:
         return task_loss_from_terms(probs, labels, None, None, coeffs)
-    weak, strong = _stack_unlabelled(unlabelled)
-    terms = build_task_terms(weak, strong, tau, sigma=sigma)
+    weak, strong, pseudo = _stack_unlabelled(unlabelled)
+    terms = _task_terms(weak, strong, pseudo, tau, sigma)
     return task_loss_from_terms(probs, labels, strong, terms, coeffs)
 
 
@@ -381,7 +373,7 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
                    lam3: float = 0.5) -> MultitaskLoss:
     """Two-task objective: emotion total plus lam times the intent total.
 
-    The unlabelled terms follow :func:`method_policy`: fixmatch gates both
+    The unlabelled terms follow :func:`batch_terms`: fixmatch gates both
     tasks jointly, fullmatch computes every term per task, baseline has none.
     """
     if method not in METHODS:
@@ -393,18 +385,18 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
     _check_unit("tau", tau)
     unsup = [(None, None), (None, None)]   # (strong probs, terms) per task
     if method != "baseline" and emo_unlabelled:
-        weak, strong = zip(_stack_unlabelled(emo_unlabelled), _stack_unlabelled(int_unlabelled))
+        weak, strong, _ = zip(_stack_unlabelled(emo_unlabelled), _stack_unlabelled(int_unlabelled))
         unsup = list(zip(strong, batch_terms(method, weak, strong, tau, sigma)))
     coeffs = LossCoefficients(lam1, lam2, lam3)
     emo = task_loss_from_terms(*_split_labelled(emo_labelled), *unsup[0], coeffs)
     intent = task_loss_from_terms(*_split_labelled(int_labelled), *unsup[1], coeffs)
-    return combine_breakdown(emo, intent, lam)
+    return MultitaskLoss(total=emo.total + lam * intent.total, emo=emo, intent=intent)
 
 
 __all__ = [
     "CLAMP_MIN", "LossBreakdown", "LossCoefficients", "METHODS", "MultitaskLoss",
     "PseudoLabelDecision", "SoftTargets", "TaskTerms", "TopKSelection",
-    "adaptive_negative_loss", "batch_terms", "build_task_terms", "combine_breakdown",
+    "adaptive_negative_loss", "batch_terms", "build_task_terms",
     "entropy_meaning_loss", "entropy_meaning_soft_label", "fixmatch_loss",
     "fullmatch_loss", "gate_pseudo_label", "method_policy", "multitask_loss",
     "rank_classes", "rank_matrix", "safe_log", "select_k", "task_loss_from_terms",

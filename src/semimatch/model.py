@@ -31,7 +31,6 @@ from .losses import (
     MultitaskLoss,
     TaskTerms,
     _as_prob_matrix,
-    combine_breakdown,
     task_loss_from_terms,
 )
 
@@ -248,7 +247,7 @@ def _forward_loss(model: TwoHeadModel, spec: BatchLossSpec, strong=None):
     p_str = strong[3:] if strong is not None else (None, None)
     emo = task_loss_from_terms(p_lab[0], spec.emo_labels, p_str[0], spec.emo_terms, spec.coeffs)
     intent = task_loss_from_terms(p_lab[1], spec.int_labels, p_str[1], spec.int_terms, spec.coeffs)
-    return combine_breakdown(emo, intent, spec.intent_weight), lab, strong
+    return MultitaskLoss(emo.total + spec.intent_weight * intent.total, emo, intent), lab, strong
 
 
 def batch_loss(model: TwoHeadModel, spec: BatchLossSpec) -> MultitaskLoss:

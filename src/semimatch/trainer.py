@@ -299,7 +299,7 @@ def labelled_pool(corpus: Corpus, modality: str) -> list:
     """The corpus's labelled samples of one modality; none is an error."""
     pool = [s for s in corpus.labelled if s.modality == modality]
     if not pool:
-        raise ConfigError(f"corpus has no labelled {modality} samples")
+        raise ConfigError(f"{corpus.name} has no labelled {modality} samples")
     return pool
 
 
@@ -322,7 +322,8 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     train_set, valid_set, test_set = split_for(config, corpus)
     unlab_pool = [s for s in corpus.unlabelled if s.modality == config.modality]
     if config.method != "baseline" and not unlab_pool:
-        raise ConfigError(f"method '{config.method}' needs unlabelled data")
+        raise ConfigError(f"method '{config.method}' needs unlabelled data, and "
+                          f"{corpus.name} has no unlabelled {config.modality} samples")
     valid_eval = valid_set or train_set
 
     extractor = extractor_for(config, corpus)

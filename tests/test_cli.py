@@ -118,6 +118,20 @@ class TestConfigParsing:
         ("train", "epochs = 2\nseed = -1\n", "seed must be non-negative"),
         ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nseed = -1\n",
          "seed must be non-negative"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nemotion_names = a, b, c\n",
+         "emotion_names must name each of the 2 classes of emotion_counts, "
+         "got ['a', 'b', 'c']"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nemotion_names = a\n",
+         "emotion_names must name each of the 2 classes of emotion_counts, got ['a']"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 1, 3\nintent_names = x, y, z\n",
+         "intent_names must name each of the 2 classes of intent_counts, "
+         "got ['x', 'y', 'z']"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nsample_rate = 0\n",
+         "sample_rate must be >= 1, got 0"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nmodality_mix = 0\n"
+         "vocab_size = 1\n", "vocab_size must be >= 2, got 1"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nembedding_dim = 0\n",
+         "embedding_dim must be >= 1, got 0"),
         ("train", "method = fixmatch\nbatch_size = 4\nunlabelled_ratio = 0.1\n",
          "unlabelled_ratio 0.1 at batch_size 4 draws no unlabelled sample per step, "
          "which method 'fixmatch' needs"),
@@ -398,6 +412,53 @@ class TestEvalAndFuse:
         assert main(["fuse", "--checkpoints", "eval1/predictions.jsonl",
                      "eval2/predictions.jsonl", "--out", "fused"]) == 1
         assert "ids" in capsys.readouterr().err
+
+
+class TestCorpusContentErrors:
+    """A corpus without the samples a command needs is named in the error:
+    exit 1, one stderr line, no traceback, no output directory."""
+
+    TOKENS_CFG = TRAIN_CFG.replace("modality = signal", "modality = tokens").replace(
+        "flip", "swap")
+
+    def _rejected(self, workdir, capsys, argv, message):
+        assert main(argv + ["--out", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_no_unlabelled_samples(self, workdir, capsys, command):
+        (workdir / "gen.cfg").write_text(GEN_CFG.replace("unlabelled_count = 30", ""))
+        make_corpus(workdir)
+        capsys.readouterr()
+        self._rejected(workdir, capsys,
+                       [command, "--config", "train.cfg", "--corpus", "corpus.jsonl"],
+                       "method 'fixmatch' needs unlabelled data, and corpus corpus.jsonl "
+                       "has no unlabelled signal samples")
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_no_labelled_samples_of_the_modality(self, workdir, capsys, command):
+        make_corpus(workdir)
+        capsys.readouterr()
+        (workdir / "tokens.cfg").write_text(self.TOKENS_CFG)
+        self._rejected(workdir, capsys,
+                       [command, "--config", "tokens.cfg", "--corpus", "corpus.jsonl"],
+                       "corpus corpus.jsonl has no labelled tokens samples")
+
+    @pytest.mark.parametrize("split", ["test", "all"])
+    def test_eval_of_a_modality_the_corpus_lacks(self, workdir, capsys, split):
+        (workdir / "mixed.cfg").write_text(GEN_CFG + "modality_mix = 0.5\n")
+        assert main(["gen-data", "--config", "mixed.cfg", "--out", "mixed.jsonl"]) == 0
+        make_corpus(workdir)
+        (workdir / "tokens.cfg").write_text(self.TOKENS_CFG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # tiny joint classes of the tokens half
+            assert main(["train", "--config", "tokens.cfg", "--corpus", "mixed.jsonl",
+                         "--out", "m"]) == 0
+        capsys.readouterr()
+        self._rejected(workdir, capsys, ["eval", "--checkpoints", "m/checkpoint.json",
+                                         "--corpus", "corpus.jsonl", "--split", split],
+                       "corpus corpus.jsonl has no labelled tokens samples")
 
 
 class TestCorpusHeader:

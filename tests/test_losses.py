@@ -16,6 +16,7 @@ from semimatch.errors import ConfigError, ContractError
 from semimatch.losses import (
     LossCoefficients,
     adaptive_negative_loss,
+    batch_terms,
     build_task_terms,
     entropy_meaning_loss,
     entropy_meaning_soft_label,
@@ -188,6 +189,38 @@ class TestSelectK:
                        for i in range(16))
             accs.append(hits / 16)
         assert all(a <= b for a, b in zip(accs, accs[1:]))
+
+    def test_sigma_equal_to_a_reached_accuracy_takes_the_next_k(self):
+        # every pseudo label is class 0, which the strong branch ranks 1, 1,
+        # 2 and 3: top-k accuracies 2/4, 3/4 and 1; the comparison is strict
+        weak = np.array([[0.9, 0.05, 0.05]] * 4)
+        strong = np.array([[0.8, 0.15, 0.05]] * 2 + [[0.15, 0.8, 0.05], [0.05, 0.15, 0.8]])
+        for sigma, expected in ((0.5, (2, 0.75)), (0.75, (3, 1.0))):
+            sel = select_k(weak, strong, sigma)
+            assert (sel.k, sel.topk_accuracy) == expected
+            assert oracle_select_k(weak.tolist(), strong.tolist(), sigma) == expected
+
+    def test_sigma_one_gives_k_equal_c_at_accuracy_one(self, rng):
+        for c in range(2, 8):
+            weak, strong = random_probs(rng, 5, c), random_probs(rng, 5, c)
+            sel = select_k(weak, strong, sigma=1.0)
+            assert (sel.k, sel.topk_accuracy) == (c, 1.0)
+            assert oracle_select_k(weak.tolist(), strong.tolist(), 1.0) == (c, 1.0)
+
+    def test_every_reachable_accuracy_as_sigma_matches_brute_force(self, rng):
+        """sigma = j / B for every j (so sigma = 1 among them), with tied
+        strong probabilities in every other batch."""
+        for trial in range(150):
+            b, c = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+            weak = random_probs(rng, b, c, alpha=0.3)
+            strong = random_probs(rng, b, c, alpha=0.3)
+            if trial % 2:
+                counts = rng.integers(1, 3, size=(b, c)).astype(float)
+                strong = counts / counts.sum(axis=1, keepdims=True)
+            for j in range(1, b + 1):
+                sel = select_k(weak, strong, j / b)
+                assert (sel.k, sel.topk_accuracy) == \
+                    oracle_select_k(weak.tolist(), strong.tolist(), j / b)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +481,12 @@ class TestMethodPolicy:
         weak = random_probs(rng, 4, 3)
         with pytest.raises(ConfigError):
             method_policy("baseline", weak, weak, tau=0.95, sigma=0.9)
+
+    @pytest.mark.parametrize("method", ["fixmatch", "fullmatch"])
+    def test_task_batches_of_differing_length_rejected(self, rng, method):
+        weak = (random_probs(rng, 3, 3), random_probs(rng, 1, 2))
+        with pytest.raises(ContractError, match="differ in length"):
+            batch_terms(method, weak, weak, tau=0.5, sigma=0.9)
 
     def test_fixed_k_adapters_equal_the_selected_k_path(self, rng):
         for _ in range(50):

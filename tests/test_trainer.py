@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import semimatch.losses
 import semimatch.model
 import semimatch.trainer
 from semimatch.augment import (
@@ -249,6 +250,30 @@ class TestForwardCount:
         steps, evals = calls["adam_step"], calls["evaluate"]
         assert steps > 0 and evals == 3
         assert calls["_forward_parts"] == per_step * steps + evals
+
+
+class TestProbCheckCount:
+    """The batch decisions check each probability matrix once per step: the
+    two weak matrices for fixmatch, which draws no rank cut from the strong
+    branch; the two weak and two strong ones for fullmatch."""
+
+    @pytest.mark.parametrize("method, per_step", [("fixmatch", 2), ("fullmatch", 4)])
+    def test_each_matrix_checked_once(self, method, per_step, monkeypatch):
+        calls = {"_as_prob_matrix": 0, "batch_terms": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(semimatch.losses, "_as_prob_matrix")
+        counted(semimatch.trainer, "batch_terms")
+        run(quick_config(method=method, epochs=2), quick_corpus())
+        assert calls["batch_terms"] > 0
+        assert calls["_as_prob_matrix"] == per_step * calls["batch_terms"]
 
 
 class TestFeaturizeCount:
