@@ -40,6 +40,7 @@ STRONG_TOKEN_KIND = "contextual"
 
 MODALITIES = ("signal", "tokens")
 DEFAULT_SAMPLE_RATE = 16000
+MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a finite float
 
 
 @dataclass
@@ -263,6 +264,8 @@ def _pitch_shift_all(seqs, rng: np.random.Generator, max_steps: int = 4):
     order a per-sequence loop would draw them."""
     if max_steps < 1:
         raise ConfigError("max_steps must be positive")
+    if max_steps > MAX_PITCH_STEPS:
+        raise ConfigError(f"max_steps must be at most {MAX_PITCH_STEPS}")
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
     lengths = [len(s) for s in seqs]
     frames, end = np.zeros(sum(lengths)), 0
@@ -552,7 +555,7 @@ def strong_kind(modality: str) -> str:
 
 
 __all__ = [
-    "DEFAULT_SAMPLE_RATE", "EmbeddingTable", "FeatureExtractor", "MODALITIES",
+    "DEFAULT_SAMPLE_RATE", "EmbeddingTable", "FeatureExtractor", "MAX_PITCH_STEPS", "MODALITIES",
     "STRONG_SIGNAL_KIND", "STRONG_TOKEN_KIND", "SignalSequence",
     "SynonymLexicon", "TokenSequence", "WEAK_SIGNAL_KINDS", "WEAK_TOKEN_KINDS",
     "augment_signal", "augment_tokens", "contextual_replace", "delete_tokens",

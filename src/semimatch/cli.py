@@ -38,6 +38,7 @@ from .trainer import (
     predict_probs,
     split_for,
     train,
+    unlabelled_pool,
 )
 
 
@@ -205,6 +206,9 @@ def cmd_sweep(args) -> int:
     if base.test_frac <= 0:
         raise ConfigError("sweep needs test_frac > 0 to report test metrics")
     corpus = load_corpus(args.corpus)
+    # the corpus errors of the first baseline and fixmatch cells, before any cell trains
+    labelled_pool(corpus, base.modality)
+    unlabelled_pool(corpus, "fixmatch", base.modality)
 
     def cell(config):
         result = train(config, corpus)
@@ -318,8 +322,8 @@ def main(argv=None) -> int:
     format_warning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
-    except (SemimatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SemimatchError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = format_warning

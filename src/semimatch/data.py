@@ -468,7 +468,12 @@ def unlabelled_per_step(batch_size: int, unlabelled_ratio: float) -> int:
         raise ConfigError("batch_size must be positive")
     if unlabelled_ratio < 0:
         raise ConfigError("unlabelled_ratio must be non-negative")
-    return int(round(unlabelled_ratio * batch_size))
+    count = unlabelled_ratio * batch_size
+    if not count < 2 ** 60:   # 2**60 int64 indices take 2**63 bytes, past numpy's largest array
+        raise ConfigError(f"unlabelled_ratio {unlabelled_ratio} at batch_size {batch_size} "
+                          "draws 2**60 or more unlabelled samples per step, more than one "
+                          "int64 index array can hold")
+    return int(round(count))
 
 
 def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,

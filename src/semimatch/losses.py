@@ -122,7 +122,7 @@ class LossCoefficients:
     entropy: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskTerms:
     """Frozen per-batch decisions feeding one task's unsupervised losses.
 
@@ -185,22 +185,28 @@ def _terms_at_k(weak, strong, pseudo, gate, k: int) -> TaskTerms:
     return TaskTerms(pseudo, gate, k, ranks > k, (ranks >= 2) & (ranks <= k), soft_target)
 
 
-def _task_terms(weak, strong, pseudo, tau: float, sigma: float | None) -> TaskTerms:
-    """One task's decisions from checked matrices: the confidence gate
-    (max > tau) and, with ``sigma``, the cut k and the terms at it."""
-    gate = weak.max(axis=1) > tau
-    if sigma is None:
-        return TaskTerms(pseudo=pseudo, gate=gate)
-    return _terms_at_k(weak, strong, pseudo, gate, _cut(strong, pseudo, sigma).k)
+def _decide(method: str, checked, tau: float, sigma: float | None) -> list[TaskTerms]:
+    """Every task's decisions from its checked ``(weak, strong, pseudo)``.
+    The confidence gate is max > tau. fixmatch gives all tasks one gate, the
+    AND of theirs; fullmatch keeps each task's gate and adds the cut k and
+    the terms at it."""
+    gates = [weak.max(axis=1) > tau for weak, _, _ in checked]
+    if len({len(gate) for gate in gates}) > 1:
+        raise ContractError("the two tasks' batches differ in length")
+    if method == "fullmatch":
+        return [_terms_at_k(w, s, p, gate, _cut(s, p, sigma).k)
+                for (w, s, p), gate in zip(checked, gates)]
+    joint = np.logical_and.reduce(gates)
+    return [TaskTerms(pseudo=pseudo, gate=joint) for _, _, pseudo in checked]
 
 
 def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
     _check_unit("tau", tau)
-    weak, _, pseudo = _checked_branches(weak_probs, None, "gate_pseudo_label")
+    weak, _, pseudo = checked = _checked_branches(weak_probs, None, "gate_pseudo_label")
     cls = int(pseudo[0])
     return PseudoLabelDecision(predicted_class=cls, confidence=float(weak[0, cls]),
-                               accepted=bool(_task_terms(weak, None, pseudo, tau, None).gate[0]))
+                               accepted=bool(_decide("fixmatch", [checked], tau, None)[0].gate[0]))
 
 
 def select_k(weak_probs_batch, strong_probs_batch, sigma: float) -> TopKSelection:
@@ -252,19 +258,15 @@ def entropy_meaning_loss(unlabelled, k: int) -> float:
 
 
 def batch_terms(method: str, weak, strong, tau: float, sigma: float):
-    """Both tasks' batch decisions, ``(emo_terms, int_terms)``, from the
+    """Each task's batch decisions, ``(emo_terms, int_terms)`` for the
     ``(emotion, intent)`` pairs of weak- and strong-branch probabilities:
-    fixmatch ANDs the two confidence gates into one and has no rank losses;
+    fixmatch ANDs the tasks' confidence gates into one and has no rank losses;
     fullmatch keeps per-task gates and adds the rank losses at ``sigma``."""
     if method not in METHODS[1:]:
         raise ConfigError(f"method '{method}' has no unlabelled terms")
-    rank_sigma = sigma if method == "fullmatch" else None
-    emo, intent = (build_task_terms(w, s, tau, rank_sigma) for w, s in zip(weak, strong))
-    if len(emo.gate) != len(intent.gate):
-        raise ContractError("the two tasks' batches differ in length")
-    if rank_sigma is None:
-        emo.gate = intent.gate = emo.gate & intent.gate
-    return emo, intent
+    checked = [_checked_branches(w, s if method == "fullmatch" else None, "build_task_terms")
+               for w, s in zip(weak, strong)]
+    return tuple(_decide(method, checked, tau, sigma))
 
 
 def method_policy(method: str, weak_emo: np.ndarray, weak_int: np.ndarray,
@@ -285,9 +287,8 @@ def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
     Passing ``sigma`` turns on the rank losses: the cut k is selected on
     this batch and the rank masks and soft targets are derived from it.
     """
-    checked = _checked_branches(weak_probs, None if sigma is None else strong_probs,
-                                "build_task_terms")
-    return _task_terms(*checked, tau, sigma)
+    method = "fixmatch" if sigma is None else "fullmatch"
+    return batch_terms(method, (weak_probs,), (strong_probs,), tau, sigma)[0]
 
 
 def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None,
@@ -335,15 +336,19 @@ def _split_labelled(labelled):
     return probs, labels
 
 
-def _single_task_loss(labelled, unlabelled, tau: float, sigma: float | None,
-                      coeffs: LossCoefficients) -> LossBreakdown:
+def _loss(method: str, labelled, unlabelled, tau: float, sigma: float | None,
+          coeffs: LossCoefficients) -> list[LossBreakdown]:
+    """Each task's loss from its labelled and unlabelled pairs: every matrix
+    checked once, then the decisions of :func:`_decide` on the unlabelled
+    ones (none for baseline or an empty unlabelled batch)."""
     _check_unit("tau", tau)
-    probs, labels = _split_labelled(labelled)
-    if not unlabelled:
-        return task_loss_from_terms(probs, labels, None, None, coeffs)
-    weak, strong, pseudo = _stack_unlabelled(unlabelled)
-    terms = _task_terms(weak, strong, pseudo, tau, sigma)
-    return task_loss_from_terms(probs, labels, strong, terms, coeffs)
+    sup = [_split_labelled(pairs) for pairs in labelled]
+    unsup = [(None, None)] * len(sup)   # (strong probs, terms) per task
+    if method != "baseline" and unlabelled[0]:
+        checked = [_stack_unlabelled(pairs) for pairs in unlabelled]
+        terms = _decide(method, checked, tau, sigma)
+        unsup = [(strong, t) for (_, strong, _), t in zip(checked, terms)]
+    return [task_loss_from_terms(*s, *u, coeffs) for s, u in zip(sup, unsup)]
 
 
 def fixmatch_loss(labelled, unlabelled, tau: float, lam1: float) -> LossBreakdown:
@@ -353,7 +358,7 @@ def fixmatch_loss(labelled, unlabelled, tau: float, lam1: float) -> LossBreakdow
     (weak probs, strong probs). The unsupervised sum is divided by the full
     unlabelled batch size.
     """
-    return _single_task_loss(labelled, unlabelled, tau, None, LossCoefficients(unsup=lam1))
+    return _loss("fixmatch", [labelled], [unlabelled], tau, None, LossCoefficients(unsup=lam1))[0]
 
 
 def fullmatch_loss(labelled, unlabelled, tau: float, sigma: float,
@@ -363,8 +368,8 @@ def fullmatch_loss(labelled, unlabelled, tau: float, sigma: float,
     k is selected once for the whole batch. With lam2 = lam3 = 0 this
     reduces exactly to :func:`fixmatch_loss`.
     """
-    return _single_task_loss(labelled, unlabelled, tau, sigma,
-                             LossCoefficients(lam1, lam2, lam3))
+    return _loss("fullmatch", [labelled], [unlabelled], tau, sigma,
+                 LossCoefficients(lam1, lam2, lam3))[0]
 
 
 def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
@@ -382,14 +387,8 @@ def multitask_loss(method: str, emo_labelled, int_labelled, emo_unlabelled,
         raise ContractError("labelled sample counts differ between tasks")
     if len(emo_unlabelled) != len(int_unlabelled):
         raise ContractError("unlabelled sample counts differ between tasks")
-    _check_unit("tau", tau)
-    unsup = [(None, None), (None, None)]   # (strong probs, terms) per task
-    if method != "baseline" and emo_unlabelled:
-        weak, strong, _ = zip(_stack_unlabelled(emo_unlabelled), _stack_unlabelled(int_unlabelled))
-        unsup = list(zip(strong, batch_terms(method, weak, strong, tau, sigma)))
-    coeffs = LossCoefficients(lam1, lam2, lam3)
-    emo = task_loss_from_terms(*_split_labelled(emo_labelled), *unsup[0], coeffs)
-    intent = task_loss_from_terms(*_split_labelled(int_labelled), *unsup[1], coeffs)
+    emo, intent = _loss(method, [emo_labelled, int_labelled], [emo_unlabelled, int_unlabelled],
+                        tau, sigma, LossCoefficients(lam1, lam2, lam3))
     return MultitaskLoss(total=emo.total + lam * intent.total, emo=emo, intent=intent)
 
 

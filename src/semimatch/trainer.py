@@ -29,6 +29,7 @@ from operator import add
 import numpy as np
 
 from .augment import (
+    MAX_PITCH_STEPS,
     MODALITIES,
     FeatureExtractor,
     augment_signal,
@@ -135,6 +136,8 @@ class TrainConfig:
                      "time_mask_max_frames", "pitch_max_steps", "contextual_neighbors"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.pitch_max_steps > MAX_PITCH_STEPS:
+            raise ConfigError(f"pitch_max_steps must be at most {MAX_PITCH_STEPS}")
         for name in ("delete_prob", "synonym_prob", "contextual_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
@@ -303,6 +306,16 @@ def labelled_pool(corpus: Corpus, modality: str) -> list:
     return pool
 
 
+def unlabelled_pool(corpus: Corpus, method: str, modality: str) -> list:
+    """The corpus's unlabelled samples of one modality; none is an error for
+    the methods that train on them."""
+    pool = [s for s in corpus.unlabelled if s.modality == modality]
+    if method != "baseline" and not pool:
+        raise ConfigError(f"method '{method}' needs unlabelled data, and "
+                          f"{corpus.name} has no unlabelled {modality} samples")
+    return pool
+
+
 def split_for(config: TrainConfig, corpus: Corpus) -> tuple[list, list, list]:
     """The (train, valid, test) split of the config's labelled pool under its
     fractions and seed: the split that train() fits and eval reads."""
@@ -320,10 +333,7 @@ def extractor_for(config: TrainConfig, corpus: Corpus) -> FeatureExtractor:
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Run the configured method on the corpus; see the module docstring."""
     train_set, valid_set, test_set = split_for(config, corpus)
-    unlab_pool = [s for s in corpus.unlabelled if s.modality == config.modality]
-    if config.method != "baseline" and not unlab_pool:
-        raise ConfigError(f"method '{config.method}' needs unlabelled data, and "
-                          f"{corpus.name} has no unlabelled {config.modality} samples")
+    unlab_pool = unlabelled_pool(corpus, config.method, config.modality)
     valid_eval = valid_set or train_set
 
     extractor = extractor_for(config, corpus)
@@ -400,5 +410,5 @@ def epoch_reports_csv(reports) -> str:
 __all__ = [
     "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult",
     "epoch_reports_csv", "evaluate", "extractor_for", "labelled_pool", "lr_at_epoch",
-    "metrics_from_probs", "predict_probs", "split_for", "train",
+    "metrics_from_probs", "predict_probs", "split_for", "train", "unlabelled_pool",
 ]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semimatch.augment import (
     EmbeddingTable,
     FeatureExtractor,
+    MAX_PITCH_STEPS,
     STRONG_SIGNAL_KIND,
     STRONG_TOKEN_KIND,
     SignalSequence,
@@ -91,6 +92,16 @@ class TestSignalOperators:
             out = augment_signal([seq], "pitch_shift", rng)[0]
             assert len(out) == len(seq)
             assert np.all(np.isfinite(out.frames))
+
+    def test_pitch_steps_bounded_by_a_finite_factor(self, rng):
+        with pytest.raises(OverflowError):
+            2.0 ** ((MAX_PITCH_STEPS + 1) / 12.0)
+        seq = random_signal(rng)
+        with np.errstate(over="ignore"):   # positions past the first overflow to inf
+            out = pitch_shift(seq, rng, max_steps=MAX_PITCH_STEPS)
+        assert len(out) == len(seq) and np.all(np.isfinite(out.frames))
+        with pytest.raises(ConfigError, match=f"max_steps must be at most {MAX_PITCH_STEPS}"):
+            pitch_shift(seq, rng, max_steps=MAX_PITCH_STEPS + 1)
 
     def test_pitch_shift_down_stretches(self):
         # factor 2**(-12/12) = 0.5: output samples the input at half speed

@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields
 import pytest
 from conftest import BAD_VERSION_2_RECORDS
 
+import semimatch.cli
 from semimatch.augment import FeatureExtractor
 from semimatch.cli import main
 from semimatch.config import (
@@ -65,6 +66,11 @@ def workdir(tmp_path, monkeypatch):
 def make_corpus(workdir):
     assert main(["gen-data", "--config", "gen.cfg", "--out", "corpus.jsonl"]) == 0
     return workdir / "corpus.jsonl"
+
+
+def no_training(config, corpus):
+    """A ``train`` stand-in for runs that must fail before training."""
+    raise AssertionError(f"train() ran for method '{config.method}'")
 
 
 class TestConfigParsing:
@@ -238,6 +244,25 @@ class TestConfigFields:
         assert err.startswith(f"error: aug.cfg: {key} must") and err.count("\n") == 1
         assert not (workdir / "run").exists()
 
+    # finite values that loaded and then failed in training: an OverflowError
+    # and a ValueError ("array is too big") in the unlabelled draw, an
+    # OverflowError in the pitch factor, and a 14.9 GiB step table; training
+    # is stubbed out so that no run allocates
+    @pytest.mark.parametrize("key, value", [
+        ("unlabelled_ratio", "1e300"), ("unlabelled_ratio", "1e18"),
+        ("pitch_max_steps", "20000"), ("pitch_max_steps", "2000000000")])
+    def test_unrunnable_finite_value_rejected(self, workdir, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(semimatch.cli, "train", no_training)
+        (workdir / "corpus.jsonl").write_text("")
+        text = TRAIN_CFG.replace("unlabelled_ratio = 1\n", "") + f"{key} = {value}\n"
+        (workdir / "big.cfg").write_text(text)
+        assert main(["train", "--config", "big.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: big.cfg: {key} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (workdir / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "gen-data"])
     def test_non_utf8_config_names_file(self, workdir, capsys, command):
         make_corpus(workdir)
@@ -299,6 +324,23 @@ class TestTrain:
         summary = json.loads((workdir / "run/summary.json").read_text())
         assert summary["method"] == "fixmatch"
         assert 0.0 <= summary["val"]["jrbm"] <= 1.0
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 58.0 EiB for an array with shape (8000000000000000000,) "
+         "and data type int64",
+         "error: Unable to allocate 58.0 EiB for an array with shape "
+         "(8000000000000000000,) and data type int64\n")])
+    def test_memory_error_is_one_line(self, workdir, capsys, monkeypatch, message, line):
+        def out_of_memory(config, corpus):
+            raise MemoryError(message)
+        monkeypatch.setattr(semimatch.cli, "train", out_of_memory)
+        make_corpus(workdir)
+        capsys.readouterr()
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        assert capsys.readouterr().err == line
+        assert not (workdir / "run").exists()
 
     def test_epoch_csv_bit_identical_across_runs(self, workdir):
         make_corpus(workdir)
@@ -433,6 +475,16 @@ class TestCorpusContentErrors:
         capsys.readouterr()
         self._rejected(workdir, capsys,
                        [command, "--config", "train.cfg", "--corpus", "corpus.jsonl"],
+                       "method 'fixmatch' needs unlabelled data, and corpus corpus.jsonl "
+                       "has no unlabelled signal samples")
+
+    def test_sweep_checks_the_corpus_before_any_cell(self, workdir, capsys, monkeypatch):
+        (workdir / "gen.cfg").write_text(GEN_CFG.replace("unlabelled_count = 30", ""))
+        make_corpus(workdir)
+        capsys.readouterr()
+        monkeypatch.setattr(semimatch.cli, "train", no_training)
+        self._rejected(workdir, capsys,
+                       ["sweep", "--config", "train.cfg", "--corpus", "corpus.jsonl"],
                        "method 'fixmatch' needs unlabelled data, and corpus corpus.jsonl "
                        "has no unlabelled signal samples")
 

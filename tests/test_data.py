@@ -540,3 +540,10 @@ class TestMakeBatches:
     def test_empty_labelled_rejected(self):
         with pytest.raises(ConfigError):
             make_batches([], [], 8, 1.0, seed=0)
+
+    @pytest.mark.parametrize("ratio, batch_size",
+                             [(1e300, 8), (1e18, 8), (2.0 ** 60, 1), (1e308, 10 ** 10)])
+    def test_count_beyond_an_index_array_rejected(self, ratio, batch_size):
+        lab, unlab = self._pools()
+        with pytest.raises(ConfigError, match="2\\*\\*60 or more unlabelled samples"):
+            make_batches(lab, unlab, batch_size, ratio, seed=0)

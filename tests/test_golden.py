@@ -11,14 +11,20 @@ methods, and weak augmentation of unlabelled data on and off, on a
 signal grid checkpoints and one tokens grid checkpoint, and what
 ``semimatch fuse`` writes for the two signal ones, which share the split.
 
+``LOSS_DIGEST`` pins the loss API: every public :mod:`semimatch.losses`
+function over a few hundred seeded batches (tied, uniform and one-hot rows,
+sigma = j/B and 1, exact-threshold tau, and inputs with one fault each). It
+hashes each output's types and bits, and each exception's type and message.
+
 A change meant to keep training trajectories (a refactor, a speedup) leaves
 every digest unchanged. A change that moves trajectories by design updates
 these digests and says so in ``CHANGES.md``:
-``PYTHONPATH=src python tests/test_golden.py`` prints ``GOLDEN`` and
-``GOLDEN_CLI`` as the current tree computes them.
+``PYTHONPATH=src python tests/test_golden.py`` prints ``LOSS_DIGEST``,
+``GOLDEN`` and ``GOLDEN_CLI`` as the current tree computes them.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -26,8 +32,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from semimatch import losses
 from semimatch.cli import main
 from semimatch.data import GeneratorConfig, save_corpus, synthesize_corpus
 from semimatch.persist import checkpoint_to_text
@@ -106,6 +114,9 @@ GOLDEN_CLI = {
     "fused/fused_metrics.json": 'fec169d1277d6b1c',
 }
 
+# sha256 of every record of loss_api_records(), first 16 hex digits
+LOSS_DIGEST = '71f564a2b3c961ff'
+
 
 def run_id(modality, kind, method, on_unlab):
     return f"{modality}-{kind}-{method}-{'weak-unlab' if on_unlab else 'raw-unlab'}"
@@ -168,6 +179,142 @@ def cli_digests(workdir: Path, corpora) -> dict:
             for path in paths + ["fused/fused_metrics.json"]}
 
 
+def canonical(value) -> str:
+    """Type and exact bits of a loss API output, recursively."""
+    if dataclasses.is_dataclass(value):
+        return f"{type(value).__name__}(" + ",".join(
+            canonical(getattr(value, f.name)) for f in dataclasses.fields(value)) + ")"
+    if isinstance(value, (tuple, list)):
+        return f"{type(value).__name__}[" + ",".join(map(canonical, value)) + "]"
+    if isinstance(value, np.ndarray):
+        return f"ndarray<{value.dtype.str}{value.shape}>{value.tobytes().hex()}"
+    if isinstance(value, (float, np.floating)):
+        return f"{type(value).__name__}:{float(value).hex()}"
+    return f"{type(value).__name__}:{value!r}"
+
+
+def _rows(rng, n_rows: int, n_classes: int) -> np.ndarray:
+    """Probability rows: Dirichlet, uniform, a two-way tie at the top, or one-hot."""
+    rows = rng.dirichlet(np.full(n_classes, rng.choice([0.3, 1.0, 5.0])), size=n_rows)
+    for row in rows:
+        kind = rng.integers(5)
+        if kind == 1:
+            row[:] = 1.0 / n_classes
+        elif kind == 2:
+            row[:] = 0.0
+            row[rng.choice(n_classes, 2, replace=False)] = 0.5
+        elif kind == 3:
+            row[:] = 0.0
+            row[rng.integers(n_classes)] = 1.0
+    return rows
+
+
+FAULTS = ("sigma", "tau", "sum", "range", "classes", "shape", "label", "k",
+          "lengths", "empty", "method")
+
+
+def _loss_api_batch(rng, fault):
+    """One seeded batch of both tasks, with at most one fault in its inputs."""
+    batch = int(rng.integers(1, 7))
+    sizes = {"emo": int(rng.integers(2, 6)), "int": int(rng.integers(2, 5))}
+    n_lab = int(rng.integers(1 if fault == "label" else 0, 4))
+    n_unlab = {task: 0 if fault == "empty" else batch for task in sizes}
+    if fault == "lengths":
+        n_unlab["int"] += 1
+    mats = {}
+    for task, n_classes in sizes.items():
+        mats[task, "lab"] = _rows(rng, n_lab, n_classes)
+        mats[task, "weak"] = _rows(rng, n_unlab[task], n_classes)
+        mats[task, "strong"] = _rows(rng, n_unlab[task], n_classes)
+    labels = {task: rng.integers(0, sizes[task], n_lab) for task in sizes}
+    j = int(rng.integers(1, batch + 1))
+    sigma = float(rng.choice([j / batch, 1.0, rng.uniform(0.3, 0.99)]))
+    tau = float(rng.choice([0.5, rng.uniform(0.2, 0.95), mats["emo", "weak"].max(initial=0.5)]))
+    k = int(rng.integers(1, sizes["emo"] + 1))
+    if fault == "sigma":
+        sigma = float(rng.choice([0.0, 1.5]))
+    elif fault == "tau":
+        tau = float(rng.choice([0.0, 1.25]))
+    elif fault == "k":
+        k = int(rng.choice([0, sizes["emo"] + 1]))
+    elif fault == "label":
+        task = str(rng.choice(["emo", "int"]))
+        labels[task][-1] = rng.choice([-1, sizes[task]])
+    elif fault == "shape":
+        task = str(rng.choice(["emo", "int"]))
+        mats[task, "strong"] = _rows(rng, batch, sizes[task] + 1)
+    elif fault in ("sum", "range", "classes"):
+        keys = [key for key, mat in mats.items() if len(mat)]
+        key = keys[rng.integers(len(keys))]
+        mat = mats[key]
+        if fault == "sum":
+            mat[-1] *= 1.01
+        elif fault == "range":
+            mat[-1] = 0.0
+            mat[-1, :2] = (1.25, -0.25)
+        else:
+            mats[key] = np.ones((len(mat), 1))
+    return mats, labels, tau, sigma, k
+
+
+def loss_api_records(rounds: int = 240):
+    """``(function, canonical output or exception)`` for every public losses
+    function over ``rounds`` seeded batches; every third batch has a fault."""
+    rng = np.random.default_rng(1717)
+    records = []
+
+    def record(name, fn, *args):
+        try:
+            out = canonical(fn(*args))
+        except Exception as exc:    # the exception's type and message are the output
+            out = f"raised {type(exc).__name__}: {exc}"
+        records.append((name, out))
+
+    for step in range(rounds):
+        fault = FAULTS[(step // 3) % len(FAULTS)] if step % 3 == 2 else None
+        mats, labels, tau, sigma, k = _loss_api_batch(rng, fault)
+        methods = ["baseline", "fixmatch", "fullmatch"] + (["selfmatch"] * (fault == "method"))
+        lab = {t: list(zip(mats[t, "lab"], labels[t].tolist())) for t in ("emo", "int")}
+        unlab = {t: list(zip(mats[t, "weak"], mats[t, "strong"])) for t in ("emo", "int")}
+        weak = (mats["emo", "weak"], mats["int", "weak"])
+        strong = (mats["emo", "strong"], mats["int", "strong"])
+        we, se = weak[0], strong[0]
+        record("safe_log", losses.safe_log, np.concatenate([we.ravel(), [0.0, -1.0, 2.0]]))
+        record("rank_matrix", losses.rank_matrix, we)
+        record("rank_classes", losses.rank_classes, we[0] if len(we) else we)
+        record("select_k", losses.select_k, we, se, sigma)
+        record("gate_pseudo_label", losses.gate_pseudo_label, we[0] if len(we) else we, tau)
+        record("entropy_meaning_soft_label", losses.entropy_meaning_soft_label,
+               we[0] if len(we) else we, se[0] if len(se) else se, k)
+        record("adaptive_negative_loss", losses.adaptive_negative_loss, unlab["emo"], k)
+        record("entropy_meaning_loss", losses.entropy_meaning_loss, unlab["emo"], k)
+        for sig in (None, sigma):
+            record("build_task_terms", losses.build_task_terms, we, se, tau, sig)
+        try:
+            terms = losses.build_task_terms(we, se, 0.5, 0.9)
+        except Exception:
+            terms = None
+        record("task_loss_from_terms", losses.task_loss_from_terms, mats["emo", "lab"],
+               labels["emo"], se, terms, losses.LossCoefficients(0.3, 0.7, 1.1))
+        record("fixmatch_loss", losses.fixmatch_loss, lab["emo"], unlab["emo"], tau, 0.7)
+        record("fullmatch_loss", losses.fullmatch_loss, lab["emo"], unlab["emo"], tau, sigma,
+               0.7, 0.4, 0.9)
+        for method in methods:
+            record("batch_terms", losses.batch_terms, method, weak, strong, tau, sigma)
+            record("method_policy", losses.method_policy, method, *weak, tau, sigma)
+            record("multitask_loss", losses.multitask_loss, method, lab["emo"], lab["int"],
+                   unlab["emo"], unlab["int"], 0.6, tau, sigma, 0.7, 0.4, 0.9)
+    return records
+
+
+def loss_digest() -> str:
+    return sha16(repr(loss_api_records()).encode())
+
+
+def test_loss_api_digest_unchanged():
+    assert loss_digest() == LOSS_DIGEST
+
+
 def test_grid_covers_every_method_kind_and_flag():
     assert len(GRID) == 24 and set(GOLDEN) == {run_id(*cell) for cell in GRID}
 
@@ -190,9 +337,10 @@ def test_eval_and_fuse_digests_unchanged(tmp_path):
 
 
 if __name__ == "__main__":
-    # Print GOLDEN and GOLDEN_CLI as the current tree computes them, to paste over
+    # Print LOSS_DIGEST, GOLDEN and GOLDEN_CLI as the current tree computes them, to paste over
     # the dicts above when a change moves outputs by design; their diff names the
     # runs and files that moved.
+    print(f"LOSS_DIGEST = {loss_digest()!r}")
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
     print("GOLDEN = {")
     for cell in GRID:

@@ -6,11 +6,13 @@ sorting with tie-breaks, scans over k) so they share no code with the
 implementation they check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import semimatch.losses
 from conftest import random_probs
 from semimatch.errors import ConfigError, ContractError
 from semimatch.losses import (
@@ -500,3 +502,76 @@ class TestMethodPolicy:
             unlabelled = list(zip(weak, strong))
             assert adaptive_negative_loss(unlabelled, k) == selected.l_neg
             assert entropy_meaning_loss(unlabelled, k) == selected.l_ent
+
+
+# ---------------------------------------------------------------------------
+# one decision body behind every entry point
+# ---------------------------------------------------------------------------
+
+_W = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+_S = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]])
+_LAB = [(np.array([0.6, 0.3, 0.1]), 0), (np.array([0.2, 0.5, 0.3]), 1)]
+_UNLAB = list(zip(_W, _S))
+
+# (entry point, call, probability matrices it is passed)
+_ENTRY_POINTS = [
+    ("rank_classes", lambda: rank_classes(_W[0]), 1),
+    ("select_k", lambda: select_k(_W, _S, 0.9), 2),
+    ("gate_pseudo_label", lambda: gate_pseudo_label(_W[0], 0.5), 1),
+    ("entropy_meaning_soft_label", lambda: entropy_meaning_soft_label(_W[0], _S[0], 2), 2),
+    ("adaptive_negative_loss", lambda: adaptive_negative_loss(_UNLAB, 2), 2),
+    ("entropy_meaning_loss", lambda: entropy_meaning_loss(_UNLAB, 2), 2),
+    ("build_task_terms-fixmatch", lambda: build_task_terms(_W, None, 0.5), 1),
+    ("build_task_terms-fullmatch", lambda: build_task_terms(_W, _S, 0.5, 0.9), 2),
+    ("batch_terms-fixmatch", lambda: batch_terms("fixmatch", (_W, _W), (None, None), 0.5, 0.9), 2),
+    ("batch_terms-fullmatch", lambda: batch_terms("fullmatch", (_W, _W), (_S, _S), 0.5, 0.9), 4),
+    ("method_policy-fixmatch", lambda: method_policy("fixmatch", _W, _W, 0.5, 0.9), 2),
+    ("fixmatch_loss", lambda: fixmatch_loss(_LAB, _UNLAB, 0.5, 0.5), 3),
+    ("fullmatch_loss", lambda: fullmatch_loss(_LAB, _UNLAB, 0.5, 0.9, 0.5, 0.5, 0.5), 3),
+    ("multitask_loss-fixmatch",
+     lambda: multitask_loss("fixmatch", _LAB, _LAB, _UNLAB, _UNLAB, tau=0.5, sigma=0.9), 6),
+    ("multitask_loss-fullmatch",
+     lambda: multitask_loss("fullmatch", _LAB, _LAB, _UNLAB, _UNLAB, tau=0.5, sigma=0.9), 6),
+]
+
+
+class TestOneDecisionBody:
+    @pytest.mark.parametrize("call, matrices", [case[1:] for case in _ENTRY_POINTS],
+                             ids=[case[0] for case in _ENTRY_POINTS])
+    def test_each_matrix_checked_once(self, monkeypatch, call, matrices):
+        calls = []
+        check = semimatch.losses._as_prob_matrix
+        monkeypatch.setattr(semimatch.losses, "_as_prob_matrix",
+                            lambda rows, what: calls.append(what) or check(rows, what))
+        call()
+        assert len(calls) == matrices, calls
+
+    def test_task_terms_are_frozen(self):
+        terms = build_task_terms(_W, _S, 0.5, 0.9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            terms.gate = np.ones(2, dtype=bool)
+
+    def test_fullmatch_loss_is_the_emotion_task_of_multitask_loss(self, rng):
+        for _ in range(100):
+            n_lab, n_unlab = int(rng.integers(0, 5)), int(rng.integers(1, 7))
+            labelled, unlabelled = random_batch(rng, n_lab, n_unlab, int(rng.integers(2, 6)),
+                                                alpha=0.4)
+            l2, u2 = random_batch(rng, n_lab, n_unlab, int(rng.integers(2, 6)), alpha=0.4)
+            tau, sigma = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.3, 1.0))
+            lams = tuple(float(x) for x in rng.uniform(0.0, 1.0, 3))
+            single = fullmatch_loss(labelled, unlabelled, tau, sigma, *lams)
+            multi = multitask_loss("fullmatch", labelled, l2, unlabelled, u2, 0.5, tau, sigma,
+                                   *lams)
+            assert single == multi.emo
+
+    def test_fixmatch_loss_is_either_task_of_multitask_loss_on_itself(self, rng):
+        # a task's gate ANDed with itself is its own gate
+        for _ in range(100):
+            labelled, unlabelled = random_batch(rng, int(rng.integers(0, 5)),
+                                                int(rng.integers(1, 7)),
+                                                int(rng.integers(2, 6)), alpha=0.4)
+            tau, lam1 = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.0, 1.0))
+            single = fixmatch_loss(labelled, unlabelled, tau, lam1)
+            multi = multitask_loss("fixmatch", labelled, labelled, unlabelled, unlabelled,
+                                   0.5, tau, 0.9, lam1)
+            assert single == multi.emo == multi.intent
