@@ -36,6 +36,7 @@ from .trainer import (
     labelled_pool,
     metrics_from_probs,
     predict_probs,
+    shared_features,
     split_for,
     train,
     unlabelled_pool,
@@ -217,17 +218,17 @@ def cmd_sweep(args) -> int:
         return (result.val_metrics.jrbm, result.test_metrics.f1_emo,
                 result.test_metrics.f1_intent, result.test_metrics.jrbm)
 
-    rows = []
-    base_metrics = cell(replace(base, method="baseline"))
-    rows.append(("baseline", "-") + base_metrics + base_metrics)
-    for method in ("fixmatch", "fullmatch"):
-        for kind in weak_kinds(base.modality):
-            without = cell(replace(base, method=method, weak_aug_kind=kind,
-                                   weak_aug_on_unlabelled=False))
-            with_aug = cell(replace(base, method=method, weak_aug_kind=kind,
-                                    weak_aug_on_unlabelled=True))
-            rows.append((method, kind) + without + with_aug)
-            print(f"{method}/{kind}: wo/ JRBM {without[3]:.3f}, w/ JRBM {with_aug[3]:.3f}")
+    with shared_features(corpus):
+        base_metrics = cell(replace(base, method="baseline"))
+        rows = [("baseline", "-") + base_metrics + base_metrics]
+        for method in ("fixmatch", "fullmatch"):
+            for kind in weak_kinds(base.modality):
+                without = cell(replace(base, method=method, weak_aug_kind=kind,
+                                       weak_aug_on_unlabelled=False))
+                with_aug = cell(replace(base, method=method, weak_aug_kind=kind,
+                                        weak_aug_on_unlabelled=True))
+                rows.append((method, kind) + without + with_aug)
+                print(f"{method}/{kind}: wo/ JRBM {without[3]:.3f}, w/ JRBM {with_aug[3]:.3f}")
 
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:

@@ -138,9 +138,16 @@ class TaskTerms:
     soft_target: np.ndarray | None = None  # (B,) shared target per sample
 
 
+def _one_sample(mat: np.ndarray, what: str) -> np.ndarray:
+    """The checked matrix of a single-sample helper, which must hold a row."""
+    if not len(mat):
+        raise ContractError(f"{what}: expected one probability vector, got an empty batch")
+    return mat
+
+
 def rank_classes(probs) -> np.ndarray:
     """1-based ranks by descending probability, ties to the lower index."""
-    return rank_matrix(_as_prob_matrix(probs, "rank_classes"))[0]
+    return rank_matrix(_one_sample(_as_prob_matrix(probs, "rank_classes"), "rank_classes"))[0]
 
 
 def rank_matrix(probs: np.ndarray) -> np.ndarray:
@@ -204,6 +211,7 @@ def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
     _check_unit("tau", tau)
     weak, _, pseudo = checked = _checked_branches(weak_probs, None, "gate_pseudo_label")
+    _one_sample(weak, "gate_pseudo_label")
     cls = int(pseudo[0])
     return PseudoLabelDecision(predicted_class=cls, confidence=float(weak[0, cls]),
                                accepted=bool(_decide("fixmatch", [checked], tau, None)[0].gate[0]))

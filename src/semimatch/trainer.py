@@ -12,7 +12,14 @@ strong) has one stream per epoch, consumed in step order, and neither
 augmenting nor featurizing depends on the model. So an epoch's branch is
 drawn in one call over all its steps' samples, and its features in one
 featurize call with the other branches (a block of steps at a time, to
-bound memory on large epochs).
+bound memory on large epochs). A branch block's rows depend only on the
+operator kind and parameters, the generator state before the block, the
+featurizer settings and the sample ids; raw rows (evaluation splits, an
+unaugmented weak branch) only on the last two. The train() calls on one
+corpus inside ``shared_features(corpus)`` share a memo of rows under those
+keys, and a hit restores the state that the miss would leave. Outside a
+scope nothing is kept: each epoch's generators start afresh, so the keys of
+one run seldom recur.
 
 The weak-augmentation ablation switch (``weak_aug_on_unlabelled``) turns
 only the unlabelled weak branch into the identity; labelled samples are
@@ -22,8 +29,10 @@ always weakly augmented.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 
 import numpy as np
@@ -215,6 +224,19 @@ def _augment(config: TrainConfig, corpus: Corpus, samples, kind: str | None,
 # the most samples, labelled and unlabelled, that one block of an epoch's
 # steps augments and featurizes at once
 _BLOCK_SAMPLES = 4096
+# the most feature bytes one memo keeps; rows computed past it are not kept
+_MEMO_BYTES = 64 * 2**20
+_SHARED = ContextVar("semimatch_shared_features", default=None)   # (corpus, memo) in scope
+
+
+@contextmanager
+def shared_features(corpus: Corpus):
+    """Let the train() calls on ``corpus`` inside the block share feature rows."""
+    token = _SHARED.set((corpus, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def _blocks(steps):
@@ -232,25 +254,51 @@ def _blocks(steps):
         yield block
 
 
+def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo, branches):
+    """The feature rows of each ``(samples, kind, rng)`` branch: the memo's, if
+    any (moving ``rng`` past its draws), or augmented and featurized in one call."""
+    rows, missed = [], []
+    for samples, kind, rng in branches:
+        key = (extractor.modality, extractor.bins, extractor.max_token_len,
+               tuple(s.id for s in samples))
+        if kind is not None:
+            key += (kind, *(getattr(config, name) for name in _AUG_PARAMS[kind].values()),
+                    repr(rng.bit_generator.state))
+        if memo and key in memo:
+            x, state = memo[key]
+            if state is not None:
+                rng.bit_generator.state = state
+        else:
+            x = _augment(config, corpus, samples, kind, rng)
+            missed.append((len(rows), key, rng.bit_generator.state if kind else None))
+        rows.append(x)
+    payloads = [p for i, *_ in missed for p in rows[i]]
+    feats = extractor(payloads) if payloads else np.empty((0, extractor.dim))
+    feats.flags.writeable = False    # memo rows are shared between runs
+    cuts = np.cumsum([len(rows[i]) for i, *_ in missed[:-1]])
+    for (i, key, state), x in zip(missed, np.split(feats, cuts)):
+        rows[i] = x
+        if memo is not None and sum(r.nbytes for r, _ in memo.values()) + x.nbytes <= _MEMO_BYTES:
+            memo[key] = x, state
+    return rows
+
+
 def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor,
-                    steps, epoch: int):
+                    memo, steps, epoch: int):
     """``(lab_batch, unlab_batch, lab_x, weak_x, strong_x)`` for each step of
     an epoch, in order: the step's batches and the feature rows of its
-    labelled, unlabelled weak and unlabelled strong branches. A block of
-    steps takes one augment call per non-empty branch and one featurize
-    call; each step's rows are slices of the block's features."""
+    labelled, unlabelled weak and unlabelled strong branches, sliced from
+    one ``_rows`` call per block of steps."""
     rng_lab = np.random.default_rng([config.seed, _STREAM_LAB_AUG, epoch])
     rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
     rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
     weak_unlab_kind = config.weak_aug_kind if config.weak_aug_on_unlabelled else None
-    augment = partial(_augment, config, corpus)
     for block in _blocks(steps):
         lab = [s for lab_batch, _ in block for s in lab_batch]
         unlab = [s for _, unlab_batch in block for s in unlab_batch]
-        feats = extractor(augment(lab, config.weak_aug_kind, rng_lab)
-                          + augment(unlab, weak_unlab_kind, rng_weak)
-                          + augment(unlab, config.strong_aug_kind, rng_strong))
-        lab_x, weak_x, strong_x = np.split(feats, [len(lab), len(lab) + len(unlab)])
+        lab_x, weak_x, strong_x = _rows(config, corpus, extractor, memo, [
+            (lab, config.weak_aug_kind, rng_lab), (unlab, weak_unlab_kind, rng_weak),
+            (unlab, config.strong_aug_kind, rng_strong)])
         lab_cuts = np.cumsum([len(lab_batch) for lab_batch, _ in block[:-1]])
         unlab_cuts = np.cumsum([len(unlab_batch) for _, unlab_batch in block[:-1]])
         for (lab_batch, unlab_batch), *rows in zip(
@@ -272,14 +320,16 @@ def metrics_from_probs(samples, p_emo: np.ndarray, p_int: np.ndarray) -> Metrics
         p_emo.shape[1], p_int.shape[1])
 
 
-def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor) -> MetricsReport:
-    """Metrics of raw (un-augmented) samples under the model's argmax."""
+def evaluate(model: TwoHeadModel, samples, extractor: FeatureExtractor, *,
+             rows: np.ndarray | None = None) -> MetricsReport:
+    """Metrics of raw samples (or of their feature ``rows``) under the model's argmax."""
     samples = list(samples)
     if not samples:
         raise ContractError("evaluate needs a non-empty sample list")
     if any(not s.is_labelled for s in samples):
         raise ContractError("evaluate requires labelled samples")
-    return metrics_from_probs(samples, *predict_probs(model, samples, extractor))
+    probs = predict_probs(model, samples, extractor) if rows is None else forward_batch(model, rows)
+    return metrics_from_probs(samples, *probs)
 
 
 def _mean(items: list, part: str) -> float:
@@ -337,6 +387,8 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     valid_eval = valid_set or train_set
 
     extractor = extractor_for(config, corpus)
+    memo = shared[1] if (shared := _SHARED.get()) and shared[0] is corpus else None
+    valid_x, = _rows(config, corpus, extractor, memo, [(valid_eval, None, None)])
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
@@ -353,7 +405,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
 
         results = []
         for lab_batch, unlab_batch, lab_x, weak_x, strong_x in _epoch_features(
-                config, corpus, extractor, steps, epoch):
+                config, corpus, extractor, memo, steps, epoch):
             spec = BatchLossSpec(
                 lab_features=lab_x,
                 emo_labels=np.array([s.emotion for s in lab_batch]),
@@ -372,7 +424,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
             model, state = adam_step(model, grads, state, lr)
             results.append(result)
 
-        val = evaluate(model, valid_eval, extractor)
+        val = evaluate(model, valid_eval, extractor, rows=valid_x)
         unlab_seen = sum(len(unlab_batch) for _, unlab_batch in steps)
         reports.append(EpochReport(
             epoch=epoch, lr=lr, emo=_task_stats([r.emo for r in results], unlab_seen),
@@ -381,7 +433,8 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
         if val.jrbm > best_jrbm:
             best_jrbm, best_model, best_val, best_epoch = val.jrbm, model, val, epoch
 
-    test = evaluate(best_model, test_set, extractor) if test_set else None
+    test = evaluate(best_model, test_set, extractor, rows=_rows(
+        config, corpus, extractor, memo, [(test_set, None, None)])[0]) if test_set else None
     return TrainResult(model=best_model, reports=reports, best_epoch=best_epoch,
                        val_metrics=best_val, test_metrics=test)
 
@@ -408,7 +461,7 @@ def epoch_reports_csv(reports) -> str:
 
 
 __all__ = [
-    "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult",
-    "epoch_reports_csv", "evaluate", "extractor_for", "labelled_pool", "lr_at_epoch",
-    "metrics_from_probs", "predict_probs", "split_for", "train", "unlabelled_pool",
+    "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult", "epoch_reports_csv",
+    "evaluate", "extractor_for", "labelled_pool", "lr_at_epoch", "metrics_from_probs",
+    "predict_probs", "shared_features", "split_for", "train", "unlabelled_pool",
 ]

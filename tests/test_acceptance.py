@@ -38,7 +38,7 @@ from semimatch.losses import (
 )
 from semimatch.metrics import jrbm, margin_fusion, weighted_f1
 from semimatch.model import PARAM_FIELDS
-from semimatch.trainer import TrainConfig, train
+from semimatch.trainer import TrainConfig, shared_features, train
 
 from test_losses import oracle_select_k, random_batch
 from test_metrics import oracle_margin_fusion, oracle_weighted_f1
@@ -199,13 +199,14 @@ def test_criterion_7_desk_scale_ssl_experiment():
     wins = 0
     jrbms = []
     for seed in range(5):
-        base = silent_train(config("baseline", seed), corpus)
-        fix = silent_train(config("fixmatch", seed), corpus)
+        with shared_features(corpus):   # the three runs of a seed share feature rows
+            base = silent_train(config("baseline", seed), corpus)
+            fix = silent_train(config("fixmatch", seed), corpus)
+            full = silent_train(config("fullmatch", seed), corpus)
         assert fix.reports[-1].emo.acceptance_rate > 0.0
         wins += fix.test_metrics.jrbm >= base.test_metrics.jrbm
         jrbms.append((base.test_metrics.jrbm, fix.test_metrics.jrbm))
 
-        full = silent_train(config("fullmatch", seed), corpus)
         for report in full.reports[1:]:
             coverage = report.emo.acceptance_rate + report.intent.acceptance_rate
             assert coverage > 0.0, f"seed {seed} epoch {report.epoch}: no accepted samples"

@@ -1,5 +1,6 @@
 """Config parsing and the command-line surface, end to end on tiny corpora."""
 
+import contextlib
 import json
 import sys
 import warnings
@@ -608,6 +609,65 @@ class TestSweep:
         assert baseline[2:6] == baseline[6:10]
         methods = {line.split(",")[0] for line in lines[2:]}
         assert methods == {"fixmatch", "fullmatch"}
+
+
+class TestSweepSharedFeatures:
+    """A sweep's cells share their feature rows: 7 distinct branches per
+    epoch are augmented instead of 31, and the sweep writes the bytes its
+    cells write when each trains with rows of its own."""
+
+    @pytest.mark.parametrize("modality", ["signal", "tokens"])
+    def test_shared_rows_write_the_same_bytes(self, workdir, monkeypatch, modality):
+        (workdir / "gen.cfg").write_text(
+            GEN_CFG + f"modality_mix = {1.0 if modality == 'signal' else 0.0}\n")
+        make_corpus(workdir)
+        if modality == "tokens":
+            (workdir / "train.cfg").write_text(TestCorpusContentErrors.TOKENS_CFG)
+        calls = []
+        augment = getattr(semimatch.trainer, f"augment_{modality}")
+        monkeypatch.setattr(semimatch.trainer, f"augment_{modality}",
+                            lambda *args, **kwargs: calls.append(1) or augment(*args, **kwargs))
+
+        def sweep(out):
+            before = len(calls)
+            assert main(["sweep", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                         "--out", out]) == 0
+            return (workdir / out / "sweep.csv").read_bytes(), len(calls) - before
+
+        shared, again = sweep("shared"), sweep("again")
+        monkeypatch.setattr(semimatch.cli, "shared_features",
+                            lambda corpus: contextlib.nullcontext())
+        alone = sweep("alone")
+        # 2 epochs: 3 labelled weak + 3 unlabelled weak + 1 strong branch shared,
+        # against 1 (baseline) + 6 x 3 (weak on) + 6 x 2 (weak off) alone
+        assert (shared[1], again[1], alone[1]) == (14, 14, 62)
+        assert shared[0] == again[0] == alone[0]
+
+    def test_perfbench_call_contract(self, workdir, monkeypatch):
+        """perfbench replaces ``semimatch.cli.train`` with a two-argument
+        ``train(config, corpus)``, and checks a traced op's ``evaluate`` and
+        ``make_batches`` counts against each run's epochs."""
+        make_corpus(workdir)
+        count, runs = None, []   # the current run's counts; every run's calls
+        for name in ("evaluate", "make_batches"):
+            fn = getattr(semimatch.trainer, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                count[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(semimatch.trainer, name, counted)
+        original = semimatch.cli.train
+
+        def recording(*args, **kwargs):
+            nonlocal count
+            count = {"evaluate": 0, "make_batches": 0}
+            result = original(*args, **kwargs)
+            runs.append((len(args), kwargs, len(result.reports), count))
+            return result
+        monkeypatch.setattr(semimatch.cli, "train", recording)
+        assert main(["sweep", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "sweep"]) == 0
+        assert runs == [(2, {}, 2, {"evaluate": 3, "make_batches": 2})] * 13
 
 
 class TestGradcheckCommand:

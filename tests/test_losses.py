@@ -112,6 +112,10 @@ class TestGatePseudoLabel:
         with pytest.raises(ContractError):
             gate_pseudo_label([0.9, 0.3], tau=0.5)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError, match="^gate_pseudo_label: .*empty batch"):
+            gate_pseudo_label(np.zeros((0, 3)), 0.5)
+
     def test_monotone_in_tau(self, rng):
         for _ in range(100):
             probs = random_probs(rng, 1, 5, alpha=0.4)[0]
@@ -133,6 +137,10 @@ class TestRanks:
 
     def test_tie_break_prefers_lower_index(self):
         assert list(rank_classes([0.25, 0.25, 0.25, 0.25])) == [1, 2, 3, 4]
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ContractError, match="^rank_classes: .*empty batch"):
+            rank_classes(np.zeros((0, 3)))
 
     def test_rank_one_is_argmax(self, rng):
         for _ in range(100):

@@ -1,9 +1,12 @@
 """Training loop: schedule, determinism, baseline equivalence, evaluation."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semimatch.losses
 import semimatch.model
@@ -22,6 +25,7 @@ from semimatch.trainer import (
     epoch_reports_csv,
     evaluate,
     lr_at_epoch,
+    shared_features,
     split_for,
     train,
 )
@@ -278,8 +282,8 @@ class TestProbCheckCount:
 
 class TestFeaturizeCount:
     """Each epoch featurizes its labelled, weak and strong samples in one
-    extractor call (the whole epoch is one block), and each evaluation
-    featurizes its split in one."""
+    extractor call (the whole epoch is one block), and a run featurizes its
+    validation split once, for all its evaluations, and its test split once."""
 
     @pytest.mark.parametrize("method, weak_on_unlabelled", [
         ("baseline", True), ("fixmatch", True), ("fixmatch", False),
@@ -303,7 +307,7 @@ class TestFeaturizeCount:
             quick_corpus())
         epochs, evals = calls["make_batches"], calls["evaluate"]
         assert epochs == 2 and evals == 3
-        assert calls["featurize"] == epochs + evals
+        assert calls["featurize"] == epochs + 2
 
 
 def tokens_corpus():
@@ -414,3 +418,122 @@ class TestChunkingInvariance:
                  ([1] * 2, [])]
         assert list(semimatch.trainer._blocks(steps)) == [steps[:2], steps[2:3], steps[3:4],
                                                          steps[4:]]
+
+
+# (modality, A's weak kind, a field that the memo key reads, values B takes)
+KEY_INPUTS = [
+    ("signal", "flip", "seed", st.integers(0, 9)),
+    ("signal", "flip", "weak_aug_kind", st.sampled_from(["time_mask", "pitch_shift"])),
+    ("signal", "flip", "weak_aug_on_unlabelled", st.just(False)),
+    ("signal", "flip", "flip_max_seconds", st.floats(1e-4, 1e-2)),
+    ("signal", "time_mask", "time_mask_max_frames", st.integers(1, 100)),
+    ("signal", "pitch_shift", "pitch_max_steps", st.integers(1, 8)),
+    ("signal", "flip", "noise_scale", st.floats(0.01, 2.0)),
+    ("signal", "flip", "signal_bins", st.integers(1, 8)),
+    ("signal", "flip", "unlabelled_ratio", st.floats(0.5, 3.0)),
+    ("tokens", "synonym", "seed", st.integers(0, 9)),
+    ("tokens", "synonym", "weak_aug_kind", st.sampled_from(["swap", "delete"])),
+    ("tokens", "synonym", "weak_aug_on_unlabelled", st.just(False)),
+    ("tokens", "swap", "swap_count", st.integers(0, 4)),
+    ("tokens", "delete", "delete_prob", st.floats(0.0, 1.0)),
+    ("tokens", "synonym", "synonym_prob", st.floats(0.0, 1.0)),
+    ("tokens", "synonym", "contextual_prob", st.floats(0.0, 1.0)),
+    ("tokens", "synonym", "contextual_neighbors", st.integers(1, 10)),
+    ("tokens", "synonym", "token_max_len", st.integers(1, 30)),
+    ("tokens", "synonym", "unlabelled_ratio", st.floats(0.5, 3.0)),
+]
+
+CORPORA = {"signal": quick_corpus(), "tokens": tokens_corpus()}
+
+ANY_METHOD = st.sampled_from(["baseline", "fixmatch", "fullmatch"])
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of ``module``; return the dict of call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSharedFeatures:
+    """Runs inside ``shared_features(corpus)`` share feature rows, and each
+    trains exactly as it does alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(KEY_INPUTS).flatmap(
+        lambda case: st.tuples(st.just(case), case[3])), method_a=ANY_METHOD, method_b=ANY_METHOD)
+    def test_run_after_another_equals_it_alone(self, case, method_a, method_b):
+        (modality, weak_kind, name, _), value = case
+        corpus = CORPORA[modality]
+        a = quick_config(method=method_a, modality=modality, weak_aug_kind=weak_kind,
+                         epochs=2, tau=0.5)
+        b = replace(a, method=method_b, **{name: value})
+        with shared_features(corpus):
+            run(a, corpus)
+            shared = run_outputs(b, corpus)
+        assert shared == run_outputs(b, corpus)
+
+    def test_hit_then_miss_within_an_epoch(self, monkeypatch):
+        """A hit on an epoch's first block leaves each generator where the
+        next block, a miss, draws from."""
+        monkeypatch.setattr(semimatch.trainer, "_BLOCK_SAMPLES", 50)
+        corpus, config = CORPORA["signal"], quick_config(method="fixmatch", epochs=2, tau=0.5)
+        alone = run_outputs(config, corpus)
+        calls = count_calls(monkeypatch, semimatch.trainer, ["augment_signal"])
+        with shared_features(corpus):
+            run(config, corpus)
+            first = calls["augment_signal"]
+            memo = semimatch.trainer._SHARED.get()[1]
+            for key in list(memo)[4:]:   # keep the validation rows and epoch 0's first block
+                del memo[key]
+            shared = run_outputs(config, corpus)
+        assert first >= 2 * 2 * 3                        # 2 epochs of 2 or more blocks
+        assert calls["augment_signal"] - first == first - 3
+        assert shared == alone
+
+    def test_same_samples_in_another_epoch_are_drawn_again(self, monkeypatch):
+        """Each epoch's generators start elsewhere, so an epoch whose steps
+        repeat an earlier epoch's samples still augments them afresh."""
+        make_batches = semimatch.trainer.make_batches
+        monkeypatch.setattr(semimatch.trainer, "make_batches",
+                            lambda *args, seed: make_batches(*args, seed=[*seed[:2], 0]))
+        calls = count_calls(monkeypatch, semimatch.trainer, ["augment_signal"])
+        with shared_features(CORPORA["signal"]):
+            run(quick_config(method="fixmatch", epochs=3, tau=0.5), CORPORA["signal"])
+        assert calls["augment_signal"] == 3 * 3
+
+    def test_nothing_kept_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(semimatch.trainer, "_MEMO_BYTES", 0)
+        corpus, config = CORPORA["signal"], quick_config(method="fullmatch", epochs=2, tau=0.5)
+        alone = run_outputs(config, corpus)
+        calls = count_calls(monkeypatch, semimatch.trainer, ["augment_signal"])
+        with shared_features(corpus):
+            assert run_outputs(config, corpus) == alone
+            assert run_outputs(config, corpus) == alone
+            assert semimatch.trainer._SHARED.get()[1] == {}
+        assert calls["augment_signal"] == 2 * 2 * 3
+
+    def test_other_corpus_and_scope_exit(self):
+        corpus, other = CORPORA["signal"], quick_corpus(seed=6)
+        config = quick_config(method="fullmatch", epochs=2, tau=0.5)
+        alone = run_outputs(config, other)
+        with shared_features(corpus):
+            assert run_outputs(config, other) == alone
+            assert semimatch.trainer._SHARED.get()[1] == {}
+        assert semimatch.trainer._SHARED.get() is None
+        with pytest.raises(RuntimeError), shared_features(corpus):
+            raise RuntimeError
+        assert semimatch.trainer._SHARED.get() is None
+
+    def test_rows_are_read_only(self):
+        corpus, config = CORPORA["signal"], quick_config(method="fixmatch", epochs=1)
+        with shared_features(corpus):
+            run(config, corpus)
+            memo = semimatch.trainer._SHARED.get()[1]
+        assert memo and not any(rows.flags.writeable for rows, _ in memo.values())
