@@ -43,6 +43,38 @@ DEFAULT_SAMPLE_RATE = 16000
 MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a finite float
 
 
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
+_WHOLE = (lambda v: v % 1 == 0, "be a whole number")
+# operator and featurizer keyword -> its range rules, (test, what a value must
+# do) pairs checked in order; TrainConfig checks its fields through them too
+_PARAM_RULES = {
+    "max_seconds": [_POSITIVE],
+    "max_frames": [_POSITIVE, _WHOLE],
+    "max_steps": [_POSITIVE, _WHOLE,
+                  (lambda v: v <= MAX_PITCH_STEPS, f"be at most {MAX_PITCH_STEPS}")],
+    "scale": [_NON_NEGATIVE],
+    "n_swaps": [_NON_NEGATIVE, _WHOLE],
+    "p": [(lambda v: 0 <= v <= 1, "lie in [0, 1]")],
+    "n_neighbors": [_POSITIVE, _WHOLE],
+    "bins": [_POSITIVE, _WHOLE],
+    "max_length": [_POSITIVE, _WHOLE],
+}
+
+
+def _check_param(keyword: str, value, name: str | None = None):
+    """A ConfigError naming ``name`` (or the keyword) unless ``value`` keeps its rules."""
+    for ok, must in _PARAM_RULES[keyword]:
+        if not ok(value):
+            raise ConfigError(f"{name or keyword} must {must}")
+
+
+def _check_vocabulary(seqs, table: EmbeddingTable):
+    """Every token sequence must index the embedding table's vocabulary."""
+    if any(seq.vocab_size != table.vocab_size for seq in seqs):
+        raise ContractError("embedding table vocabulary does not match the sequence")
+
+
 @dataclass
 class SignalSequence:
     """Raw amplitude frames at a fixed sample rate."""
@@ -237,15 +269,13 @@ def _segment_all(seqs, rng: np.random.Generator, caps, reverse: bool):
 
 
 def _flip_all(seqs, rng: np.random.Generator, max_seconds: float = 6.25):
-    if max_seconds <= 0:
-        raise ConfigError("max_seconds must be positive")
+    _check_param("max_seconds", max_seconds)
     caps = [max(1, min(len(s), int(round(max_seconds * s.sample_rate)))) for s in seqs]
     return _segment_all(seqs, rng, caps, reverse=True)
 
 
 def _time_mask_all(seqs, rng: np.random.Generator, max_frames: int = 30000):
-    if max_frames < 1:
-        raise ConfigError("max_frames must be positive")
+    _check_param("max_frames", max_frames)
     return _segment_all(seqs, rng, [min(len(s), max_frames) for s in seqs], reverse=False)
 
 
@@ -262,10 +292,7 @@ def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
 def _pitch_shift_all(seqs, rng: np.random.Generator, max_steps: int = 4):
     """``pitch_shift`` of every sequence; one draw gives every step, in the
     order a per-sequence loop would draw them."""
-    if max_steps < 1:
-        raise ConfigError("max_steps must be positive")
-    if max_steps > MAX_PITCH_STEPS:
-        raise ConfigError(f"max_steps must be at most {MAX_PITCH_STEPS}")
+    _check_param("max_steps", max_steps)
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
     lengths = [len(s) for s in seqs]
     frames, end = np.zeros(sum(lengths)), 0
@@ -286,8 +313,7 @@ def gaussian_noise(seq: SignalSequence, rng: np.random.Generator,
 def _gaussian_noise_all(seqs, rng: np.random.Generator, scale: float = 0.05):
     """``gaussian_noise`` of every sequence; one draw covers the concatenated
     frames, the same numbers a per-sequence loop would draw."""
-    if scale < 0:
-        raise ConfigError("scale must be non-negative")
+    _check_param("scale", scale)
     lengths = [len(s) for s in seqs]
     frames = np.concatenate([s.frames for s in seqs])
     frames += rng.normal(0.0, scale, size=len(frames))
@@ -333,8 +359,7 @@ def augment_signal(seqs, kind: str, rng: np.random.Generator,
 def swap_adjacent(seq: TokenSequence, rng: np.random.Generator,
                   n_swaps: int = 1) -> TokenSequence:
     """Exchange randomly chosen adjacent pairs n_swaps times."""
-    if n_swaps < 0:
-        raise ConfigError("n_swaps must be non-negative")
+    _check_param("n_swaps", n_swaps)
     tokens = seq.tokens.copy()
     if len(tokens) >= 2:
         for _ in range(n_swaps):
@@ -346,8 +371,7 @@ def swap_adjacent(seq: TokenSequence, rng: np.random.Generator,
 def delete_tokens(seq: TokenSequence, rng: np.random.Generator,
                   p: float = 0.1) -> TokenSequence:
     """Drop each token with probability p; keep one token if all would go."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("deletion probability must lie in [0, 1]")
+    _check_param("p", p)
     keep = rng.random(len(seq)) >= p
     if not keep.any():
         keep[int(rng.integers(0, len(seq)))] = True
@@ -361,8 +385,7 @@ def _replace_all(seqs, alternatives, rng: np.random.Generator,
     ``alternatives`` is replaced when ``u < p``, by ``alternatives[floor(v * n)]``.
     The pairs are read one token after another, so a call over a list draws
     what per-sequence calls in a loop draw, on any bit generator."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("replacement probability must lie in [0, 1]")
+    _check_param("p", p)
     lengths = [len(s) for s in seqs]
     tokens = np.concatenate([s.tokens for s in seqs])
     u, v = rng.random((len(tokens), 2)).T
@@ -395,10 +418,8 @@ def _contextual_all(seqs, rng: np.random.Generator, lexicon=None,
     """``contextual_replace`` of every sequence."""
     if table is None:
         raise ConfigError("contextual replacement needs an embedding table")
-    if n_neighbors < 1:
-        raise ConfigError("n_neighbors must be positive")
-    if any(seq.vocab_size != table.vocab_size for seq in seqs):
-        raise ContractError("embedding table vocabulary does not match the sequence")
+    _check_param("n_neighbors", n_neighbors)
+    _check_vocabulary(seqs, table)
     return _replace_all(seqs, table.neighbour_lists(n_neighbors).__getitem__, rng, p)
 
 
@@ -447,8 +468,7 @@ def augment_tokens(seqs, kind: str, rng: np.random.Generator,
 
 def featurize_signal(seq: SignalSequence, bins: int) -> np.ndarray:
     """Per-bin mean/std/min/max over `bins` equal spans -> 4*bins features."""
-    if bins < 1:
-        raise ConfigError("bins must be positive")
+    _check_param("bins", bins)
     out = np.zeros(4 * bins)
     for i, span in enumerate(np.array_split(seq.frames, bins)):
         if len(span):
@@ -467,8 +487,7 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
     squares, its std, so the bits equal reducing one span at a time.
     Empty spans (a sequence shorter than ``bins``) stay zero.
     """
-    if bins < 1:
-        raise ConfigError("bins must be positive")
+    _check_param("bins", bins)
     lengths = np.array([len(s) for s in seqs])
     q, rem = np.divmod(lengths, bins)
     sizes = q[:, None] + (np.arange(bins) < rem[:, None])
@@ -491,10 +510,8 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
 def featurize_tokens(seq: TokenSequence, table: EmbeddingTable,
                      max_length: int = 64) -> np.ndarray:
     """Mean token embedding plus the length fraction len/max_length."""
-    if max_length < 1:
-        raise ConfigError("max_length must be positive")
-    if table.vocab_size != seq.vocab_size:
-        raise ContractError("embedding table vocabulary does not match the sequence")
+    _check_param("max_length", max_length)
+    _check_vocabulary([seq], table)
     mean_vec = table.vectors[seq.tokens].mean(axis=0)
     return np.concatenate([mean_vec, [len(seq) / max_length]])
 
@@ -505,10 +522,8 @@ def featurize_tokens_batch(seqs, table: EmbeddingTable, max_length: int = 64) ->
     Each row's mean is its tokens' embedding sum divided by their count,
     which is how numpy's ``mean`` computes it, so the bits are equal.
     """
-    if max_length < 1:
-        raise ConfigError("max_length must be positive")
-    if any(seq.vocab_size != table.vocab_size for seq in seqs):
-        raise ContractError("embedding table vocabulary does not match the sequence")
+    _check_param("max_length", max_length)
+    _check_vocabulary(seqs, table)
     out = np.empty((len(seqs), table.dim + 1))
     for row, seq in zip(out, seqs):
         row[:-1] = table.vectors[seq.tokens].sum(axis=0) / len(seq)

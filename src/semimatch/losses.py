@@ -307,6 +307,7 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
         labels = np.asarray(labels, dtype=int)
         if len(labels) != len(lab_probs):
             raise ContractError("labelled probabilities and labels differ in length")
+        _check_labels(labels, lab_probs.shape[1])
         l_sup = float(-np.mean(safe_log(lab_probs[np.arange(len(labels)), labels])))
         labelled_empty = False
     else:
@@ -334,13 +335,18 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
                          labelled_empty=labelled_empty, k=k)
 
 
+def _check_labels(labels: np.ndarray, n_classes: int):
+    """Every label of a non-empty int array must index one of ``n_classes``."""
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ContractError("labels out of class range")
+
+
 def _split_labelled(labelled):
     if not labelled:
         return None, None
     probs = _as_prob_matrix([p for p, _ in labelled], "labelled probabilities")
     labels = np.asarray([y for _, y in labelled], dtype=int)
-    if np.any(labels < 0) or np.any(labels >= probs.shape[1]):
-        raise ContractError("labels out of class range")
+    _check_labels(labels, probs.shape[1])
     return probs, labels
 
 

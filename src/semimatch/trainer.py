@@ -10,16 +10,16 @@ whose gate never opens reproduce the baseline trajectory exactly.
 Each augmentation branch (labelled weak, unlabelled weak, unlabelled
 strong) has one stream per epoch, consumed in step order, and neither
 augmenting nor featurizing depends on the model. So an epoch's branch is
-drawn in one call over all its steps' samples, and its features in one
-featurize call with the other branches (a block of steps at a time, to
-bound memory on large epochs). A branch block's rows depend only on the
-operator kind and parameters, the generator state before the block, the
-featurizer settings and the sample ids; raw rows (evaluation splits, an
-unaugmented weak branch) only on the last two. The train() calls on one
-corpus inside ``shared_features(corpus)`` share a memo of rows under those
-keys, and a hit restores the state that the miss would leave. Outside a
-scope nothing is kept: each epoch's generators start afresh, so the keys of
-one run seldom recur.
+drawn in one call over all its steps' samples and featurized in one call
+(a block of steps at a time, to bound memory on large epochs); an empty
+branch (the baseline's unlabelled ones) takes neither. A branch block's
+rows depend only on the operator kind and parameters, the generator state
+before the block, the featurizer settings and the sample ids; raw rows
+(evaluation splits, an unaugmented weak branch) only on the last two. The
+train() calls on one corpus inside ``shared_features(corpus)`` share a
+memo of rows under those keys, and a hit restores the state that the miss
+would leave. Outside a scope nothing is kept: each epoch's generators
+start afresh, so the keys of one run seldom recur.
 
 The weak-augmentation ablation switch (``weak_aug_on_unlabelled``) turns
 only the unlabelled weak branch into the identity; labelled samples are
@@ -38,9 +38,9 @@ from operator import add
 import numpy as np
 
 from .augment import (
-    MAX_PITCH_STEPS,
     MODALITIES,
     FeatureExtractor,
+    _check_param,
     augment_signal,
     augment_tokens,
     strong_kind,
@@ -135,21 +135,13 @@ class TrainConfig:
             raise ConfigError(
                 f"unlabelled_ratio {self.unlabelled_ratio} at batch_size {self.batch_size} "
                 f"draws no unlabelled sample per step, which method '{self.method}' needs")
-        # loss weights, then featurizer sizes and augmentation settings in the
-        # ranges their functions enforce, whatever the modality
-        for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight",
-                     "noise_scale", "swap_count"):
+        for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        for name in ("signal_bins", "token_max_len", "flip_max_seconds",
-                     "time_mask_max_frames", "pitch_max_steps", "contextual_neighbors"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.pitch_max_steps > MAX_PITCH_STEPS:
-            raise ConfigError(f"pitch_max_steps must be at most {MAX_PITCH_STEPS}")
-        for name in ("delete_prob", "synonym_prob", "contextual_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        # featurizer and augmentation fields, under their functions' rules, in any modality
+        for keyword, name in [("bins", "signal_bins"), ("max_length", "token_max_len"),
+                              *(kw for params in _AUG_PARAMS.values() for kw in params.items())]:
+            _check_param(keyword, getattr(self, name), name)
         # raises ConfigError on bad fractions or a negative seed
         SplitSpec(self.train_frac, self.valid_frac, self.test_frac, seed=self.seed)
 
@@ -206,21 +198,6 @@ _AUG_PARAMS = {
 }
 
 
-def _augment(config: TrainConfig, corpus: Corpus, samples, kind: str | None,
-             rng: np.random.Generator) -> list:
-    """Apply one named operator, with the parameters from the config, to the
-    payloads of a list of samples in one call; a kind of None or an empty
-    list leaves the payloads as they are."""
-    payloads = [s.payload for s in samples]
-    if kind is None or not payloads:
-        return payloads
-    params = {key: getattr(config, name) for key, name in _AUG_PARAMS[kind].items()}
-    if config.modality == "signal":
-        return augment_signal(payloads, kind, rng, **params)
-    return augment_tokens(payloads, kind, rng, lexicon=corpus.lexicon,
-                          table=corpus.embedding, **params)
-
-
 # the most samples, labelled and unlabelled, that one block of an epoch's
 # steps augments and featurizes at once
 _BLOCK_SAMPLES = 4096
@@ -254,33 +231,35 @@ def _blocks(steps):
         yield block
 
 
-def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo, branches):
-    """The feature rows of each ``(samples, kind, rng)`` branch: the memo's, if
-    any (moving ``rng`` past its draws), or augmented and featurized in one call."""
-    rows, missed = [], []
-    for samples, kind, rng in branches:
-        key = (extractor.modality, extractor.bins, extractor.max_token_len,
-               tuple(s.id for s in samples))
-        if kind is not None:
-            key += (kind, *(getattr(config, name) for name in _AUG_PARAMS[kind].values()),
-                    repr(rng.bit_generator.state))
-        if memo and key in memo:
-            x, state = memo[key]
-            if state is not None:
-                rng.bit_generator.state = state
-        else:
-            x = _augment(config, corpus, samples, kind, rng)
-            missed.append((len(rows), key, rng.bit_generator.state if kind else None))
-        rows.append(x)
-    payloads = [p for i, *_ in missed for p in rows[i]]
-    feats = extractor(payloads) if payloads else np.empty((0, extractor.dim))
-    feats.flags.writeable = False    # memo rows are shared between runs
-    cuts = np.cumsum([len(rows[i]) for i, *_ in missed[:-1]])
-    for (i, key, state), x in zip(missed, np.split(feats, cuts)):
-        rows[i] = x
-        if memo is not None and sum(r.nbytes for r, _ in memo.values()) + x.nbytes <= _MEMO_BYTES:
-            memo[key] = x, state
-    return rows
+def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo,
+          samples, kind: str | None, rng: np.random.Generator | None) -> np.ndarray:
+    """The feature rows of one branch: ``samples`` under the operator ``kind``
+    (None: as they are), drawn from ``rng``. An empty branch has no rows and
+    draws nothing; otherwise the rows are the memo's, if it holds them (moving
+    ``rng`` past their draws), or augmented in one call and featurized in one."""
+    if not samples:
+        return np.empty((0, extractor.dim))
+    key = (extractor.modality, extractor.bins, extractor.max_token_len,
+           tuple(s.id for s in samples))
+    if kind is not None:
+        params = {keyword: getattr(config, name) for keyword, name in _AUG_PARAMS[kind].items()}
+        key += (kind, *params.values(), repr(rng.bit_generator.state))
+    if memo and key in memo:
+        x, state = memo[key]
+        if state is not None:
+            rng.bit_generator.state = state
+        return x
+    payloads = [s.payload for s in samples]
+    if kind is not None and config.modality == "signal":
+        payloads = augment_signal(payloads, kind, rng, **params)
+    elif kind is not None:
+        payloads = augment_tokens(payloads, kind, rng, lexicon=corpus.lexicon,
+                                  table=corpus.embedding, **params)
+    x = extractor(payloads)
+    x.flags.writeable = False    # memo rows are shared between runs
+    if memo is not None and sum(r.nbytes for r, _ in memo.values()) + x.nbytes <= _MEMO_BYTES:
+        memo[key] = x, rng.bit_generator.state if kind else None
+    return x
 
 
 def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor,
@@ -288,7 +267,7 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
     """``(lab_batch, unlab_batch, lab_x, weak_x, strong_x)`` for each step of
     an epoch, in order: the step's batches and the feature rows of its
     labelled, unlabelled weak and unlabelled strong branches, sliced from
-    one ``_rows`` call per block of steps."""
+    one ``_rows`` call per branch and block of steps."""
     rng_lab = np.random.default_rng([config.seed, _STREAM_LAB_AUG, epoch])
     rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
     rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
@@ -296,9 +275,9 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
     for block in _blocks(steps):
         lab = [s for lab_batch, _ in block for s in lab_batch]
         unlab = [s for _, unlab_batch in block for s in unlab_batch]
-        lab_x, weak_x, strong_x = _rows(config, corpus, extractor, memo, [
-            (lab, config.weak_aug_kind, rng_lab), (unlab, weak_unlab_kind, rng_weak),
-            (unlab, config.strong_aug_kind, rng_strong)])
+        lab_x = _rows(config, corpus, extractor, memo, lab, config.weak_aug_kind, rng_lab)
+        weak_x = _rows(config, corpus, extractor, memo, unlab, weak_unlab_kind, rng_weak)
+        strong_x = _rows(config, corpus, extractor, memo, unlab, config.strong_aug_kind, rng_strong)
         lab_cuts = np.cumsum([len(lab_batch) for lab_batch, _ in block[:-1]])
         unlab_cuts = np.cumsum([len(unlab_batch) for _, unlab_batch in block[:-1]])
         for (lab_batch, unlab_batch), *rows in zip(
@@ -388,7 +367,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
 
     extractor = extractor_for(config, corpus)
     memo = shared[1] if (shared := _SHARED.get()) and shared[0] is corpus else None
-    valid_x, = _rows(config, corpus, extractor, memo, [(valid_eval, None, None)])
+    valid_x = _rows(config, corpus, extractor, memo, valid_eval, None, None)
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
                        np.random.default_rng([config.seed, _STREAM_INIT]))
     state = AdamState.zeros_like(model)
@@ -434,7 +413,7 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
             best_jrbm, best_model, best_val, best_epoch = val.jrbm, model, val, epoch
 
     test = evaluate(best_model, test_set, extractor, rows=_rows(
-        config, corpus, extractor, memo, [(test_set, None, None)])[0]) if test_set else None
+        config, corpus, extractor, memo, test_set, None, None)) if test_set else None
     return TrainResult(model=best_model, reports=reports, best_epoch=best_epoch,
                        val_metrics=best_val, test_metrics=test)
 

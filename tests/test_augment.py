@@ -35,6 +35,7 @@ from semimatch.augment import (
     time_mask,
 )
 from semimatch.errors import ConfigError, ContractError
+from semimatch.trainer import _AUG_PARAMS, TrainConfig
 
 
 def signal(frames, sr=16000):
@@ -635,3 +636,54 @@ class TestNearestNeighbours:
         seq = random_tokens(rng, vocab=7)
         with pytest.raises(ContractError):
             augment_tokens([seq], "contextual", rng, table=table)
+
+
+def _range_cases():
+    """``(keyword, TrainConfig key, call)`` for every config field that an
+    operator or featurizer checks; ``call(**{keyword: value})`` runs one
+    function that takes the keyword on a small payload."""
+    seq = signal(np.sin(np.arange(60.0)))
+    tokens = TokenSequence(np.arange(12) % 9, 9)
+    table = EmbeddingTable.from_seed(vocab_size=9, dim=3, seed=1)
+    lexicon = SynonymLexicon.from_groups(9)
+
+    def operator(kind):
+        if kind in WEAK_SIGNAL_KINDS + (STRONG_SIGNAL_KIND,):
+            return partial(augment_signal, [seq], kind, np.random.default_rng(0))
+        return partial(augment_tokens, [tokens], kind, np.random.default_rng(0),
+                       lexicon=lexicon, table=table)
+    cases = [(keyword, key, kind, operator(kind))
+             for kind, params in _AUG_PARAMS.items() for keyword, key in params.items()] + [
+        ("bins", "signal_bins", "featurize_signal", partial(featurize_signal, seq)),
+        ("bins", "signal_bins", "featurize_signal_batch",
+         partial(featurize_signal_batch, [seq])),
+        ("max_length", "token_max_len", "featurize_tokens",
+         partial(featurize_tokens, tokens, table)),
+        ("max_length", "token_max_len", "featurize_tokens_batch",
+         partial(featurize_tokens_batch, [tokens], table))]
+    return [pytest.param(keyword, key, call, id=f"{key}-{function}")
+            for keyword, key, function, call in cases]
+
+
+def _outcome(call, name: str) -> str:
+    """``accepted``, or the ConfigError's message, which must name ``name``."""
+    try:
+        call()
+    except ConfigError as err:
+        assert str(err).startswith(f"{name} must "), str(err)
+        return str(err).removeprefix(name)
+    return "accepted"
+
+
+class TestConfigAgreesWithFunctions:
+    """TrainConfig and the function a field feeds accept the same values and
+    reject the same ones, each naming its own key or keyword."""
+
+    @pytest.mark.parametrize("keyword, key, call", _range_cases())
+    def test_boundary_values(self, keyword, key, call):
+        values = [-1, 0, 0.5, 1] + {"p": [1.0000001],
+                                    "max_steps": [MAX_PITCH_STEPS + 1]}.get(keyword, [])
+        for value in values:
+            config = _outcome(lambda: TrainConfig(**{key: value}), key)
+            function = _outcome(lambda: call(**{keyword: value}), keyword)
+            assert config == function, (value, config, function)

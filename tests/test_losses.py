@@ -371,6 +371,21 @@ class TestFixmatchLoss:
         assert out.l_fix_unsup == 0.0 and out.accepted_count == 0
 
 
+class TestLabelRange:
+    """A label outside the class count is an error wherever a loss reads it."""
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_task_loss_from_terms_rejects(self, labels):
+        probs = np.array([[0.6, 0.4], [0.3, 0.7]])
+        with pytest.raises(ContractError, match="labels out of class range"):
+            task_loss_from_terms(probs, np.array(labels), None, None, LossCoefficients())
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_fixmatch_loss_rejects(self, label):
+        with pytest.raises(ContractError, match="labels out of class range"):
+            fixmatch_loss([([0.6, 0.4], 0), ([0.3, 0.7], label)], [], tau=0.9, lam1=0.5)
+
+
 class TestFullmatchLoss:
     def test_degenerates_to_fixmatch_exactly(self, rng):
         for _ in range(50):

@@ -281,14 +281,17 @@ class TestProbCheckCount:
 
 
 class TestFeaturizeCount:
-    """Each epoch featurizes its labelled, weak and strong samples in one
-    extractor call (the whole epoch is one block), and a run featurizes its
+    """Each epoch featurizes each non-empty branch (labelled weak, unlabelled
+    weak, unlabelled strong) in one extractor call (the whole epoch is one
+    block), even when the unlabelled weak branch is not augmented; the
+    baseline's empty unlabelled branches take none. A run featurizes its
     validation split once, for all its evaluations, and its test split once."""
 
-    @pytest.mark.parametrize("method, weak_on_unlabelled", [
-        ("baseline", True), ("fixmatch", True), ("fixmatch", False),
-        ("fullmatch", True), ("fullmatch", False)])
-    def test_one_call_per_step_and_evaluation(self, method, weak_on_unlabelled, monkeypatch):
+    @pytest.mark.parametrize("method, weak_on_unlabelled, branches", [
+        ("baseline", True, 1), ("fixmatch", True, 3), ("fixmatch", False, 3),
+        ("fullmatch", True, 3), ("fullmatch", False, 3)])
+    def test_one_call_per_branch_and_evaluation(self, method, weak_on_unlabelled, branches,
+                                                monkeypatch):
         calls = {"featurize": 0, "make_batches": 0, "evaluate": 0}
         featurize = FeatureExtractor.__call__
 
@@ -307,7 +310,7 @@ class TestFeaturizeCount:
             quick_corpus())
         epochs, evals = calls["make_batches"], calls["evaluate"]
         assert epochs == 2 and evals == 3
-        assert calls["featurize"] == epochs + 2
+        assert calls["featurize"] == branches * epochs + 2
 
 
 def tokens_corpus():
