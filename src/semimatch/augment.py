@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, is_integer
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -45,20 +45,20 @@ MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a f
 
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
-_WHOLE = (lambda v: v % 1 == 0, "be a whole number")
+_INTEGER = (is_integer, "be an integer")
 # operator and featurizer keyword -> its range rules, (test, what a value must
 # do) pairs checked in order; TrainConfig checks its fields through them too
 _PARAM_RULES = {
     "max_seconds": [_POSITIVE],
-    "max_frames": [_POSITIVE, _WHOLE],
-    "max_steps": [_POSITIVE, _WHOLE,
+    "max_frames": [_INTEGER, _POSITIVE],
+    "max_steps": [_INTEGER, _POSITIVE,
                   (lambda v: v <= MAX_PITCH_STEPS, f"be at most {MAX_PITCH_STEPS}")],
     "scale": [_NON_NEGATIVE],
-    "n_swaps": [_NON_NEGATIVE, _WHOLE],
+    "n_swaps": [_INTEGER, _NON_NEGATIVE],
     "p": [(lambda v: 0 <= v <= 1, "lie in [0, 1]")],
-    "n_neighbors": [_POSITIVE, _WHOLE],
-    "bins": [_POSITIVE, _WHOLE],
-    "max_length": [_POSITIVE, _WHOLE],
+    "n_neighbors": [_INTEGER, _POSITIVE],
+    "bins": [_INTEGER, _POSITIVE],
+    "max_length": [_INTEGER, _POSITIVE],
 }
 
 

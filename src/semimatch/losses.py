@@ -302,13 +302,14 @@ def build_task_terms(weak_probs: np.ndarray, strong_probs: np.ndarray | None,
 def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None,
                          strong_probs: np.ndarray | None, terms: TaskTerms | None,
                          coeffs: LossCoefficients) -> LossBreakdown:
-    """Evaluate one task's itemized loss given frozen batch decisions."""
-    if lab_probs is not None and len(lab_probs):
+    """Evaluate one task's itemized loss given frozen batch decisions. Leading
+    axes of the ``(..., B, C)`` probabilities give arrays; none, Python floats."""
+    if lab_probs is not None and lab_probs.shape[-2]:
         labels = np.asarray(labels, dtype=int)
-        if len(labels) != len(lab_probs):
+        if len(labels) != lab_probs.shape[-2]:
             raise ContractError("labelled probabilities and labels differ in length")
-        _check_labels(labels, lab_probs.shape[1])
-        l_sup = float(-np.mean(safe_log(lab_probs[np.arange(len(labels)), labels])))
+        _check_labels(labels, lab_probs.shape[-1])
+        l_sup = -np.mean(safe_log(lab_probs[..., np.arange(len(labels)), labels]), axis=-1)
         labelled_empty = False
     else:
         l_sup, labelled_empty = 0.0, True
@@ -316,20 +317,22 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
     l_fix = l_neg = l_ent = 0.0
     accepted = 0
     k = None
-    if strong_probs is not None and len(strong_probs) and terms is not None:
-        b, n_classes = strong_probs.shape
-        picked = strong_probs[np.arange(b), terms.pseudo]
-        l_fix = float(-np.sum(terms.gate * safe_log(picked)) / b)
+    if strong_probs is not None and strong_probs.shape[-2] and terms is not None:
+        b, n_classes = strong_probs.shape[-2:]
+        picked = strong_probs[..., np.arange(b), terms.pseudo]
+        l_fix = -np.sum(terms.gate * safe_log(picked), axis=-1) / b
         accepted = int(terms.gate.sum())
         k = terms.k
         if terms.neg_mask is not None:
-            l_neg = float(-np.sum(terms.neg_mask * safe_log(1.0 - strong_probs)) / b)
+            l_neg = -np.sum(terms.neg_mask * safe_log(1.0 - strong_probs), axis=(-2, -1)) / b
         if terms.mid_mask is not None and terms.k >= 2:
             y = terms.soft_target[:, None]
             bce = y * safe_log(strong_probs) + (1.0 - y) * safe_log(1.0 - strong_probs)
-            l_ent = float(-np.sum(terms.mid_mask * bce) / (b * n_classes))
+            l_ent = -np.sum(terms.mid_mask * bce, axis=(-2, -1)) / (b * n_classes)
 
     total = l_sup + coeffs.unsup * l_fix + coeffs.negative * l_neg + coeffs.entropy * l_ent
+    if np.ndim(total) == 0:
+        l_sup, l_fix, l_neg, l_ent, total = map(float, (l_sup, l_fix, l_neg, l_ent, total))
     return LossBreakdown(l_sup=l_sup, l_fix_unsup=l_fix, l_neg=l_neg, l_ent=l_ent,
                          accepted_count=accepted, total=total,
                          labelled_empty=labelled_empty, k=k)

@@ -9,6 +9,9 @@ analytic gradients.
 The model, its gradient and both Adam moments share one layout: one flat
 float64 vector in :data:`PARAM_FIELDS` order, of which the named arrays are
 views. Adam, the finiteness checks and the oracle each make one pass over it.
+A ``flat`` of shape ``(M, P)`` stacks M parameter sets along a leading axis of
+every array; the forward pass and ``batch_loss`` then give one result per set,
+bit-equal to M single-set calls. Backprop and Adam take one set.
 
 Gradient semantics: pseudo labels, confidence gates, the selected rank cut
 ``k``, rank masks, and soft targets are all frozen constants of the batch
@@ -60,7 +63,7 @@ class Gradients:
         self.flat, self._shapes, end = flat, shapes, 0
         for field, shape in zip(PARAM_FIELDS, shapes):
             size = math.prod(shape)
-            setattr(self, field, flat[end:end + size].reshape(shape))
+            setattr(self, field, flat[..., end:end + size].reshape(flat.shape[:-1] + shape))
             end += size
 
     def _non_finite_field(self) -> str | None:
@@ -84,36 +87,37 @@ class TwoHeadModel(Gradients):
 
     def _bind(self, flat: np.ndarray, shapes: tuple):
         super()._bind(flat, shapes)
-        if self.w_trunk.ndim != 2:
+        w_trunk, b_trunk, w_emo, b_emo, w_int, b_int = shapes
+        if len(w_trunk) != 2:
             raise ContractError("trunk weights must be a 2-D matrix")
-        hidden = self.w_trunk.shape[1]
-        if self.b_trunk.shape != (hidden,):
+        hidden = w_trunk[1]
+        if b_trunk != (hidden,):
             raise ContractError("trunk bias shape does not match trunk width")
-        for w, b, name in ((self.w_emo, self.b_emo, "emotion"), (self.w_int, self.b_int, "intent")):
-            if w.shape[0] != hidden:
+        for w, b, name in ((w_emo, b_emo, "emotion"), (w_int, b_int, "intent")):
+            if w[0] != hidden:
                 raise ContractError(f"{name} head input width does not match trunk output")
-            if b.shape != (w.shape[1],):
+            if b != (w[1],):
                 raise ContractError(f"{name} head bias shape does not match head width")
-            if w.shape[1] < 2:
+            if w[1] < 2:
                 raise ContractError(f"{name} head needs at least 2 classes")
         if field := self._non_finite_field():
             raise NumericError(f"non-finite values in parameter {field}")
 
     @property
     def input_dim(self) -> int:
-        return self.w_trunk.shape[0]
+        return self.w_trunk.shape[-2]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_trunk.shape[1]
+        return self.w_trunk.shape[-1]
 
     @property
     def n_emotion(self) -> int:
-        return self.w_emo.shape[1]
+        return self.w_emo.shape[-1]
 
     @property
     def n_intent(self) -> int:
-        return self.w_int.shape[1]
+        return self.w_int.shape[-1]
 
 
 @dataclass
@@ -174,10 +178,10 @@ def _forward_parts(model: TwoHeadModel, x: np.ndarray):
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ContractError(
             f"feature batch shape {x.shape} does not match model input dim {model.input_dim}")
-    z = x @ model.w_trunk + model.b_trunk
+    z = x @ model.w_trunk + model.b_trunk[..., None, :]
     a = np.maximum(z, 0.0)
-    p_emo = softmax(a @ model.w_emo + model.b_emo)
-    p_int = softmax(a @ model.w_int + model.b_int)
+    p_emo = softmax(a @ model.w_emo + model.b_emo[..., None, :])
+    p_int = softmax(a @ model.w_int + model.b_int[..., None, :])
     return x, z, a, p_emo, p_int
 
 

@@ -681,7 +681,7 @@ class TestConfigAgreesWithFunctions:
 
     @pytest.mark.parametrize("keyword, key, call", _range_cases())
     def test_boundary_values(self, keyword, key, call):
-        values = [-1, 0, 0.5, 1] + {"p": [1.0000001],
+        values = [-1, 0, 0.5, 1, 2.0] + {"p": [1.0000001],
                                     "max_steps": [MAX_PITCH_STEPS + 1]}.get(keyword, [])
         for value in values:
             config = _outcome(lambda: TrainConfig(**{key: value}), key)

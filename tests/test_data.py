@@ -541,6 +541,13 @@ class TestMakeBatches:
         with pytest.raises(ConfigError):
             make_batches([], [], 8, 1.0, seed=0)
 
+    def test_whole_pool_per_step_draws_without_replacement(self):
+        """A step that asks for exactly the pool size takes each sample once."""
+        lab, unlab = self._pools(n_unlab=20)
+        steps = make_batches(lab, unlab, 4, 5.0, seed=3)
+        for _, unlab_batch in steps:
+            assert sorted(s.id for s in unlab_batch) == sorted(s.id for s in unlab)
+
     @pytest.mark.parametrize("ratio, batch_size",
                              [(1e300, 8), (1e18, 8), (2.0 ** 60, 1), (1e308, 10 ** 10)])
     def test_count_beyond_an_index_array_rejected(self, ratio, batch_size):

@@ -142,6 +142,16 @@ class TestRanks:
         with pytest.raises(ContractError, match="^rank_classes: .*empty batch"):
             rank_classes(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("excess, accepted", [(5e-7, True), (2e-6, False)])
+    def test_row_sum_tolerance(self, excess, accepted):
+        """A row may miss a sum of 1 by up to 1e-6, and no more."""
+        row = [0.25, 0.75 + excess]
+        if accepted:
+            assert list(rank_classes(row)) == [2, 1]
+        else:
+            with pytest.raises(ContractError, match="must sum to 1"):
+                rank_classes(row)
+
     def test_rank_one_is_argmax(self, rng):
         for _ in range(100):
             probs = random_probs(rng, 1, 5)[0]

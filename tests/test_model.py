@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semimatch.errors import ConfigError, ContractError, NumericError
-from semimatch.gradcheck import run_gradient_checks
+from semimatch.gradcheck import _numeric_gradient, _specs_for_batch, run_gradient_checks
 from semimatch.losses import LossCoefficients, build_task_terms
 from semimatch.model import (
     AdamState,
@@ -173,6 +173,56 @@ class TestBackprop:
             "supervised_ce", "gated_consistency", "rank_tail_suppression",
             "mid_rank_equalization", "full_stack", "multitask_joint_gate",
             "multitask_full_stack"}
+
+
+GRADCHECK_CONFIGS = sorted(_specs_for_batch(
+    np.random.default_rng(0), init_model(3, 2, 2, 2, np.random.default_rng(0)), 2, 3))
+
+
+def _config_spec(name, rng, batch_size, input_dim=16):
+    model = init_model(input_dim, 8, 7, 8, rng)
+    return model, _specs_for_batch(rng, model, batch_size, input_dim)[name]
+
+
+class TestParameterSetAxis:
+    """A model whose ``flat`` is ``(M, P)`` is M parameter sets: the forward
+    pass and the loss give, per set, the bits of that set alone."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("n_sets", [1, 2, 5])
+    @pytest.mark.parametrize("name", GRADCHECK_CONFIGS)
+    def test_slices_equal_single_sets(self, name, n_sets, batch_size):
+        rng = np.random.default_rng([n_sets, batch_size])
+        model, spec = _config_spec(name, rng, batch_size)
+        flat = model.flat + 0.1 * rng.standard_normal((n_sets, model.flat.size))
+        stacked = TwoHeadModel._wrap(flat, model._shapes)
+        assert (stacked.input_dim, stacked.n_emotion, stacked.n_intent) == (16, 7, 8)
+        x = rng.standard_normal((batch_size, 16))
+        probs, totals = forward_batch(stacked, x), batch_loss(stacked, spec).total
+        assert totals.shape == (n_sets,)
+        for m in range(n_sets):
+            single = TwoHeadModel._wrap(flat[m].copy(), model._shapes)
+            for got, want in zip(probs, forward_batch(single, x)):
+                np.testing.assert_array_equal(got[m], want)
+            assert totals[m] == batch_loss(single, spec).total
+
+    @pytest.mark.parametrize("name", GRADCHECK_CONFIGS)
+    def test_one_call_oracle_equals_reference(self, name):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            model, spec = _config_spec(name, rng, 4)
+            reference = finite_difference_gradient(lambda m: batch_loss(m, spec).total, model)
+            numeric = _numeric_gradient(model, spec, 1e-5)
+            assert max_relative_error(numeric, reference, floor=1e-300) <= 1e-9
+
+    def test_single_set_loss_parts_are_python_floats(self):
+        rng = np.random.default_rng(42)
+        model, spec = _config_spec("multitask_full_stack", rng, 4)
+        loss = batch_loss(model, spec)
+        assert type(loss.total) is float
+        for part in (loss.emo, loss.intent):
+            for field in ("l_sup", "l_fix_unsup", "l_neg", "l_ent", "total"):
+                assert type(getattr(part, field)) is float, field
 
 
 class TestAdam:

@@ -1,7 +1,7 @@
 """Training loop: schedule, determinism, baseline equivalence, evaluation."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -120,6 +120,14 @@ class TestTrainLoop:
         assert result.best_epoch == best
         assert result.val_metrics.jrbm == result.reports[best].val.jrbm
 
+    def test_best_epoch_ties_keep_the_earlier_epoch(self):
+        """At a learning rate too small to move any prediction, every epoch
+        scores the same validation JRBM, so the first epoch stays best."""
+        result = run(quick_config(method="fixmatch", learning_rate=1e-12, epochs=4),
+                     quick_corpus())
+        assert len({report.val.jrbm for report in result.reports}) == 1
+        assert result.best_epoch == 0
+
     def test_acceptance_rate_logged_every_epoch(self):
         corpus = quick_corpus()
         result = run(quick_config(method="fixmatch", tau=0.4, epochs=3), corpus)
@@ -144,6 +152,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(sigma=1.5)
         TrainConfig(tau=1.0, sigma=1.0)  # upper bounds included
+
+    @pytest.mark.parametrize("config_class, key", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}-{f.name}")
+        for cls in (TrainConfig, GeneratorConfig) for f in fields(cls)
+        if f.type in ("int", "tuple[int, ...]")])
+    def test_integer_fields_take_only_integers(self, config_class, key):
+        """A float, even a whole one, a bool or a string in an integer field is
+        an error naming the field; a numpy integer is an integer."""
+        required = {"emotion_counts": (3, 3), "intent_counts": (3, 3)}
+        if config_class is TrainConfig:
+            required = {}
+
+        def make(value):   # the field's value, or the first entry of a count tuple
+            return config_class(**{**required, key: (value, 3) if key in required else value})
+
+        for value in (2.0, 2.5, True, "2"):
+            with pytest.raises(ConfigError, match=f"^{key} must"):
+                make(value)
+        default = 3 if key in required else getattr(config_class, key)
+        assert make(np.int64(default)) == make(default)
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
@@ -521,6 +549,18 @@ class TestSharedFeatures:
             assert run_outputs(config, corpus) == alone
             assert semimatch.trainer._SHARED.get()[1] == {}
         assert calls["augment_signal"] == 2 * 2 * 3
+
+    @pytest.mark.parametrize("spare, kept", [(0, True), (-1, False)])
+    def test_bound_is_inclusive(self, monkeypatch, spare, kept):
+        """A memo whose bound is exactly the first block's bytes keeps it."""
+        corpus, config = CORPORA["signal"], quick_config()
+        extractor = semimatch.trainer.extractor_for(config, corpus)
+        rows = semimatch.trainer._rows(config, corpus, extractor, None, corpus.labelled,
+                                       None, None)
+        monkeypatch.setattr(semimatch.trainer, "_MEMO_BYTES", rows.nbytes + spare)
+        memo = {}
+        semimatch.trainer._rows(config, corpus, extractor, memo, corpus.labelled, None, None)
+        assert len(memo) == kept
 
     def test_other_corpus_and_scope_exit(self):
         corpus, other = CORPORA["signal"], quick_corpus(seed=6)
