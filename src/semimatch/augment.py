@@ -8,9 +8,13 @@ contextual (embedding nearest-neighbour replacement) as the strong one.
 Every operator takes an explicit ``numpy.random.Generator`` and is
 bit-reproducible given the same generator state. Signal operators preserve
 length and sample rate; token operators keep every index inside the
-vocabulary. ``augment_signal`` / ``augment_tokens`` apply one operator to a
-whole list of sequences in one call and draw the same numbers, in the same
-order, as the per-sequence operators called in a loop.
+vocabulary. Each operator's body works on a ``Ragged`` batch: the sequences'
+frames or tokens concatenated into one array, their lengths, and each one's
+sample rate or vocabulary size. A body checks its output once, over the whole
+array, and draws the same numbers, in the same order, as the per-sequence
+operator called in a loop. ``augment_signal`` / ``augment_tokens`` apply one
+operator by name to a batch (giving a batch) or to a list (giving a list);
+the per-sequence operators are one-element calls.
 
 The two replace operators (synonym, contextual) share one body. Each
 token takes a pair of doubles ``(u, v)``, all pairs from one
@@ -21,8 +25,10 @@ alternative keeps its value but still takes its pair.
 Featurizers map either payload into a fixed-dimension vector: binned
 summary statistics for signals (order-sensitive), mean token embedding
 plus a length fraction for tokens (order-free). ``FeatureExtractor``
-featurizes a whole list of payloads in one call; the per-sample
-``featurize_signal`` / ``featurize_tokens`` are its reference versions.
+featurizes a whole batch or list of payloads in one call; the per-sample
+``featurize_signal`` / ``featurize_tokens`` are its reference versions. The
+token sums run by position over rows sorted by length, which adds each
+row's embeddings in the order numpy's per-row sum adds them.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ def _check_param(keyword: str, value, name: str | None = None):
             raise ConfigError(f"{name or keyword} must {must}")
 
 
-def _check_vocabulary(seqs, table: EmbeddingTable):
-    """Every token sequence must index the embedding table's vocabulary."""
-    if any(seq.vocab_size != table.vocab_size for seq in seqs):
+def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
+    """Token sequences of these vocabulary sizes must index the embedding table."""
+    if np.any(np.asarray(vocab_sizes) != table.vocab_size):
         raise ContractError("embedding table vocabulary does not match the sequence")
 
 
@@ -81,6 +87,7 @@ class SignalSequence:
 
     frames: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
+    _FIELDS = ("frames", "sample_rate")   # the payload and the per-sequence size
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
@@ -103,14 +110,7 @@ class SignalSequence:
         """Sequences cut in order from one frame array, the i-th holding
         ``lengths[i]`` frames at ``sample_rates[i]``. The constructor's
         checks run once, over the whole array."""
-        frames = cls._checked(frames, lengths, sample_rates)
-        out, end = [], 0
-        for length, sample_rate in zip(lengths, sample_rates):
-            seq = cls.__new__(cls)
-            seq.frames, seq.sample_rate = frames[end:end + length], sample_rate
-            out.append(seq)
-            end += length
-        return out
+        return list(Ragged.checked(cls, frames, lengths, sample_rates))
 
     def __len__(self):
         return len(self.frames)
@@ -122,6 +122,7 @@ class TokenSequence:
 
     tokens: np.ndarray
     vocab_size: int
+    _FIELDS = ("tokens", "vocab_size")   # the payload and the per-sequence size
 
     def __post_init__(self):
         tokens = np.asarray(self.tokens, dtype=int)
@@ -144,17 +145,66 @@ class TokenSequence:
         """Sequences cut in order from one token array, the i-th holding
         ``lengths[i]`` tokens of a ``vocab_sizes[i]`` vocabulary. The
         constructor's checks run once, over the whole array."""
-        tokens = cls._checked(tokens, lengths, vocab_sizes)
-        out, end = [], 0
-        for length, vocab_size in zip(lengths, vocab_sizes):
-            seq = cls.__new__(cls)
-            seq.tokens, seq.vocab_size = tokens[end:end + length], vocab_size
-            out.append(seq)
-            end += length
-        return out
+        return list(Ragged.checked(cls, tokens, lengths, vocab_sizes))
 
     def __len__(self):
         return len(self.tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class Ragged:
+    """Sequences of one type (``SignalSequence`` or ``TokenSequence``) as one
+    batch: ``values`` holds their frames or tokens back to back, ``lengths``
+    how many each has, and ``sizes`` each one's sample rate or vocabulary
+    size. Iterating it gives the sequences, as views of ``values``."""
+
+    seq_type: type
+    values: np.ndarray
+    lengths: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, seqs, seq_type: type) -> "Ragged":
+        """``seqs`` if it is a batch of ``seq_type``; else its sequences, concatenated once."""
+        if not isinstance(seqs, Ragged):
+            seqs = list(seqs)
+            if not seqs:
+                raise ContractError("a batch needs at least one sequence")
+            payload, size = seq_type._FIELDS
+            arrays = [getattr(s, payload) for s in seqs]
+            seqs = cls(seq_type, np.concatenate(arrays), np.array([len(a) for a in arrays]),
+                       np.array([getattr(s, size) for s in seqs]))
+        if seqs.seq_type is not seq_type:
+            raise ContractError(f"expected {seq_type.__name__} payloads, "
+                                f"got a batch of {seqs.seq_type.__name__}")
+        return seqs
+
+    @classmethod
+    def checked(cls, seq_type: type, values, lengths, sizes) -> "Ragged":
+        """A batch checked once, over the whole array, as ``seq_type`` checks each part."""
+        lengths, sizes = np.asarray(lengths), np.asarray(sizes)
+        return cls(seq_type, seq_type._checked(values, lengths, sizes), lengths, sizes)
+
+    def with_values(self, values, lengths=None) -> "Ragged":
+        """These sequences with new ``values`` (and ``lengths``), checked."""
+        return Ragged.checked(self.seq_type, values,
+                              self.lengths if lengths is None else lengths, self.sizes)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __iter__(self):
+        payload, size = self.seq_type._FIELDS
+        for start, length, value in zip(self.starts.tolist(), self.lengths.tolist(),
+                                        self.sizes.tolist()):
+            seq = self.seq_type.__new__(self.seq_type)
+            setattr(seq, payload, self.values[start:start + length])
+            setattr(seq, size, value)
+            yield seq
 
 
 @dataclass
@@ -243,40 +293,40 @@ class EmbeddingTable:
 def flip_segment(seq: SignalSequence, rng: np.random.Generator,
                  max_seconds: float = 6.25) -> SignalSequence:
     """Reverse one contiguous segment; position and length drawn uniformly."""
-    return _flip_all([seq], rng, max_seconds)[0]
+    return augment_signal([seq], "flip", rng, max_seconds=max_seconds)[0]
 
 
 def time_mask(seq: SignalSequence, rng: np.random.Generator,
               max_frames: int = 30000) -> SignalSequence:
     """Zero one contiguous sub-clip of up to max_frames frames."""
-    return _time_mask_all([seq], rng, max_frames)[0]
+    return augment_signal([seq], "time_mask", rng, max_frames=max_frames)[0]
 
 
-def _segment_all(seqs, rng: np.random.Generator, caps, reverse: bool):
+def _segment_all(batch: Ragged, rng: np.random.Generator, caps, reverse: bool) -> Ragged:
     """Per sequence, in order, draw a segment length in [1, cap] and then its
     start, as a per-sequence loop would (each start's bound depends on the
-    length just drawn), and reverse or zero that segment of one
-    concatenated frame array."""
-    lengths = [len(s) for s in seqs]
-    frames, end = np.concatenate([s.frames for s in seqs]), 0
-    for n, cap in zip(lengths, caps):
+    length just drawn), and reverse or zero that segment of a copy of the
+    batch's frames."""
+    frames = batch.values.copy()
+    for start, n, cap in zip(batch.starts.tolist(), batch.lengths.tolist(), caps):
         length = int(rng.integers(1, cap + 1))
-        start = end + int(rng.integers(0, n - length + 1))
+        start += int(rng.integers(0, n - length + 1))
         segment = frames[start:start + length]
         segment[:] = segment[::-1] if reverse else 0.0
-        end += n
-    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
+    return batch.with_values(frames)
 
 
-def _flip_all(seqs, rng: np.random.Generator, max_seconds: float = 6.25):
+def _flip_all(batch: Ragged, rng: np.random.Generator, max_seconds: float = 6.25) -> Ragged:
     _check_param("max_seconds", max_seconds)
-    caps = [max(1, min(len(s), int(round(max_seconds * s.sample_rate)))) for s in seqs]
-    return _segment_all(seqs, rng, caps, reverse=True)
+    caps = [max(1, min(n, int(round(max_seconds * rate))))
+            for n, rate in zip(batch.lengths.tolist(), batch.sizes.tolist())]
+    return _segment_all(batch, rng, caps, reverse=True)
 
 
-def _time_mask_all(seqs, rng: np.random.Generator, max_frames: int = 30000):
+def _time_mask_all(batch: Ragged, rng: np.random.Generator, max_frames: int = 30000) -> Ragged:
     _check_param("max_frames", max_frames)
-    return _segment_all(seqs, rng, [min(len(s), max_frames) for s in seqs], reverse=False)
+    return _segment_all(batch, rng, [min(n, max_frames) for n in batch.lengths.tolist()],
+                        reverse=False)
 
 
 def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
@@ -286,47 +336,35 @@ def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
     Linear interpolation; the shifted signal is truncated or zero-padded
     back to the original length.
     """
-    return _pitch_shift_all([seq], rng, max_steps)[0]
+    return augment_signal([seq], "pitch_shift", rng, max_steps=max_steps)[0]
 
 
-def _pitch_shift_all(seqs, rng: np.random.Generator, max_steps: int = 4):
+def _pitch_shift_all(batch: Ragged, rng: np.random.Generator, max_steps: int = 4) -> Ragged:
     """``pitch_shift`` of every sequence; one draw gives every step, in the
     order a per-sequence loop would draw them."""
     _check_param("max_steps", max_steps)
     choices = np.concatenate([np.arange(-max_steps, 0), np.arange(1, max_steps + 1)])
-    lengths = [len(s) for s in seqs]
-    frames, end = np.zeros(sum(lengths)), 0
-    for seq, n, steps in zip(seqs, lengths, rng.choice(choices, size=len(seqs))):
+    frames = np.zeros(len(batch.values))
+    for start, n, steps in zip(batch.starts.tolist(), batch.lengths.tolist(),
+                               rng.choice(choices, size=len(batch))):
         positions = np.arange(n) * 2.0 ** (int(steps) / 12.0)
         valid = positions <= n - 1
-        frames[end:end + n][valid] = np.interp(positions[valid], np.arange(n), seq.frames)
-        end += n
-    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
+        frames[start:start + n][valid] = np.interp(positions[valid], np.arange(n),
+                                                   batch.values[start:start + n])
+    return batch.with_values(frames)
 
 
 def gaussian_noise(seq: SignalSequence, rng: np.random.Generator,
                    scale: float = 0.05) -> SignalSequence:
     """Add N(0, scale^2) noise to every frame."""
-    return _gaussian_noise_all([seq], rng, scale)[0]
+    return augment_signal([seq], "gaussian_noise", rng, scale=scale)[0]
 
 
-def _gaussian_noise_all(seqs, rng: np.random.Generator, scale: float = 0.05):
+def _gaussian_noise_all(batch: Ragged, rng: np.random.Generator, scale: float = 0.05) -> Ragged:
     """``gaussian_noise`` of every sequence; one draw covers the concatenated
     frames, the same numbers a per-sequence loop would draw."""
     _check_param("scale", scale)
-    lengths = [len(s) for s in seqs]
-    frames = np.concatenate([s.frames for s in seqs])
-    frames += rng.normal(0.0, scale, size=len(frames))
-    return SignalSequence.from_concatenated(frames, lengths, [s.sample_rate for s in seqs])
-
-
-def _each(op):
-    """A batched form of a per-sequence operator whose draws depend on
-    earlier draws, so they are taken one sequence at a time. The token
-    resources (lexicon, table), which such an operator never takes, are
-    dropped."""
-    return lambda seqs, rng, lexicon=None, table=None, **params: [
-        op(seq, rng, **params) for seq in seqs]
+    return batch.with_values(batch.values + rng.normal(0.0, scale, size=len(batch.values)))
 
 
 _SIGNAL_OPS = {
@@ -337,19 +375,23 @@ _SIGNAL_OPS = {
 }
 
 
-def _apply(ops: dict, what: str, seqs, kind: str, rng: np.random.Generator, **params):
-    """Apply the operator ``ops[kind]`` to every sequence of a list; an
-    empty list gives an empty list, without a draw."""
+def _apply(ops: dict, what: str, seq_type: type, seqs, kind: str, rng: np.random.Generator,
+           **params):
+    """Apply the operator ``ops[kind]`` to every sequence of a batch (giving
+    a batch) or of a list (giving a list) of ``seq_type``; an empty list
+    gives an empty list, without a draw."""
     if kind not in ops:
         raise ConfigError(f"unknown {what} augmentation '{kind}'")
+    if isinstance(seqs, Ragged):
+        return ops[kind](Ragged.of(seqs, seq_type), rng, **params)
     seqs = list(seqs)
-    return ops[kind](seqs, rng, **params) if seqs else []
+    return list(ops[kind](Ragged.of(seqs, seq_type), rng, **params)) if seqs else []
 
 
 def augment_signal(seqs, kind: str, rng: np.random.Generator,
-                   **params) -> list[SignalSequence]:
-    """Apply one signal operator, by name, to every sequence of a list."""
-    return _apply(_SIGNAL_OPS, "signal", seqs, kind, rng, **params)
+                   **params) -> list[SignalSequence] | Ragged:
+    """Apply one signal operator, by name, to every sequence of a list or batch."""
+    return _apply(_SIGNAL_OPS, "signal", SignalSequence, seqs, kind, rng, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -359,35 +401,49 @@ def augment_signal(seqs, kind: str, rng: np.random.Generator,
 def swap_adjacent(seq: TokenSequence, rng: np.random.Generator,
                   n_swaps: int = 1) -> TokenSequence:
     """Exchange randomly chosen adjacent pairs n_swaps times."""
+    return augment_tokens([seq], "swap", rng, n_swaps=n_swaps)[0]
+
+
+def _swap_all(batch: Ragged, rng: np.random.Generator, lexicon=None, table=None,
+              n_swaps: int = 1) -> Ragged:
+    """``swap_adjacent`` of every sequence, drawing each swap in loop order."""
     _check_param("n_swaps", n_swaps)
-    tokens = seq.tokens.copy()
-    if len(tokens) >= 2:
-        for _ in range(n_swaps):
-            j = int(rng.integers(0, len(tokens) - 1))
+    tokens = batch.values.copy()
+    for start, n in zip(batch.starts.tolist(), batch.lengths.tolist()):
+        for _ in range(n_swaps if n >= 2 else 0):
+            j = start + int(rng.integers(0, n - 1))
             tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
-    return TokenSequence(tokens=tokens, vocab_size=seq.vocab_size)
+    return batch.with_values(tokens)
 
 
 def delete_tokens(seq: TokenSequence, rng: np.random.Generator,
                   p: float = 0.1) -> TokenSequence:
     """Drop each token with probability p; keep one token if all would go."""
+    return augment_tokens([seq], "delete", rng, p=p)[0]
+
+
+def _delete_all(batch: Ragged, rng: np.random.Generator, lexicon=None, table=None,
+                p: float = 0.1) -> Ragged:
+    """``delete_tokens`` of every sequence, drawing in loop order."""
     _check_param("p", p)
-    keep = rng.random(len(seq)) >= p
-    if not keep.any():
-        keep[int(rng.integers(0, len(seq)))] = True
-    return TokenSequence(tokens=seq.tokens[keep], vocab_size=seq.vocab_size)
+    keep = np.empty(len(batch.values), dtype=bool)
+    starts = batch.starts
+    for start, n in zip(starts.tolist(), batch.lengths.tolist()):
+        span = keep[start:start + n]
+        span[:] = rng.random(n) >= p
+        if not span.any():
+            span[int(rng.integers(0, n))] = True
+    return batch.with_values(batch.values[keep], np.add.reduceat(keep, starts, dtype=int))
 
 
-def _replace_all(seqs, alternatives, rng: np.random.Generator,
-                 p: float) -> list[TokenSequence]:
+def _replace_all(batch: Ragged, alternatives, rng: np.random.Generator, p: float) -> Ragged:
     """The body both replace operators share. One ``rng.random((total, 2))``
     draw gives each token, in order, a pair ``(u, v)``; a token with n >= 1
     ``alternatives`` is replaced when ``u < p``, by ``alternatives[floor(v * n)]``.
     The pairs are read one token after another, so a call over a list draws
     what per-sequence calls in a loop draw, on any bit generator."""
     _check_param("p", p)
-    lengths = [len(s) for s in seqs]
-    tokens = np.concatenate([s.tokens for s in seqs])
+    tokens = batch.values
     u, v = rng.random((len(tokens), 2)).T
     # (counts, table) indexed by token value: table[t, :counts[t]] are t's alternatives
     distinct = np.flatnonzero(np.bincount(tokens)).tolist()
@@ -398,35 +454,35 @@ def _replace_all(seqs, alternatives, rng: np.random.Generator,
     table = np.zeros((len(counts), width), dtype=int)
     table[distinct] = [list(alts) + [0] * (width - len(alts)) for alts in options]
     n = counts[tokens]
-    hit = (u < p) & (n > 0)
+    hit = np.flatnonzero((u < p) & (n > 0))
     out = tokens.copy()
     out[hit] = table[tokens[hit], (v[hit] * n[hit]).astype(int)]
-    return TokenSequence.from_concatenated(out, lengths, [s.vocab_size for s in seqs])
+    return batch.with_values(out)
 
 
-def _synonym_all(seqs, rng: np.random.Generator, lexicon: SynonymLexicon | None = None,
-                 table=None, p: float = 0.15) -> list[TokenSequence]:
+def _synonym_all(batch: Ragged, rng: np.random.Generator,
+                 lexicon: SynonymLexicon | None = None, table=None, p: float = 0.15) -> Ragged:
     """``synonym_replace`` of every sequence."""
     if lexicon is None:
         raise ConfigError("synonym replacement needs a lexicon")
-    return _replace_all(seqs, lexicon.mapping.get, rng, p)
+    return _replace_all(batch, lexicon.mapping.get, rng, p)
 
 
-def _contextual_all(seqs, rng: np.random.Generator, lexicon=None,
+def _contextual_all(batch: Ragged, rng: np.random.Generator, lexicon=None,
                     table: EmbeddingTable | None = None, n_neighbors: int = 5,
-                    p: float = 0.15) -> list[TokenSequence]:
+                    p: float = 0.15) -> Ragged:
     """``contextual_replace`` of every sequence."""
     if table is None:
         raise ConfigError("contextual replacement needs an embedding table")
     _check_param("n_neighbors", n_neighbors)
-    _check_vocabulary(seqs, table)
-    return _replace_all(seqs, table.neighbour_lists(n_neighbors).__getitem__, rng, p)
+    _check_vocabulary(batch.sizes, table)
+    return _replace_all(batch, table.neighbour_lists(n_neighbors).__getitem__, rng, p)
 
 
 def synonym_replace(seq: TokenSequence, lexicon: SynonymLexicon,
                     rng: np.random.Generator, p: float = 0.15) -> TokenSequence:
     """Replace tokens with a uniformly drawn lexicon alternative, prob p each."""
-    return _synonym_all([seq], rng, lexicon=lexicon, p=p)[0]
+    return augment_tokens([seq], "synonym", rng, lexicon=lexicon, p=p)[0]
 
 
 def nearest_neighbours(table: EmbeddingTable, token: int, n: int) -> np.ndarray:
@@ -443,12 +499,13 @@ def contextual_replace(seq: TokenSequence, table: EmbeddingTable,
                        rng: np.random.Generator, n_neighbors: int = 5,
                        p: float = 0.15) -> TokenSequence:
     """Replace tokens with one of their top-n embedding neighbours, prob p each."""
-    return _contextual_all([seq], rng, table=table, n_neighbors=n_neighbors, p=p)[0]
+    return augment_tokens([seq], "contextual", rng, table=table, n_neighbors=n_neighbors,
+                          p=p)[0]
 
 
 _TOKEN_OPS = {
-    "swap": _each(swap_adjacent),
-    "delete": _each(delete_tokens),
+    "swap": _swap_all,
+    "delete": _delete_all,
     "synonym": _synonym_all,
     "contextual": _contextual_all,
 }
@@ -456,10 +513,11 @@ _TOKEN_OPS = {
 
 def augment_tokens(seqs, kind: str, rng: np.random.Generator,
                    lexicon: SynonymLexicon | None = None,
-                   table: EmbeddingTable | None = None, **params) -> list[TokenSequence]:
-    """Apply one token operator, by name, to every sequence of a list."""
-    return _apply(_TOKEN_OPS, "token", seqs, kind, rng, lexicon=lexicon, table=table,
-                  **params)
+                   table: EmbeddingTable | None = None,
+                   **params) -> list[TokenSequence] | Ragged:
+    """Apply one token operator, by name, to every sequence of a list or batch."""
+    return _apply(_TOKEN_OPS, "token", TokenSequence, seqs, kind, rng, lexicon=lexicon,
+                  table=table, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +546,12 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
     Empty spans (a sequence shorter than ``bins``) stay zero.
     """
     _check_param("bins", bins)
-    lengths = np.array([len(s) for s in seqs])
+    batch = Ragged.of(seqs, SignalSequence)
+    frames, lengths = batch.values, batch.lengths
     q, rem = np.divmod(lengths, bins)
     sizes = q[:, None] + (np.arange(bins) < rem[:, None])
-    starts = (np.cumsum(lengths) - lengths)[:, None] + np.cumsum(sizes, axis=1) - sizes
-    frames = np.concatenate([s.frames for s in seqs])
-    out = np.zeros((len(seqs), bins, 4))
+    starts = batch.starts[:, None] + np.cumsum(sizes, axis=1) - sizes
+    out = np.zeros((len(batch), bins, 4))
     filled = sizes > 0
     out[filled, 2] = np.minimum.reduceat(frames, starts[filled])
     out[filled, 3] = np.maximum.reduceat(frames, starts[filled])
@@ -504,14 +562,14 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
         centred = block - mean
         out[at, 0] = mean[:, 0]
         out[at, 1] = np.sqrt((centred * centred).sum(axis=1) / size)
-    return out.reshape(len(seqs), 4 * bins)
+    return out.reshape(len(batch), 4 * bins)
 
 
 def featurize_tokens(seq: TokenSequence, table: EmbeddingTable,
                      max_length: int = 64) -> np.ndarray:
     """Mean token embedding plus the length fraction len/max_length."""
     _check_param("max_length", max_length)
-    _check_vocabulary([seq], table)
+    _check_vocabulary([seq.vocab_size], table)
     mean_vec = table.vectors[seq.tokens].mean(axis=0)
     return np.concatenate([mean_vec, [len(seq) / max_length]])
 
@@ -520,14 +578,33 @@ def featurize_tokens_batch(seqs, table: EmbeddingTable, max_length: int = 64) ->
     """``featurize_tokens`` of every sequence, stacked -> (N, dim + 1).
 
     Each row's mean is its tokens' embedding sum divided by their count,
-    which is how numpy's ``mean`` computes it, so the bits are equal.
+    which is how numpy's ``mean`` computes it. numpy sums an ``(L, dim)``
+    block row after row from +0.0, so the sums run by position: with the
+    rows sorted by length (descending, stable), position j adds its
+    embeddings into the first c_j rows, the c_j rows longer than j. The
+    bits equal the per-row sums. A width-1 table keeps a loop over rows,
+    because numpy sums an ``(L, 1)`` column pairwise.
     """
     _check_param("max_length", max_length)
-    _check_vocabulary(seqs, table)
-    out = np.empty((len(seqs), table.dim + 1))
-    for row, seq in zip(out, seqs):
-        row[:-1] = table.vectors[seq.tokens].sum(axis=0) / len(seq)
-    out[:, -1] = np.array([len(seq) for seq in seqs]) / max_length
+    batch = Ragged.of(seqs, TokenSequence)
+    tokens, lengths = batch.values, batch.lengths
+    _check_vocabulary(batch.sizes, table)
+    out = np.empty((len(batch), table.dim + 1))
+    out[:, -1] = lengths / max_length
+    if table.dim == 1:
+        for row, start, n in zip(out, batch.starts.tolist(), lengths.tolist()):
+            row[:-1] = table.vectors[tokens[start:start + n]].sum(axis=0) / n
+        return out
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.zeros((len(batch), lengths.max()), dtype=int)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = tokens
+    by_position = np.ascontiguousarray(padded[order].T)
+    sorted_lengths = lengths[order]
+    longer = np.searchsorted(-sorted_lengths, -np.arange(padded.shape[1]), side="left")
+    sums, gathered = np.zeros((2, len(batch), table.dim))
+    for position, n in zip(by_position, longer.tolist()):
+        np.add(sums[:n], table.vectors.take(position[:n], axis=0, out=gathered[:n]), out=sums[:n])
+    out[order, :-1] = sums / sorted_lengths[:, None]
     return out
 
 
@@ -553,7 +630,7 @@ class FeatureExtractor:
         return self.table.dim + 1
 
     def __call__(self, payloads) -> np.ndarray:
-        """Features of a list of payloads, one row each -> (N, dim)."""
+        """Features of a ``Ragged`` batch or a list of payloads, one row each -> (N, dim)."""
         if not payloads:
             raise ContractError("featurizing needs a non-empty payload list")
         if self.modality == "signal":
@@ -571,7 +648,7 @@ def strong_kind(modality: str) -> str:
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE", "EmbeddingTable", "FeatureExtractor", "MAX_PITCH_STEPS", "MODALITIES",
-    "STRONG_SIGNAL_KIND", "STRONG_TOKEN_KIND", "SignalSequence",
+    "Ragged", "STRONG_SIGNAL_KIND", "STRONG_TOKEN_KIND", "SignalSequence",
     "SynonymLexicon", "TokenSequence", "WEAK_SIGNAL_KINDS", "WEAK_TOKEN_KINDS",
     "augment_signal", "augment_tokens", "contextual_replace", "delete_tokens",
     "featurize_signal", "featurize_signal_batch", "featurize_tokens",

@@ -217,6 +217,9 @@ class GeneratorConfig:
         for names, counts in (("emotion_names", "emotion_counts"),
                               ("intent_names", "intent_counts")):
             given, n_classes = getattr(self, names), len(getattr(self, counts))
+            if given is not None and (not isinstance(given, (list, tuple))
+                                      or not all(isinstance(name, str) for name in given)):
+                raise ConfigError(f"{names} must be a list or tuple of strings, got {given!r}")
             if given is not None and len(given) != n_classes:
                 raise ConfigError(f"{names} must name each of the {n_classes} classes "
                                   f"of {counts}, got {list(given)}")

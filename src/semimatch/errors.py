@@ -38,11 +38,13 @@ def is_integer(value) -> bool:
 
 def require_finite_fields(config):
     """Raise :class:`ConfigError` naming the first field of the dataclass
-    ``config`` that holds ``nan`` or ``inf`` in a ``float`` field, or a
-    non-integer in an ``int`` field or a ``tuple[int, ...]`` entry."""
+    ``config`` that holds anything but a finite real number (a bool is not
+    one) in a ``float`` field, or a non-integer in an ``int`` field or a
+    ``tuple[int, ...]`` entry."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "float" and not math.isfinite(value):
+        if f.type == "float" and not (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool) and math.isfinite(value)):
             raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if f.type == "int" and not is_integer(value):
             raise ConfigError(f"{f.name} must be an integer")

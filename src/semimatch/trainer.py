@@ -12,7 +12,10 @@ strong) has one stream per epoch, consumed in step order, and neither
 augmenting nor featurizing depends on the model. So an epoch's branch is
 drawn in one call over all its steps' samples and featurized in one call
 (a block of steps at a time, to bound memory on large epochs); an empty
-branch (the baseline's unlabelled ones) takes neither. A branch block's
+branch (the baseline's unlabelled ones) takes neither. A block travels as
+one ``Ragged`` batch: its payloads are concatenated once, the operator body
+and the featurizer work on that array, and no per-sequence objects are
+built in between. A branch block's
 rows depend only on the operator kind and parameters, the generator state
 before the block, the featurizer settings and the sample ids; raw rows
 (evaluation splits, an unaugmented weak branch) only on the last two. The
@@ -40,6 +43,7 @@ import numpy as np
 from .augment import (
     MODALITIES,
     FeatureExtractor,
+    Ragged,
     _check_param,
     augment_signal,
     augment_tokens,
@@ -236,7 +240,8 @@ def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo
     """The feature rows of one branch: ``samples`` under the operator ``kind``
     (None: as they are), drawn from ``rng``. An empty branch has no rows and
     draws nothing; otherwise the rows are the memo's, if it holds them (moving
-    ``rng`` past their draws), or augmented in one call and featurized in one."""
+    ``rng`` past their draws), or augmented in one call and featurized in one,
+    as one ``Ragged`` batch."""
     if not samples:
         return np.empty((0, extractor.dim))
     key = (extractor.modality, extractor.bins, extractor.max_token_len,
@@ -249,7 +254,7 @@ def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo
         if state is not None:
             rng.bit_generator.state = state
         return x
-    payloads = [s.payload for s in samples]
+    payloads = Ragged.of([s.payload for s in samples], type(samples[0].payload))
     if kind is not None and config.modality == "signal":
         payloads = augment_signal(payloads, kind, rng, **params)
     elif kind is not None:

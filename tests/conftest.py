@@ -2,6 +2,11 @@ import base64
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples: no random seed, no saved failures replayed.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_probs(rng, n_rows: int, n_classes: int, alpha: float = 1.0) -> np.ndarray:

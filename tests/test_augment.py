@@ -12,6 +12,7 @@ from semimatch.augment import (
     FeatureExtractor,
     MAX_PITCH_STEPS,
     STRONG_SIGNAL_KIND,
+    Ragged,
     STRONG_TOKEN_KIND,
     SignalSequence,
     SynonymLexicon,
@@ -342,6 +343,205 @@ class TestBatchedDispatch:
             np.testing.assert_array_equal(a.tokens, b.tokens)
             assert a.vocab_size == b.vocab_size
         assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+def loop_swap(seq, rng, n_swaps=1):
+    """Reference: ``swap`` as a per-sequence loop over a copy of each sequence."""
+    tokens = seq.tokens.copy()
+    if len(tokens) >= 2:
+        for _ in range(n_swaps):
+            j = int(rng.integers(0, len(tokens) - 1))
+            tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+    return TokenSequence(tokens, seq.vocab_size)
+
+
+def loop_delete(seq, rng, p=0.1):
+    """Reference: ``delete`` as a per-sequence loop, keeping one token if all would go."""
+    keep = rng.random(len(seq)) >= p
+    if not keep.any():
+        keep[int(rng.integers(0, len(seq)))] = True
+    return TokenSequence(seq.tokens[keep], seq.vocab_size)
+
+
+# (kind, parameters, per-sequence reference loop, public per-sequence operator)
+RAGGED_CASES = [
+    ("flip", {}, loop_flip, flip_segment),
+    ("flip", {"max_seconds": 0.001}, loop_flip, flip_segment),
+    ("time_mask", {}, loop_time_mask, time_mask),
+    ("time_mask", {"max_frames": 7}, loop_time_mask, time_mask),
+    ("pitch_shift", {"max_steps": 6}, loop_pitch_shift, pitch_shift),
+    ("gaussian_noise", {"scale": 0.3}, loop_gaussian_noise, gaussian_noise),
+    ("swap", {"n_swaps": 3}, loop_swap, swap_adjacent),
+    ("delete", {"p": 0.1}, loop_delete, delete_tokens),
+    ("delete", {"p": 0.95}, loop_delete, delete_tokens),
+    ("synonym", {"p": 0.4}, lambda seq, rng, p: loop_replace(seq, LEXICON.mapping.get, rng, p),
+     partial(synonym_replace, lexicon=LEXICON)),
+    ("contextual", {"p": 0.4},
+     lambda seq, rng, p: loop_replace(seq, TABLE.neighbour_lists(5).__getitem__, rng, p),
+     partial(contextual_replace, table=TABLE)),
+]
+
+
+def ragged_inputs(kind, lengths, seed):
+    """Sequences of varied sample rates (signal) or vocabulary sizes (tokens)
+    and the dispatcher of their modality."""
+    draws = [np.random.default_rng([seed, n]) for n in lengths]
+    if kind in WEAK_SIGNAL_KINDS or kind == STRONG_SIGNAL_KIND:
+        return ([signal(rng.standard_normal(n), sr=(8000, 16000)[n % 2])
+                 for rng, n in zip(draws, lengths)], augment_signal)
+    # contextual needs the table's vocabulary; the others take any size
+    vocab = (30, 30) if kind == "contextual" else (30, 31)
+    seqs = [TokenSequence(rng.integers(0, 30, n), vocab[n % 2]) for rng, n in zip(draws, lengths)]
+    return seqs, partial(augment_tokens, lexicon=LEXICON, table=TABLE)
+
+
+def count_checks(monkeypatch, seq_type) -> list:
+    """A list that grows by one on each ``seq_type._checked`` call."""
+    checked, calls = seq_type._checked, []
+    monkeypatch.setattr(seq_type, "_checked",
+                        staticmethod(lambda *args: calls.append(1) or checked(*args)))
+    return calls
+
+
+class TestRaggedBodies:
+    """Each operator's body, given a ``Ragged`` batch, returns a batch equal to
+    the per-sequence reference loop and to the public per-sequence operator in
+    a loop, leaves each generator in the same state and its input unchanged,
+    and checks its output once, over the whole array."""
+
+    @pytest.mark.parametrize("case", range(len(RAGGED_CASES)),
+                             ids=[f"{c[0]}-{'-'.join(map(str, c[1].values()))}"
+                                  for c in RAGGED_CASES])
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 120), min_size=1, max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[1], seed=0)
+    @example(lengths=[1, 2, 1, 2], seed=1)
+    def test_body_equals_loops(self, case, lengths, seed):
+        kind, params, reference, operator = RAGGED_CASES[case]
+        seqs, augment = ragged_inputs(kind, lengths, seed)
+        payload, _ = type(seqs[0])._FIELDS
+        batch = Ragged.of(seqs, type(seqs[0]))
+        before = batch.values.copy()
+        rng, loop_rng, op_rng = (np.random.default_rng(seed) for _ in range(3))
+        out = augment(batch, kind, rng, **params)
+        expected = [reference(seq, loop_rng, **params) for seq in seqs]
+        public = [operator(seq, rng=op_rng, **params) for seq in seqs]
+        assert isinstance(out, Ragged) and out.seq_type is type(seqs[0])
+        np.testing.assert_array_equal(out.values,
+                                      np.concatenate([getattr(e, payload) for e in expected]))
+        assert out.lengths.tolist() == [len(e) for e in expected]
+        assert out.sizes.tolist() == batch.sizes.tolist()
+        for got, ref in zip(out, public, strict=True):
+            for name in type(ref)._FIELDS:
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        assert rng.bit_generator.state == op_rng.bit_generator.state
+        np.testing.assert_array_equal(batch.values, before)
+
+    @pytest.mark.parametrize("kind", [*WEAK_SIGNAL_KINDS, STRONG_SIGNAL_KIND,
+                                      *WEAK_TOKEN_KINDS, STRONG_TOKEN_KIND])
+    def test_output_checked_once_per_batch(self, kind, monkeypatch):
+        seqs, augment = ragged_inputs(kind, [5, 9, 1, 30], 3)
+        calls = count_checks(monkeypatch, type(seqs[0]))
+        augment(Ragged.of(seqs, type(seqs[0])), kind, np.random.default_rng(0))
+        assert len(calls) == 1
+
+    def test_empty_list_draws_nothing_and_empty_batch_rejected(self):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        assert augment_signal([], "flip", rng) == []
+        assert augment_tokens([], "contextual", rng, table=TABLE) == []
+        assert rng.bit_generator.state == state
+        with pytest.raises(ContractError, match="at least one sequence"):
+            Ragged.of([], SignalSequence)
+
+    def test_out_of_vocabulary_output_raises_once(self, monkeypatch):
+        """A lexicon that names tokens outside the vocabulary fails the whole
+        batch's one output check."""
+        outside = SynonymLexicon(mapping={t: (t + 30,) for t in range(30)})
+        seqs = [TokenSequence(np.arange(n) % 30, 30) for n in (4, 7, 2)]
+        calls = count_checks(monkeypatch, TokenSequence)
+        with pytest.raises(ContractError, match="token index outside the vocabulary"):
+            augment_tokens(Ragged.of(seqs, TokenSequence), "synonym", np.random.default_rng(0),
+                           lexicon=outside, p=1.0)
+        assert len(calls) == 1
+
+    def test_non_finite_output_raises_once(self, monkeypatch):
+        seqs = [signal(np.zeros(n)) for n in (50, 80, 3)]
+        calls = count_checks(monkeypatch, SignalSequence)
+        with pytest.raises(ContractError, match="signal frames must be finite"):
+            augment_signal(Ragged.of(seqs, SignalSequence), "gaussian_noise",
+                           np.random.default_rng(0), scale=1e308)
+        assert len(calls) == 1
+
+    def test_vocabulary_mismatch_rejected_before_any_draw(self):
+        batch = Ragged.of([TokenSequence([1, 2], 30), TokenSequence([3], 31)], TokenSequence)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ContractError, match="vocabulary does not match"):
+            augment_tokens(batch, "contextual", rng, table=TABLE)
+        with pytest.raises(ContractError, match="vocabulary does not match"):
+            featurize_tokens_batch(batch, TABLE)
+        assert rng.bit_generator.state == state
+
+    def test_batch_of_the_other_payload_type_rejected(self):
+        """A token batch is not augmented or featurized as signals, nor the
+        reverse; a list of the other type still fails on its missing field."""
+        tokens = Ragged.of([TokenSequence([1, 2], 30)], TokenSequence)
+        signals = Ragged.of([signal([0.5, 1.5])], SignalSequence)
+        with pytest.raises(ContractError, match="expected SignalSequence payloads"):
+            augment_signal(tokens, "flip", np.random.default_rng(0))
+        with pytest.raises(ContractError, match="expected TokenSequence payloads"):
+            augment_tokens(signals, "swap", np.random.default_rng(0))
+        with pytest.raises(ContractError, match="expected SignalSequence payloads"):
+            FeatureExtractor("signal")(tokens)
+        with pytest.raises(ContractError, match="expected TokenSequence payloads"):
+            featurize_tokens_batch(signals, TABLE)
+        with pytest.raises(AttributeError):
+            augment_signal(list(tokens), "flip", np.random.default_rng(0))
+
+    def test_iterating_gives_views_of_the_sequences(self):
+        seqs = [TokenSequence([1, 2, 3], 30), TokenSequence([4], 31)]
+        batch = Ragged.of(seqs, type(seqs[0]))
+        out = list(batch)
+        assert [s.tokens.tolist() for s in out] == [[1, 2, 3], [4]]
+        assert [s.vocab_size for s in out] == [30, 31]
+        assert all(type(s) is TokenSequence and s.tokens.base is batch.values for s in out)
+
+
+def signed_zero_table(rng, vocab: int, width: int, exponent: int) -> EmbeddingTable:
+    """A table of mixed magnitudes with ``-0.0`` and ``+0.0`` entries, and one
+    row of each zero."""
+    vectors = rng.standard_normal((vocab, width)) * 10.0 ** rng.integers(
+        -exponent, exponent + 1, (vocab, 1))
+    vectors[rng.random((vocab, width)) < 0.15] = -0.0
+    vectors[rng.random((vocab, width)) < 0.15] = 0.0
+    vectors[0], vectors[1] = -0.0, 0.0
+    return EmbeddingTable(vectors=vectors)
+
+
+class TestTokenFeaturizerByPosition:
+    """The by-position token sums give, byte for byte, what ``featurize_tokens``
+    gives row by row, on any width (width 1 takes the row loop), with signed
+    zeros, and on a list or a batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 40), lengths=st.lists(st.integers(1, 69), min_size=1, max_size=59),
+           seed=st.integers(0, 2**32 - 1), exponent=st.integers(0, 8))
+    @example(width=1, lengths=[3, 1, 69, 2], seed=0, exponent=4)
+    @example(width=2, lengths=[1], seed=1, exponent=0)
+    @example(width=5, lengths=[7] * 59, seed=2, exponent=8)
+    @example(width=40, lengths=list(range(69, 10, -1)), seed=3, exponent=2)
+    def test_equals_per_row_featurizer(self, width, lengths, seed, exponent):
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(2, 12))
+        table = signed_zero_table(rng, vocab, width, exponent)
+        seqs = [TokenSequence(rng.integers(0, vocab, n), vocab) for n in lengths]
+        expected = np.stack([featurize_tokens(s, table, 40) for s in seqs]).tobytes()
+        assert featurize_tokens_batch(seqs, table, 40).tobytes() == expected
+        assert featurize_tokens_batch(Ragged.of(seqs, TokenSequence), table, 40).tobytes() == \
+            expected
 
 
 class TestSplitInvariance:

@@ -466,6 +466,16 @@ class TestSynthesizeCorpus:
         corpus = synthesize_corpus(small_config(modality_mix=1.0))
         assert all(s.modality == "signal" for s in corpus.labelled)
 
+    @pytest.mark.parametrize("key", ["emotion_names", "intent_names"])
+    @pytest.mark.parametrize("names", ["ab", b"ab", ("a", 1), ["a", None], 2, {"a": 1, "b": 2}])
+    def test_class_names_must_be_a_list_of_strings(self, key, names):
+        """A string is not read as one name per character, and every name
+        must be a string."""
+        with pytest.raises(ConfigError, match=f"^{key} must be a list or tuple of strings"):
+            GeneratorConfig(emotion_counts=(2, 2), intent_counts=(2, 2), **{key: names})
+        config = GeneratorConfig(emotion_counts=(2, 2), intent_counts=(2, 2), **{key: ("a", "b")})
+        assert getattr(config, key) == ("a", "b")
+
     def test_mismatched_totals_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(emotion_counts=(5, 5), intent_counts=(4, 4))

@@ -13,6 +13,7 @@ import semimatch.model
 import semimatch.trainer
 from semimatch.augment import (
     FeatureExtractor,
+    Ragged,
     SignalSequence,
     featurize_signal,
     featurize_tokens,
@@ -172,6 +173,27 @@ class TestConfigValidation:
                 make(value)
         default = 3 if key in required else getattr(config_class, key)
         assert make(np.int64(default)) == make(default)
+
+    @pytest.mark.parametrize("config_class, key", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}-{f.name}")
+        for cls in (TrainConfig, GeneratorConfig) for f in fields(cls) if f.type == "float"])
+    def test_float_fields_take_only_real_numbers(self, config_class, key):
+        """A bool, a numpy bool, a string, None or a non-finite number in a
+        float field is an error naming the field; an int and a numpy float
+        are real numbers and give the config the plain float gives."""
+        required = {"emotion_counts": (3, 3), "intent_counts": (3, 3)}
+        if config_class is TrainConfig:
+            required = {}
+        for value in (True, False, np.bool_(True), "0.5", "1.0", None, float("nan"),
+                      float("inf")):
+            with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+                config_class(**required, **{key: value})
+        default = getattr(config_class, key)
+        assert config_class(**required, **{key: np.float64(default)}) == \
+            config_class(**required, **{key: default})
+        if default == int(default):
+            assert config_class(**required, **{key: int(default)}) == \
+                config_class(**required, **{key: default})
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
@@ -392,6 +414,33 @@ class TestAugmentCount:
             for kind, stream in (("pitch_shift", trainer._STREAM_LAB_AUG),
                                  ("pitch_shift", trainer._STREAM_WEAK_AUG),
                                  ("gaussian_noise", trainer._STREAM_STRONG_AUG))]
+
+
+class TestRaggedBranches:
+    """A branch goes from ``_rows`` through its operator to the featurizer as
+    one ``Ragged`` batch, with no per-sequence objects cut from it; an empty
+    branch draws nothing."""
+
+    @pytest.mark.parametrize("method", ["baseline", "fixmatch", "fullmatch"])
+    @pytest.mark.parametrize("modality, weak_kind", [
+        ("signal", "flip"), ("signal", "time_mask"), ("signal", "pitch_shift"),
+        ("tokens", "swap"), ("tokens", "delete"), ("tokens", "synonym")])
+    def test_no_sequence_objects_in_between(self, method, modality, weak_kind, monkeypatch):
+        def refuse(batch):
+            raise AssertionError("a branch was cut into sequences")
+        monkeypatch.setattr(Ragged, "__iter__", refuse)
+        corpus = quick_corpus() if modality == "signal" else tokens_corpus()
+        run(quick_config(method=method, modality=modality, weak_aug_kind=weak_kind, epochs=1),
+            corpus)
+
+    def test_empty_branch_draws_nothing(self):
+        config, corpus = quick_config(), quick_corpus()
+        extractor = semimatch.trainer.extractor_for(config, corpus)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        rows = semimatch.trainer._rows(config, corpus, extractor, None, [], "flip", rng)
+        assert rows.shape == (0, extractor.dim)
+        assert rng.bit_generator.state == state
 
 
 def one_sample_per_call(augment):
