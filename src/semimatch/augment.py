@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, is_integer
+from .errors import ConfigError, ContractError, Rule, require
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -49,30 +49,26 @@ DEFAULT_SAMPLE_RATE = 16000
 MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a finite float
 
 
-_POSITIVE = (lambda v: v > 0, "be positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "be non-negative")
-_INTEGER = (is_integer, "be an integer")
-# operator and featurizer keyword -> its range rules, (test, what a value must
-# do) pairs checked in order; TrainConfig checks its fields through them too
+# operator and featurizer keyword -> its range rules (errors.Rule), checked in
+# order; TrainConfig checks its fields through them too
 _PARAM_RULES = {
-    "max_seconds": [_POSITIVE],
-    "max_frames": [_INTEGER, _POSITIVE],
-    "max_steps": [_INTEGER, _POSITIVE,
+    "max_seconds": [Rule.POSITIVE],
+    "max_frames": [Rule.INTEGER, Rule.POSITIVE],
+    "max_steps": [Rule.INTEGER, Rule.POSITIVE,
                   (lambda v: v <= MAX_PITCH_STEPS, f"be at most {MAX_PITCH_STEPS}")],
-    "scale": [_NON_NEGATIVE],
-    "n_swaps": [_INTEGER, _NON_NEGATIVE],
-    "p": [(lambda v: 0 <= v <= 1, "lie in [0, 1]")],
-    "n_neighbors": [_INTEGER, _POSITIVE],
-    "bins": [_INTEGER, _POSITIVE],
-    "max_length": [_INTEGER, _POSITIVE],
+    "scale": [Rule.NON_NEGATIVE],
+    "n_swaps": [Rule.INTEGER, Rule.NON_NEGATIVE],
+    "p": [Rule.UNIT],
+    "n_neighbors": [Rule.INTEGER, Rule.POSITIVE],
+    "bins": [Rule.INTEGER, Rule.POSITIVE],
+    "max_length": [Rule.INTEGER, Rule.POSITIVE],
 }
 
 
 def _check_param(keyword: str, value, name: str | None = None):
     """A ConfigError naming ``name`` (or the keyword) unless ``value`` keeps its rules."""
-    for ok, must in _PARAM_RULES[keyword]:
-        if not ok(value):
-            raise ConfigError(f"{name or keyword} must {must}")
+    for rule in _PARAM_RULES[keyword]:
+        require(name or keyword, rule, value)
 
 
 def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
@@ -81,17 +77,33 @@ def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
         raise ContractError("embedding table vocabulary does not match the sequence")
 
 
+class _Sequence:
+    """What both payload types share: ``_FIELDS`` names the payload array and
+    the per-sequence size, and ``_checked`` checks a concatenation of them."""
+
+    def __post_init__(self):
+        payload, size = self._FIELDS
+        values = np.asarray(getattr(self, payload))
+        setattr(self, payload, self._checked(values, [values.size], [getattr(self, size)]))
+
+    @classmethod
+    def from_concatenated(cls, values, lengths, sizes) -> list:
+        """Sequences cut in order from one array, the i-th holding ``lengths[i]``
+        values at size ``sizes[i]`` (its sample rate or vocabulary size). The
+        constructor's checks run once, over the whole array."""
+        return list(Ragged.checked(cls, values, lengths, sizes))
+
+    def __len__(self):
+        return len(getattr(self, self._FIELDS[0]))
+
+
 @dataclass
-class SignalSequence:
+class SignalSequence(_Sequence):
     """Raw amplitude frames at a fixed sample rate."""
 
     frames: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
-    _FIELDS = ("frames", "sample_rate")   # the payload and the per-sequence size
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=float)
-        self.frames = self._checked(frames, [frames.size], [self.sample_rate])
+    _FIELDS = ("frames", "sample_rate")
 
     @staticmethod
     def _checked(frames, lengths, sample_rates) -> np.ndarray:
@@ -105,28 +117,14 @@ class SignalSequence:
             raise ContractError("sample_rate must be positive")
         return frames
 
-    @classmethod
-    def from_concatenated(cls, frames, lengths, sample_rates) -> list["SignalSequence"]:
-        """Sequences cut in order from one frame array, the i-th holding
-        ``lengths[i]`` frames at ``sample_rates[i]``. The constructor's
-        checks run once, over the whole array."""
-        return list(Ragged.checked(cls, frames, lengths, sample_rates))
-
-    def __len__(self):
-        return len(self.frames)
-
 
 @dataclass
-class TokenSequence:
+class TokenSequence(_Sequence):
     """Vocabulary indices with the vocabulary size they index into."""
 
     tokens: np.ndarray
     vocab_size: int
-    _FIELDS = ("tokens", "vocab_size")   # the payload and the per-sequence size
-
-    def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=int)
-        self.tokens = self._checked(tokens, [tokens.size], [self.vocab_size])
+    _FIELDS = ("tokens", "vocab_size")
 
     @staticmethod
     def _checked(tokens, lengths, vocab_sizes) -> np.ndarray:
@@ -139,16 +137,6 @@ class TokenSequence:
         if tokens.min() < 0 or np.any(tokens >= np.repeat(vocab_sizes, lengths)):
             raise ContractError("token index outside the vocabulary")
         return tokens
-
-    @classmethod
-    def from_concatenated(cls, tokens, lengths, vocab_sizes) -> list["TokenSequence"]:
-        """Sequences cut in order from one token array, the i-th holding
-        ``lengths[i]`` tokens of a ``vocab_sizes[i]`` vocabulary. The
-        constructor's checks run once, over the whole array."""
-        return list(Ragged.checked(cls, tokens, lengths, vocab_sizes))
-
-    def __len__(self):
-        return len(self.tokens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +204,7 @@ class SynonymLexicon:
     @classmethod
     def from_groups(cls, vocab_size: int, group_size: int = 3) -> "SynonymLexicon":
         """Group consecutive token ids; members of a group replace each other."""
-        if group_size < 1:
-            raise ConfigError("group_size must be positive")
+        require("group_size", Rule.COUNT, group_size)
         mapping = {}
         for start in range(0, vocab_size, group_size):
             group = list(range(start, min(start + group_size, vocab_size)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
-from .errors import ConfigError, ContractError, SchemaError, require_finite_fields
+from .errors import ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields
 from .fileio import (
     CORPUS_FORMAT,
     atomic_write_text,
@@ -52,6 +52,10 @@ class Sample:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise SchemaError(f"sample {self.id}: unknown modality '{self.modality}'")
+        payload_type = SignalSequence if self.modality == "signal" else TokenSequence
+        if not isinstance(self.payload, payload_type):
+            raise SchemaError(f"sample {self.id}: a {self.modality} sample needs a "
+                              f"{payload_type.__name__} payload, got {type(self.payload).__name__}")
         if (self.emotion is None) != (self.intent is None):
             raise SchemaError(
                 f"sample {self.id}: labelled samples need both labels, unlabelled neither")
@@ -110,14 +114,11 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train, self.valid, self.test)
-        if any(f < 0 or f > 1 for f in fracs):
-            raise ConfigError("split fractions must lie in [0, 1]")
+        require("split fractions", Rule.UNIT, *fracs)
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
-        if self.train <= 0:
-            raise ConfigError("the train fraction must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        require("the train fraction", Rule.POSITIVE, self.train)
+        require("seed", Rule.NON_NEGATIVE, self.seed)
 
 
 def _largest_remainder(n: int, fractions) -> list[int]:
@@ -198,22 +199,16 @@ class GeneratorConfig:
         self.intent_counts = tuple(int(c) for c in self.intent_counts)
         if len(self.emotion_counts) < 2 or len(self.intent_counts) < 2:
             raise ConfigError("each task needs at least two classes")
-        if any(c <= 0 for c in self.emotion_counts + self.intent_counts):
-            raise ConfigError("per-class counts must be positive")
+        require("per-class counts", Rule.POSITIVE, *self.emotion_counts, *self.intent_counts)
         if sum(self.emotion_counts) != sum(self.intent_counts):
             raise ConfigError("emotion and intent counts must sum to the same total")
-        if self.unlabelled_count < 0:
-            raise ConfigError("unlabelled_count must be non-negative")
+        require("unlabelled_count", Rule.NON_NEGATIVE, self.unlabelled_count)
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
-        if not 0.0 <= self.correlation <= 1.0:
-            raise ConfigError("correlation must lie in [0, 1]")
-        if not 0.0 <= self.modality_mix <= 1.0:
-            raise ConfigError("modality_mix must lie in [0, 1]")
-        if self.separation < 0:
-            raise ConfigError("separation must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        require("correlation", Rule.UNIT, self.correlation)
+        require("modality_mix", Rule.UNIT, self.modality_mix)
+        require("separation", Rule.NON_NEGATIVE, self.separation)
+        require("seed", Rule.NON_NEGATIVE, self.seed)
         for names, counts in (("emotion_names", "emotion_counts"),
                               ("intent_names", "intent_counts")):
             given, n_classes = getattr(self, names), len(getattr(self, counts))
@@ -467,10 +462,8 @@ def load_corpus(path: str) -> Corpus:
 def unlabelled_per_step(batch_size: int, unlabelled_ratio: float) -> int:
     """The unlabelled samples each step draws: ``unlabelled_ratio`` times the
     batch size, rounded half to even."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    if unlabelled_ratio < 0:
-        raise ConfigError("unlabelled_ratio must be non-negative")
+    require("batch_size", Rule.COUNT, batch_size)
+    require("unlabelled_ratio", Rule.NON_NEGATIVE, unlabelled_ratio)
     count = unlabelled_ratio * batch_size
     if not count < 2 ** 60:   # 2**60 int64 indices take 2**63 bytes, past numpy's largest array
         raise ConfigError(f"unlabelled_ratio {unlabelled_ratio} at batch_size {batch_size} "
@@ -494,8 +487,7 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
         raise ConfigError("make_batches needs a non-empty labelled pool")
     n_unlab = unlabelled_per_step(batch_size, unlabelled_ratio)
     seed = [int(s) for s in np.atleast_1d(seed)]
-    if any(s < 0 for s in seed):
-        raise ConfigError("seed must be non-negative")
+    require("seed", Rule.NON_NEGATIVE, *seed)
     rng_lab = np.random.default_rng(seed + [31001])
     rng_unlab = np.random.default_rng(seed + [31002])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import Rule, require
 from .losses import LossCoefficients, batch_terms, build_task_terms
 from .model import (
     BatchLossSpec,
@@ -98,10 +98,8 @@ def run_gradient_checks(seed: int = 0, n_batches: int = 20, batch_size: int = 4,
                         hidden_size: int = 8, eps: float = 1e-5,
                         tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic and numeric gradients over seeded random batches."""
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if n_batches < 1:
-        raise ConfigError("n_batches must be positive")
+    require("seed", Rule.NON_NEGATIVE, seed)
+    require("n_batches", Rule.COUNT, n_batches)
     worst: dict[str, float] = {}
     for batch_index in range(n_batches):
         rng = np.random.default_rng([seed, 50001, batch_index])

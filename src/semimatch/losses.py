@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, Rule, require
 
 METHODS = ("baseline", "fixmatch", "fullmatch")
 CLAMP_MIN = 1e-12
@@ -39,20 +39,16 @@ def safe_log(x):
     return np.log(np.clip(x, CLAMP_MIN, 1.0))
 
 
-def _check_unit(name: str, value: float):
-    if not 0.0 < value <= 1.0:
-        raise ConfigError(f"{name} must lie in (0, 1]")
-
-
 def _as_prob_matrix(rows, what: str) -> np.ndarray:
     mat = np.asarray(rows, dtype=float)
     if mat.ndim == 1:
         mat = mat[None, :]
     if mat.ndim != 2 or mat.shape[1] < 2:
         raise ContractError(f"{what}: expected vectors of at least 2 classes")
-    if np.any(mat < -1e-12) or np.any(mat > 1 + 1e-12):
+    # each test states what a valid matrix satisfies, so a NaN fails it
+    if not (np.all(mat >= -1e-12) and np.all(mat <= 1 + 1e-12)):
         raise ContractError(f"{what}: probabilities outside [0, 1]")
-    if np.any(np.abs(mat.sum(axis=1) - 1.0) > PROB_ATOL):
+    if not np.all(np.abs(mat.sum(axis=1) - 1.0) <= PROB_ATOL):
         raise ContractError(f"{what}: probability vectors must sum to 1")
     return mat
 
@@ -171,7 +167,7 @@ def _checked_branches(weak_probs, strong_probs, what: str):
 
 def _cut(strong: np.ndarray, pseudo: np.ndarray, sigma: float) -> TopKSelection:
     """:func:`select_k` on checked matrices, by one count of the strong ranks."""
-    _check_unit("sigma", sigma)
+    require("sigma", Rule.OPEN_UNIT, sigma)
     b, n_classes = strong.shape
     if b == 0:
         raise ConfigError("select_k requires a non-empty batch")
@@ -209,7 +205,7 @@ def _decide(method: str, checked, tau: float, sigma: float | None) -> list[TaskT
 
 def gate_pseudo_label(weak_probs, tau: float) -> PseudoLabelDecision:
     """Gate one sample: argmax of the weak branch, accepted iff max > tau."""
-    _check_unit("tau", tau)
+    require("tau", Rule.OPEN_UNIT, tau)
     weak, _, pseudo = checked = _checked_branches(weak_probs, None, "gate_pseudo_label")
     _one_sample(weak, "gate_pseudo_label")
     cls = int(pseudo[0])
@@ -358,7 +354,7 @@ def _loss(method: str, labelled, unlabelled, tau: float, sigma: float | None,
     """Each task's loss from its labelled and unlabelled pairs: every matrix
     checked once, then the decisions of :func:`_decide` on the unlabelled
     ones (none for baseline or an empty unlabelled batch)."""
-    _check_unit("tau", tau)
+    require("tau", Rule.OPEN_UNIT, tau)
     sup = [_split_labelled(pairs) for pairs in labelled]
     unsup = [(None, None)] * len(sup)   # (strong probs, terms) per task
     if method != "baseline" and unlabelled[0]:

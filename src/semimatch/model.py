@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ContractError, NumericError, Rule, require
 from .losses import (
     CLAMP_MIN,
     LossBreakdown,
@@ -150,8 +150,7 @@ class AdamState:
 def init_model(input_dim: int, hidden_size: int, n_emotion: int, n_intent: int,
                rng: np.random.Generator) -> TwoHeadModel:
     """Seeded uniform init in +-1/sqrt(fan_in) for every parameter."""
-    if input_dim < 1 or hidden_size < 1:
-        raise ConfigError("input_dim and hidden_size must be positive")
+    require("input_dim and hidden_size", Rule.COUNT, input_dim, hidden_size)
 
     def layer(fan_in, fan_out):
         limit = 1.0 / np.sqrt(fan_in)
@@ -352,8 +351,7 @@ def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState, lr: float
               eps: float = 1e-8) -> tuple[TwoHeadModel, AdamState]:
     """One bias-corrected Adam update in one pass over the flat vectors. Never
     in place: the trainer keeps the best epoch's model while training goes on."""
-    if lr <= 0:
-        raise ConfigError("learning rate must be positive")
+    require("learning rate", Rule.POSITIVE, lr)
     if grads._shapes != model._shapes:
         field = next(f for f, a, b in zip(PARAM_FIELDS, grads._shapes, model._shapes) if a != b)
         raise ContractError(f"gradient shape mismatch for {field}")

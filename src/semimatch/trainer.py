@@ -51,8 +51,8 @@ from .augment import (
     weak_kinds,
 )
 from .data import Corpus, SplitSpec, make_batches, stratified_split, unlabelled_per_step
-from .errors import ConfigError, ContractError, require_finite_fields
-from .losses import METHODS, LossCoefficients, _check_unit, batch_terms
+from .errors import ConfigError, ContractError, Rule, require, require_finite_fields
+from .losses import METHODS, LossCoefficients, batch_terms
 from .losses import build_task_terms  # noqa: F401  perfbench/tracer.py wraps this name
 from .metrics import MetricsReport
 from .model import (
@@ -128,11 +128,10 @@ class TrainConfig:
             raise ConfigError(
                 f"the strong augmentation for {self.modality} is '{expected_strong}'")
         for name in ("tau", "sigma", "lr_decay"):
-            _check_unit(name, getattr(self, name))
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.hidden_size < 1:
-            raise ConfigError("epochs, batch_size, and hidden_size must be positive")
+            require(name, Rule.OPEN_UNIT, getattr(self, name))
+        require("learning_rate", Rule.POSITIVE, self.learning_rate)
+        require("epochs, batch_size, and hidden_size", Rule.COUNT,
+                self.epochs, self.batch_size, self.hidden_size)
         # unlabelled_per_step also rejects a negative unlabelled_ratio
         if (unlabelled_per_step(self.batch_size, self.unlabelled_ratio) == 0
                 and self.method != "baseline"):
@@ -140,8 +139,7 @@ class TrainConfig:
                 f"unlabelled_ratio {self.unlabelled_ratio} at batch_size {self.batch_size} "
                 f"draws no unlabelled sample per step, which method '{self.method}' needs")
         for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            require(name, Rule.NON_NEGATIVE, getattr(self, name))
         # featurizer and augmentation fields, under their functions' rules, in any modality
         for keyword, name in [("bins", "signal_bins"), ("max_length", "token_max_len"),
                               *(kw for params in _AUG_PARAMS.values() for kw in params.items())]:

@@ -49,6 +49,15 @@ class TestSampleAndCorpus:
             Sample(id="x", modality="signal", payload=SignalSequence(np.ones(3)),
                    emotion=1, intent=None)
 
+    @pytest.mark.parametrize("modality, payload, wanted", [
+        ("signal", TokenSequence([1, 2], 30), "SignalSequence"),
+        ("tokens", SignalSequence(np.ones(3)), "TokenSequence"),
+    ])
+    def test_payload_must_match_modality(self, modality, payload, wanted):
+        with pytest.raises(SchemaError, match=f"sample x: a {modality} sample needs a {wanted} "
+                                              f"payload, got {type(payload).__name__}"):
+            Sample(id="x", modality=modality, payload=payload, emotion=0, intent=0)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError):
             Corpus(labelled=[labelled_sample(1), labelled_sample(1)], unlabelled=[],

@@ -4,6 +4,7 @@ an error that names the file (and the line, for line-delimited files)."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from semimatch.data import (
     synthesize_corpus,
 )
 from semimatch.errors import SchemaError
-from semimatch.fileio import read_jsonl
+from semimatch.fileio import atomic_write_text, read_jsonl
 from semimatch.model import init_model
 from semimatch.persist import (
     load_checkpoint,
@@ -118,6 +119,17 @@ FRAMING_CASES = [
     ("non-UTF-8 record", lambda lines: lines[:2] + [lines[2][:9] + "\udcff" + lines[2][9:]]
      + lines[3:], 3),
 ]
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write_text(str(tmp_path / "out.jsonl"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLineFraming:

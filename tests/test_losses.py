@@ -396,6 +396,29 @@ class TestLabelRange:
             fixmatch_loss([([0.6, 0.4], 0), ([0.3, 0.7], label)], [], tau=0.9, lam1=0.5)
 
 
+class TestNanProbabilities:
+    """A NaN anywhere in a probability row fails the row checks."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("row", [[NAN, NAN], [NAN, 0.5], [1.0, NAN]])
+    def test_gate_rejects(self, row):
+        with pytest.raises(ContractError):
+            gate_pseudo_label(row, 0.5)
+
+    def test_select_k_rejects(self):
+        with pytest.raises(ContractError):
+            select_k([[self.NAN, self.NAN]], [[self.NAN, self.NAN]], 0.9)
+        with pytest.raises(ContractError):
+            select_k([[0.6, 0.4]], [[0.5, self.NAN]], 0.9)
+
+    def test_fixmatch_loss_rejects(self):
+        with pytest.raises(ContractError):
+            fixmatch_loss([([self.NAN, self.NAN], 0)], [], 0.5, 0.5)
+        with pytest.raises(ContractError):
+            fixmatch_loss([([0.6, 0.4], 0)], [([0.6, 0.4], [self.NAN, 0.4])], 0.5, 0.5)
+
+
 class TestFullmatchLoss:
     def test_degenerates_to_fixmatch_exactly(self, rng):
         for _ in range(50):
