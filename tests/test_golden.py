@@ -16,11 +16,19 @@ function over a few hundred seeded batches (tied, uniform and one-hot rows,
 sigma = j/B and 1, exact-threshold tau, and inputs with one fault each). It
 hashes each output's types and bits, and each exception's type and message.
 
+``STEP_DIGEST`` pins one training step as ``train()`` runs it (the weak and
+strong forwards, ``batch_terms``, ``loss_and_gradients`` and ``adam_step``)
+over a few hundred seeded random steps: every method, one-row labelled and
+unlabelled batches, k = 1 and k = C, every gate closed and every gate open,
+saturated softmax rows, ``intent_weight`` other than 1 and non-zero Adam
+state. It hashes the loss breakdown, the new parameters and Adam's moments.
+
 A change meant to keep training trajectories (a refactor, a speedup) leaves
 every digest unchanged. A change that moves trajectories by design updates
 these digests and says so in ``CHANGES.md``:
 ``PYTHONPATH=src python tests/test_golden.py`` prints ``LOSS_DIGEST``,
-``GOLDEN`` and ``GOLDEN_CLI`` as the current tree computes them.
+``STEP_DIGEST``, ``GOLDEN`` and ``GOLDEN_CLI`` as the current tree computes
+them.
 """
 
 import contextlib
@@ -38,6 +46,16 @@ import pytest
 from semimatch import losses
 from semimatch.cli import main
 from semimatch.data import GeneratorConfig, save_corpus, synthesize_corpus
+from semimatch.model import (
+    PARAM_FIELDS,
+    AdamState,
+    BatchLossSpec,
+    TwoHeadModel,
+    adam_step,
+    forward_batch,
+    init_model,
+    loss_and_gradients,
+)
 from semimatch.persist import checkpoint_to_text
 from semimatch.trainer import METHODS, TrainConfig, epoch_reports_csv, train
 
@@ -116,6 +134,9 @@ GOLDEN_CLI = {
 
 # sha256 of every record of loss_api_records(), first 16 hex digits
 LOSS_DIGEST = '9328820c7200958e'
+
+# sha256 of every record of step_records(), first 16 hex digits
+STEP_DIGEST = '01a4bb7d0c32cc76'
 
 
 def run_id(modality, kind, method, on_unlab):
@@ -311,6 +332,94 @@ def loss_digest() -> str:
     return sha16(repr(loss_api_records()).encode())
 
 
+def _step_case(rng, i: int):
+    """One seeded step's model, batches, decisions' settings and Adam state."""
+    method = METHODS[i % 3]
+    dim, hidden = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    model = init_model(dim, hidden, int(rng.integers(2, 8)), int(rng.integers(2, 9)), rng)
+    # large weights saturate the softmax, so clamped logs and 1 - p = 0 occur
+    scale = float(rng.choice([1.0, 1.0, 8.0, 300.0]))
+    model = TwoHeadModel(*(scale * getattr(model, f) for f in PARAM_FIELDS))
+    n_lab = 1 if i % 7 == 0 else int(rng.integers(1, 6))
+    n_unlab = 0 if method == "baseline" else 1 if i % 5 == 0 else int(rng.integers(1, 20))
+    lab_x = rng.normal(size=(n_lab, dim))
+    weak_x = rng.normal(size=(n_unlab, dim))
+    # a strong branch equal to the weak one puts every pseudo label at rank 1: k = 1
+    strong_x = weak_x.copy() if i % 4 == 0 else rng.normal(size=(n_unlab, dim))
+    spec = BatchLossSpec(
+        lab_features=lab_x,
+        emo_labels=rng.integers(0, model.n_emotion, n_lab),
+        int_labels=rng.integers(0, model.n_intent, n_lab),
+        coeffs=losses.LossCoefficients(*(float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+                                         for _ in range(3))),
+        intent_weight=float(rng.choice([1.0, 0.3, 2.5])))
+    # tau 1 closes every gate and a tiny tau opens every one; sigma 1 gives k = C
+    tau = float(rng.choice([1.0, 1e-9, rng.uniform(0.2, 0.95)]))
+    sigma = float(rng.choice([1.0, 0.05, rng.uniform(0.3, 0.99)]))
+    size = model.flat.size
+    state = AdamState(m=rng.normal(scale=0.01, size=size), v=rng.uniform(0.0, 1e-3, size),
+                      step=int(rng.integers(0, 60)))
+    lr = float(rng.choice([3e-3, 0.1]))
+    return method, model, spec, weak_x, strong_x, tau, sigma, state, lr
+
+
+def train_step(method, model, spec, weak_x, strong_x, tau, sigma, state, lr):
+    """One step of ``train()``'s loop: ``(loss, new model, new Adam state)``."""
+    strong = None
+    if method != "baseline":
+        spec.strong_features = strong_x
+        weak = forward_batch(model, weak_x)
+        strong = forward_batch(model, spec.strong_features, parts=True)
+        spec.emo_terms, spec.int_terms = losses.batch_terms(method, weak, strong[3:], tau, sigma)
+    result, grads = loss_and_gradients(model, spec, strong)
+    model, state = adam_step(model, grads, state, lr)
+    return result, model, state
+
+
+def step_records(steps: int = 240):
+    """``(canonical loss, new parameters and Adam state, or exception)`` per
+    seeded step, and the set of the step conditions the steps reached."""
+    rng = np.random.default_rng(2424)
+    records, reached = [], set()
+    for i in range(steps):
+        case = _step_case(rng, i)
+        try:
+            result, model, state = train_step(*case)
+        except Exception as exc:    # the exception's type and message are the output
+            records.append(f"raised {type(exc).__name__}: {exc}")
+            continue
+        records.append((canonical(result), canonical(model.flat), canonical(state)))
+        method, before, spec, _, strong_x = case[:5]
+        reached.add(method)
+        reached.update({"one labelled row"} if len(spec.lab_features) == 1 else ())
+        reached.update({"one unlabelled row"} if len(strong_x) == 1 else ())
+        reached.update({"intent weight not 1"} if spec.intent_weight != 1.0 else ())
+        x = strong_x if len(strong_x) else spec.lab_features
+        reached.update({"1 - p = 0"} if any((p == 1.0).any() for p in forward_batch(before, x))
+                       else ())
+        for terms, bd in ((spec.emo_terms, result.emo), (spec.int_terms, result.intent)):
+            if terms is None:
+                continue
+            reached.update({"all gates closed"} if not terms.gate.any() else ())
+            reached.update({"all gates open"} if terms.gate.all() else ())
+            if bd.k is not None:
+                reached.update({"k = 1"} if bd.k == 1 else ())
+                reached.update({"k = C"} if bd.k == terms.neg_mask.shape[1] else ())
+    return records, reached
+
+
+def step_digest() -> str:
+    return sha16(repr(step_records()[0]).encode())
+
+
+def test_step_digest_unchanged():
+    records, reached = step_records()
+    assert reached >= {*METHODS, "one labelled row", "one unlabelled row", "intent weight not 1",
+                       "1 - p = 0", "all gates closed", "all gates open", "k = 1", "k = C"}
+    assert not any(isinstance(r, str) for r in records)
+    assert sha16(repr(records).encode()) == STEP_DIGEST
+
+
 def test_loss_api_digest_unchanged():
     assert loss_digest() == LOSS_DIGEST
 
@@ -341,6 +450,7 @@ if __name__ == "__main__":
     # the dicts above when a change moves outputs by design; their diff names the
     # runs and files that moved.
     print(f"LOSS_DIGEST = {loss_digest()!r}")
+    print(f"STEP_DIGEST = {step_digest()!r}")
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
     print("GOLDEN = {")
     for cell in GRID:
