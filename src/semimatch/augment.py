@@ -77,6 +77,16 @@ def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
         raise ContractError("embedding table vocabulary does not match the sequence")
 
 
+def _check_sizes(name: str, sizes):
+    """Every sequence's size (its sample rate or vocabulary size) must be a
+    positive integer; a float, even a whole one or NaN, is not an integer."""
+    sizes = np.asarray(sizes)
+    if sizes.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be an integer")
+    if sizes.min() <= 0:
+        raise ContractError(f"{name} must be positive")
+
+
 class _Sequence:
     """What both payload types share: ``_FIELDS`` names the payload array and
     the per-sequence size, and ``_checked`` checks a concatenation of them."""
@@ -113,8 +123,7 @@ class SignalSequence(_Sequence):
             raise ContractError("signal must be a non-empty 1-D frame array")
         if not np.all(np.isfinite(frames)):
             raise ContractError("signal frames must be finite")
-        if min(sample_rates) <= 0:
-            raise ContractError("sample_rate must be positive")
+        _check_sizes("sample_rate", sample_rates)
         return frames
 
 
@@ -132,8 +141,7 @@ class TokenSequence(_Sequence):
         tokens = np.asarray(tokens, dtype=int)
         if tokens.ndim != 1 or min(lengths) < 1 or len(tokens) != sum(lengths):
             raise ContractError("token sequence must be non-empty and 1-D")
-        if min(vocab_sizes) <= 0:
-            raise ContractError("vocab_size must be positive")
+        _check_sizes("vocab_size", vocab_sizes)
         if tokens.min() < 0 or np.any(tokens >= np.repeat(vocab_sizes, lengths)):
             raise ContractError("token index outside the vocabulary")
         return tokens

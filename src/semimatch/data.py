@@ -486,8 +486,10 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
     if not labelled:
         raise ConfigError("make_batches needs a non-empty labelled pool")
     n_unlab = unlabelled_per_step(batch_size, unlabelled_ratio)
-    seed = [int(s) for s in np.atleast_1d(seed)]
+    seed = list(np.atleast_1d(seed))
+    require("seed", Rule.INTEGER, *seed)    # before int() could round a 1.7 or fail on a NaN
     require("seed", Rule.NON_NEGATIVE, *seed)
+    seed = [int(s) for s in seed]
     rng_lab = np.random.default_rng(seed + [31001])
     rng_unlab = np.random.default_rng(seed + [31002])
 

@@ -35,8 +35,8 @@ PROB_ATOL = 1e-6
 
 
 def safe_log(x):
-    """log with the argument clamped to [1e-12, 1]."""
-    return np.log(np.clip(x, CLAMP_MIN, 1.0))
+    """log with the argument clamped to [1e-12, 1], as ``np.clip`` clamps."""
+    return np.log(np.minimum(np.maximum(x, CLAMP_MIN), 1.0))
 
 
 def _as_prob_matrix(rows, what: str) -> np.ndarray:
@@ -45,10 +45,12 @@ def _as_prob_matrix(rows, what: str) -> np.ndarray:
         mat = mat[None, :]
     if mat.ndim != 2 or mat.shape[1] < 2:
         raise ContractError(f"{what}: expected vectors of at least 2 classes")
-    # each test states what a valid matrix satisfies, so a NaN fails it
-    if not (np.all(mat >= -1e-12) and np.all(mat <= 1 + 1e-12)):
+    # each test states what a valid matrix satisfies, so a NaN, which the
+    # reductions carry, fails it; the initial values pass an empty batch
+    if not (np.minimum.reduce(mat, axis=None, initial=0.0) >= -1e-12
+            and np.maximum.reduce(mat, axis=None, initial=1.0) <= 1 + 1e-12):
         raise ContractError(f"{what}: probabilities outside [0, 1]")
-    if not np.all(np.abs(mat.sum(axis=1) - 1.0) <= PROB_ATOL):
+    if not np.maximum.reduce(np.abs(np.add.reduce(mat, axis=1) - 1.0), initial=0.0) <= PROB_ATOL:
         raise ContractError(f"{what}: probability vectors must sum to 1")
     return mat
 
@@ -147,10 +149,10 @@ def rank_classes(probs) -> np.ndarray:
 
 
 def rank_matrix(probs: np.ndarray) -> np.ndarray:
-    """Row-wise rank assignment; rank 1 holds each row's maximum."""
-    order = np.argsort(-probs, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, probs.shape[1] + 1)[None, :], axis=1)
+    """Row-wise rank assignment; rank 1 holds each row's maximum. The
+    inverse of each row's stable descending order, by argsort, plus one."""
+    ranks = (-probs).argsort(axis=1, kind="stable").argsort(axis=1)
+    ranks += 1
     return ranks
 
 
@@ -162,7 +164,7 @@ def _checked_branches(weak_probs, strong_probs, what: str):
         strong_probs = _as_prob_matrix(strong_probs, f"{what} strong branch")
         if weak.shape != strong_probs.shape:
             raise ContractError("weak and strong batches must have identical shapes")
-    return weak, strong_probs, np.argmax(weak, axis=1)
+    return weak, strong_probs, weak.argmax(axis=1)
 
 
 def _cut(strong: np.ndarray, pseudo: np.ndarray, sigma: float) -> TopKSelection:
@@ -172,9 +174,9 @@ def _cut(strong: np.ndarray, pseudo: np.ndarray, sigma: float) -> TopKSelection:
     if b == 0:
         raise ConfigError("select_k requires a non-empty batch")
     pseudo_rank = rank_matrix(strong)[np.arange(b), pseudo]
-    acc = np.cumsum(np.bincount(pseudo_rank, minlength=n_classes + 1)[1:]) / b
-    beats = np.flatnonzero(acc > sigma)
-    k = int(beats[0]) + 1 if beats.size else n_classes
+    acc = np.bincount(pseudo_rank, minlength=n_classes + 1)[1:].cumsum() / b
+    # acc never falls, so the first k that beats sigma follows the k - 1 that do not
+    k = min(int(acc.searchsorted(sigma, "right")) + 1, n_classes)
     return TopKSelection(k=k, topk_accuracy=float(acc[k - 1]))
 
 
@@ -193,7 +195,7 @@ def _decide(method: str, checked, tau: float, sigma: float | None) -> list[TaskT
     The confidence gate is max > tau. fixmatch gives all tasks one gate, the
     AND of theirs; fullmatch keeps each task's gate and adds the cut k and
     the terms at it."""
-    gates = [weak.max(axis=1) > tau for weak, _, _ in checked]
+    gates = [np.maximum.reduce(weak, axis=1) > tau for weak, _, _ in checked]
     if len({len(gate) for gate in gates}) > 1:
         raise ContractError("the two tasks' batches differ in length")
     if method == "fullmatch":
@@ -305,7 +307,8 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
         if len(labels) != lab_probs.shape[-2]:
             raise ContractError("labelled probabilities and labels differ in length")
         _check_labels(labels, lab_probs.shape[-1])
-        l_sup = -np.mean(safe_log(lab_probs[..., np.arange(len(labels)), labels]), axis=-1)
+        rows = np.arange(len(labels))
+        l_sup = -np.add.reduce(safe_log(lab_probs[..., rows, labels]), axis=-1) / len(labels)
         labelled_empty = False
     else:
         l_sup, labelled_empty = 0.0, True
@@ -316,18 +319,20 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
     if strong_probs is not None and strong_probs.shape[-2] and terms is not None:
         b, n_classes = strong_probs.shape[-2:]
         picked = strong_probs[..., np.arange(b), terms.pseudo]
-        l_fix = -np.sum(terms.gate * safe_log(picked), axis=-1) / b
-        accepted = int(terms.gate.sum())
+        l_fix = -np.add.reduce(terms.gate * safe_log(picked), axis=-1) / b
+        accepted = int(np.count_nonzero(terms.gate))
         k = terms.k
+        if terms.neg_mask is not None or terms.mid_mask is not None:
+            log_rest = safe_log(1.0 - strong_probs)   # both rank terms' log(1 - p)
         if terms.neg_mask is not None:
-            l_neg = -np.sum(terms.neg_mask * safe_log(1.0 - strong_probs), axis=(-2, -1)) / b
+            l_neg = -np.add.reduce(terms.neg_mask * log_rest, axis=(-2, -1)) / b
         if terms.mid_mask is not None and terms.k >= 2:
             y = terms.soft_target[:, None]
-            bce = y * safe_log(strong_probs) + (1.0 - y) * safe_log(1.0 - strong_probs)
-            l_ent = -np.sum(terms.mid_mask * bce, axis=(-2, -1)) / (b * n_classes)
+            bce = y * safe_log(strong_probs) + (1.0 - y) * log_rest
+            l_ent = -np.add.reduce(terms.mid_mask * bce, axis=(-2, -1)) / (b * n_classes)
 
     total = l_sup + coeffs.unsup * l_fix + coeffs.negative * l_neg + coeffs.entropy * l_ent
-    if np.ndim(total) == 0:
+    if not isinstance(total, np.ndarray):
         l_sup, l_fix, l_neg, l_ent, total = map(float, (l_sup, l_fix, l_neg, l_ent, total))
     return LossBreakdown(l_sup=l_sup, l_fix_unsup=l_fix, l_neg=l_neg, l_ent=l_ent,
                          accepted_count=accepted, total=total,
@@ -336,7 +341,7 @@ def task_loss_from_terms(lab_probs: np.ndarray | None, labels: np.ndarray | None
 
 def _check_labels(labels: np.ndarray, n_classes: int):
     """Every label of a non-empty int array must index one of ``n_classes``."""
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes:
         raise ContractError("labels out of class range")
 
 

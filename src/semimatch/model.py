@@ -11,7 +11,9 @@ float64 vector in :data:`PARAM_FIELDS` order, of which the named arrays are
 views. Adam, the finiteness checks and the oracle each make one pass over it.
 A ``flat`` of shape ``(M, P)`` stacks M parameter sets along a leading axis of
 every array; the forward pass and ``batch_loss`` then give one result per set,
-bit-equal to M single-set calls. Backprop and Adam take one set.
+bit-equal to M single-set calls. Backprop and Adam take one set. A step is
+mostly per-call overhead at this package's sizes, so the step path calls
+ufuncs and their ``reduce``, not numpy's Python wrappers: the same bits.
 
 Gradient semantics: pseudo labels, confidence gates, the selected rank cut
 ``k``, rank masks, and soft targets are all frozen constants of the batch
@@ -67,7 +69,7 @@ class Gradients:
             end += size
 
     def _non_finite_field(self) -> str | None:
-        if not np.isfinite(self.flat).all():
+        if not np.logical_and.reduce(np.isfinite(self.flat), axis=None):
             return next(f for f in PARAM_FIELDS if not np.isfinite(getattr(self, f)).all())
 
     def copy(self):
@@ -75,7 +77,7 @@ class Gradients:
 
     @classmethod
     def zeros_like(cls, model: "TwoHeadModel") -> "Gradients":
-        return cls._wrap(np.zeros_like(model.flat), model._shapes)
+        return cls._wrap(np.zeros(model.flat.shape), model._shapes)
 
 
 class TwoHeadModel(Gradients):
@@ -100,6 +102,9 @@ class TwoHeadModel(Gradients):
                 raise ContractError(f"{name} head bias shape does not match head width")
             if w[1] < 2:
                 raise ContractError(f"{name} head needs at least 2 classes")
+        self._check_finite()
+
+    def _check_finite(self):
         if field := self._non_finite_field():
             raise NumericError(f"non-finite values in parameter {field}")
 
@@ -165,10 +170,11 @@ def init_model(input_dim: int, hidden_size: int, n_emotion: int, n_intent: int,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise float64 softmax, shifted by the row max for stability, in one buffer."""
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), dtype=float)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _forward_parts(model: TwoHeadModel, x: np.ndarray):
@@ -204,10 +210,9 @@ def forward_batch(model: TwoHeadModel, x: np.ndarray, parts: bool = False) -> tu
 
 def ce_logit_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample gradient of -log p[label] w.r.t. the logits: p - onehot."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
-    g = probs.copy()
-    g[np.arange(len(labels)), labels] -= 1.0
+    g = np.array(probs, dtype=float, ndmin=2)
+    labels = np.asarray(labels, dtype=int)
+    g[np.arange(labels.size), labels] -= 1.0
     return g
 
 
@@ -266,7 +271,7 @@ def batch_loss(model: TwoHeadModel, spec: BatchLossSpec) -> MultitaskLoss:
 
 def _check_finite_breakdown(name: str, bd: LossBreakdown):
     for field in ("l_sup", "l_fix_unsup", "l_neg", "l_ent", "total"):
-        if not np.isfinite(getattr(bd, field)):
+        if not math.isfinite(getattr(bd, field)):
             raise NumericError(f"{name} loss term {field} is not finite")
 
 
@@ -281,20 +286,22 @@ def _unsup_logit_grad(p: np.ndarray, terms: TaskTerms, coeffs: LossCoefficients,
     """
     b, n_classes = p.shape
     g = coeffs.unsup / b * terms.gate[:, None] * ce_logit_gradient(p, terms.pseudo)
+    if terms.neg_mask is None and terms.mid_mask is None:
+        return task_weight * g      # fixmatch: no rank terms
 
-    dl_dp = np.zeros_like(p)
+    dl_dp = 0.0     # summed from zero
     one_minus = 1.0 - p
-    inv_one_minus = np.where(one_minus > CLAMP_MIN, 1.0 / np.maximum(one_minus, CLAMP_MIN), 0.0)
+    inv_one_minus = np.divide(1.0, one_minus, out=np.zeros(p.shape), where=one_minus > CLAMP_MIN)
     if terms.neg_mask is not None and coeffs.negative != 0.0:
-        dl_dp += coeffs.negative / b * terms.neg_mask * inv_one_minus
+        dl_dp = dl_dp + coeffs.negative / b * terms.neg_mask * inv_one_minus
     if terms.mid_mask is not None and coeffs.entropy != 0.0:
-        inv_p = np.where(p > CLAMP_MIN, 1.0 / np.maximum(p, CLAMP_MIN), 0.0)
         y = terms.soft_target[:, None]
-        dl_dp += -coeffs.entropy / (b * n_classes) * terms.mid_mask * (
-            y * inv_p - (1.0 - y) * inv_one_minus)
-    if np.any(dl_dp):
+        dl_dp = dl_dp + -coeffs.entropy / (b * n_classes) * terms.mid_mask * (
+            y * np.divide(1.0, p, out=np.zeros(p.shape), where=p > CLAMP_MIN)
+            - (1.0 - y) * inv_one_minus)
+    if np.logical_or.reduce(dl_dp, axis=None):
         # softmax Jacobian: dL/du_j = p_j * (g_j - sum_c g_c p_c)
-        g = g + p * (dl_dp - (dl_dp * p).sum(axis=1, keepdims=True))
+        g += p * (dl_dp - np.add.reduce(dl_dp * p, axis=1, keepdims=True))
     return task_weight * g
 
 
@@ -313,14 +320,14 @@ def loss_and_gradients(model: TwoHeadModel, spec: BatchLossSpec,
     grads = Gradients.zeros_like(model)
 
     def accumulate(x, z, a, g_emo, g_int):
+        # += onto the zeros, not =: it turns a -0.0 entry into +0.0
         grads.w_emo += a.T @ g_emo
-        grads.b_emo += g_emo.sum(axis=0)
+        grads.b_emo += np.add.reduce(g_emo, axis=0)
         grads.w_int += a.T @ g_int
-        grads.b_int += g_int.sum(axis=0)
-        da = g_emo @ model.w_emo.T + g_int @ model.w_int.T
-        dz = da * (z > 0.0)
+        grads.b_int += np.add.reduce(g_int, axis=0)
+        dz = (g_emo @ model.w_emo.T + g_int @ model.w_int.T) * (z > 0.0)
         grads.w_trunk += x.T @ dz
-        grads.b_trunk += dz.sum(axis=0)
+        grads.b_trunk += np.add.reduce(dz, axis=0)
 
     if lab is not None:
         *_, p_emo, p_int = lab
@@ -357,12 +364,16 @@ def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState, lr: float
         raise ContractError(f"gradient shape mismatch for {field}")
     t = state.step + 1
     g = grads.flat
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_flat = model.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return TwoHeadModel._wrap(new_flat, model._shapes), AdamState(m=m, v=v, step=t)
+    m = beta1 * state.m     # fresh buffers, updated in place in the same order
+    m += (1.0 - beta1) * g
+    v = beta2 * state.v
+    v += (1.0 - beta2) * g * g
+    step = lr * (m / (1.0 - beta1 ** t))
+    step /= np.sqrt(v / (1.0 - beta2 ** t)) + eps
+    new = TwoHeadModel.__new__(TwoHeadModel)    # in model's layout, which passed its checks
+    Gradients._bind(new, model.flat - step, model._shapes)
+    new._check_finite()
+    return new, AdamState(m=m, v=v, step=t)
 
 
 def finite_difference_gradient(loss_fn, model: TwoHeadModel, eps: float = 1e-5) -> Gradients:

@@ -242,16 +242,18 @@ def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo
     as one ``Ragged`` batch."""
     if not samples:
         return np.empty((0, extractor.dim))
-    key = (extractor.modality, extractor.bins, extractor.max_token_len,
-           tuple(s.id for s in samples))
     if kind is not None:
         params = {keyword: getattr(config, name) for keyword, name in _AUG_PARAMS[kind].items()}
-        key += (kind, *params.values(), repr(rng.bit_generator.state))
-    if memo and key in memo:
-        x, state = memo[key]
-        if state is not None:
-            rng.bit_generator.state = state
-        return x
+    if memo is not None:
+        key = (extractor.modality, extractor.bins, extractor.max_token_len,
+               tuple(s.id for s in samples))
+        if kind is not None:
+            key += (kind, *params.values(), repr(rng.bit_generator.state))
+        if key in memo:
+            x, state = memo[key]
+            if state is not None:
+                rng.bit_generator.state = state
+            return x
     payloads = Ragged.of([s.payload for s in samples], type(samples[0].payload))
     if kind is not None and config.modality == "signal":
         payloads = augment_signal(payloads, kind, rng, **params)
@@ -281,12 +283,12 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
         lab_x = _rows(config, corpus, extractor, memo, lab, config.weak_aug_kind, rng_lab)
         weak_x = _rows(config, corpus, extractor, memo, unlab, weak_unlab_kind, rng_weak)
         strong_x = _rows(config, corpus, extractor, memo, unlab, config.strong_aug_kind, rng_strong)
-        lab_cuts = np.cumsum([len(lab_batch) for lab_batch, _ in block[:-1]])
-        unlab_cuts = np.cumsum([len(unlab_batch) for _, unlab_batch in block[:-1]])
-        for (lab_batch, unlab_batch), *rows in zip(
-                block, np.split(lab_x, lab_cuts), np.split(weak_x, unlab_cuts),
-                np.split(strong_x, unlab_cuts)):
-            yield lab_batch, unlab_batch, *rows
+        lab_end = unlab_end = 0
+        for lab_batch, unlab_batch in block:
+            lab_start, lab_end = lab_end, lab_end + len(lab_batch)
+            unlab_start, unlab_end = unlab_end, unlab_end + len(unlab_batch)
+            yield (lab_batch, unlab_batch, lab_x[lab_start:lab_end],
+                   weak_x[unlab_start:unlab_end], strong_x[unlab_start:unlab_end])
 
 
 def predict_probs(model: TwoHeadModel, samples, extractor: FeatureExtractor):

@@ -709,6 +709,36 @@ class TestSignalFromConcatenated:
             SignalSequence.from_concatenated(np.zeros((2, 2)), [2, 2], [16000, 16000])
 
 
+class TestPayloadSizes:
+    """A sample rate or vocabulary size is a positive integer of any integer
+    type: NaN, a fraction, a whole float and a bool are not integers."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SignalSequence(np.ones(3), sample_rate=float("nan")),
+         "sample_rate must be an integer"),
+        (lambda: SignalSequence(np.ones(3), sample_rate=16000.5), "sample_rate must be an integer"),
+        (lambda: SignalSequence(np.ones(3), sample_rate=16000.0), "sample_rate must be an integer"),
+        (lambda: SignalSequence(np.ones(3), sample_rate=True), "sample_rate must be an integer"),
+        (lambda: SignalSequence(np.ones(3), sample_rate=0), "sample_rate must be positive"),
+        (lambda: TokenSequence([1], vocab_size=float("nan")), "vocab_size must be an integer"),
+        (lambda: TokenSequence([1], vocab_size=30.5), "vocab_size must be an integer"),
+        (lambda: TokenSequence([1], vocab_size=-30), "vocab_size must be positive"),
+        (lambda: SignalSequence.from_concatenated([0.0, 1.0], [1, 1], [16000, float("nan")]),
+         "sample_rate must be an integer"),
+        (lambda: TokenSequence.from_concatenated([1, 2], [1, 1], [30, 30.5]),
+         "vocab_size must be an integer"),
+    ], ids=["rate-nan", "rate-fraction", "rate-whole-float", "rate-bool", "rate-zero",
+            "vocab-nan", "vocab-fraction", "vocab-negative", "batch-rate-nan",
+            "batch-vocab-fraction"])
+    def test_bad_size_rejected(self, make, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert SignalSequence(np.ones(3), sample_rate=np.int32(8000)).sample_rate == 8000
+        assert TokenSequence([1], vocab_size=np.uint16(30)).vocab_size == 30
+
+
 class TestRoleAssignment:
     def test_strong_and_weak_kinds(self):
         assert STRONG_SIGNAL_KIND == "gaussian_noise"

@@ -549,6 +549,20 @@ class TestMakeBatches:
             assert [s.id for s in la] == [s.id for s in lb]
             assert [s.id for s in ua] == [s.id for s in ub]
 
+    @pytest.mark.parametrize("seed", [1.7, float("nan"), 3.0, True, [2, 0.5]])
+    def test_seed_entries_must_be_integers(self, seed):
+        """A seed entry is checked before it is converted: 1.7 is not run as 1."""
+        lab, unlab = self._pools()
+        with pytest.raises(ConfigError, match="^seed must be an integer$"):
+            make_batches(lab, unlab, 8, 1.0, seed=seed)
+
+    def test_numpy_integer_seeds_equal_python_ones(self):
+        lab, unlab = self._pools()
+        ids = [[[s.id for s in batch] for batch in step]
+               for seed in ([7, 1], [np.int32(7), np.int64(1)], np.array([7, 1]))
+               for step in make_batches(lab, unlab, 8, 1.0, seed=seed)]
+        assert ids[:4] * 3 == ids
+
     def test_labelled_schedule_independent_of_mu(self):
         lab, unlab = self._pools()
         a = make_batches(lab, unlab, 8, 0.0, seed=7)

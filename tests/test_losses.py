@@ -390,6 +390,13 @@ class TestLabelRange:
         with pytest.raises(ContractError, match="labels out of class range"):
             task_loss_from_terms(probs, np.array(labels), None, None, LossCoefficients())
 
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 1]])
+    def test_task_loss_from_terms_rejects_a_length_mismatch(self, labels):
+        probs = np.array([[0.6, 0.4], [0.3, 0.7]])
+        with pytest.raises(ContractError,
+                           match="^labelled probabilities and labels differ in length$"):
+            task_loss_from_terms(probs, np.array(labels), None, None, LossCoefficients())
+
     @pytest.mark.parametrize("label", [-1, 2])
     def test_fixmatch_loss_rejects(self, label):
         with pytest.raises(ContractError, match="labels out of class range"):

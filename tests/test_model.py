@@ -270,6 +270,12 @@ class TestAdam:
         with pytest.raises(ConfigError):
             adam_step(model, Gradients.zeros_like(model), AdamState.zeros_like(model), lr=0.0)
 
+    def test_gradient_of_another_layout_rejected(self):
+        model = tiny_model(d=2)
+        grads = Gradients.zeros_like(tiny_model(d=3))
+        with pytest.raises(ContractError, match="^gradient shape mismatch for w_trunk$"):
+            adam_step(model, grads, AdamState.zeros_like(model), lr=0.1)
+
 
 class TestModelValidation:
     def test_inconsistent_shapes_rejected(self):
@@ -281,6 +287,27 @@ class TestModelValidation:
         with pytest.raises(ContractError):
             TwoHeadModel(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 1)),
                          np.zeros(1), np.zeros((4, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("field, shape, message", [
+        ("w_trunk", (12,), "trunk weights must be a 2-D matrix"),
+        ("w_emo", (5, 2), "emotion head input width does not match trunk output"),
+        ("w_int", (3, 2), "intent head input width does not match trunk output"),
+        ("b_emo", (3,), "emotion head bias shape does not match head width"),
+        ("b_int", (2, 1), "intent head bias shape does not match head width"),
+    ])
+    def test_layout_checks_name_the_part(self, field, shape, message):
+        arrays = {"w_trunk": np.zeros((3, 4)), "b_trunk": np.zeros(4), "w_emo": np.zeros((4, 2)),
+                  "b_emo": np.zeros(2), "w_int": np.zeros((4, 2)), "b_int": np.zeros(2)}
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            TwoHeadModel(**arrays)
+
+    def test_non_finite_loss_term_named(self):
+        """A NaN feature makes the loss NaN; the loss check names the task and term."""
+        spec = BatchLossSpec(lab_features=np.array([[math.nan, 0.0]]), emo_labels=np.array([0]),
+                             int_labels=np.array([1]))
+        with pytest.raises(NumericError, match="^emotion loss term l_sup is not finite$"):
+            loss_and_gradients(tiny_model(), spec)
 
 
 class TestParameterLayout:
