@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, Rule, require
+from .errors import ConfigError, ContractError, Rule, is_integer, require
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -79,11 +79,13 @@ def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
 
 def _check_sizes(name: str, sizes):
     """Every sequence's size (its sample rate or vocabulary size) must be a
-    positive integer; a float, even a whole one or NaN, is not an integer."""
-    sizes = np.asarray(sizes)
-    if sizes.dtype.kind not in "iu":
+    positive integer: ``sizes`` is an integer array or a list of integers (a
+    float, even a whole one or NaN, is not one). A construction passes a
+    one-item list, which this checks without building an array."""
+    if not (sizes.dtype.kind in "iu" if isinstance(sizes, np.ndarray)
+            else all(map(is_integer, sizes))):
         raise ContractError(f"{name} must be an integer")
-    if sizes.min() <= 0:
+    if min(sizes) <= 0:
         raise ContractError(f"{name} must be positive")
 
 

@@ -12,6 +12,7 @@ from semimatch.model import (
     AdamState,
     BatchLossSpec,
     Gradients,
+    TaskProbs,
     TwoHeadModel,
     adam_step,
     backprop,
@@ -301,6 +302,10 @@ class TestModelValidation:
         arrays[field] = np.zeros(shape)
         with pytest.raises(ContractError, match=f"^{message}$"):
             TwoHeadModel(**arrays)
+
+    def test_task_probs_must_be_vectors(self):
+        with pytest.raises(ContractError, match="^emo probabilities must be a vector$"):
+            TaskProbs(emo=np.full((1, 2), 0.5), intent=np.full(2, 0.5))
 
     def test_non_finite_loss_term_named(self):
         """A NaN feature makes the loss NaN; the loss check names the task and term."""
