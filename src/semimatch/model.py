@@ -289,7 +289,7 @@ def _unsup_logit_grad(p: np.ndarray, terms: TaskTerms, coeffs: LossCoefficients,
     if terms.neg_mask is None and terms.mid_mask is None:
         return task_weight * g      # fixmatch: no rank terms
 
-    dl_dp = 0.0     # summed from zero
+    dl_dp = 0.0     # the terms' sum starts from +0.0, as it did from a zeros array
     one_minus = 1.0 - p
     inv_one_minus = np.divide(1.0, one_minus, out=np.zeros(p.shape), where=one_minus > CLAMP_MIN)
     if terms.neg_mask is not None and coeffs.negative != 0.0:

@@ -62,7 +62,7 @@ def run_steps(method: str, width: int, data: list, steps: int) -> float:
             strong = trainer.forward_batch(model, spec.strong_features, parts=True)
             spec.emo_terms, spec.int_terms = trainer.batch_terms(
                 method, weak, strong[3:], config.tau, config.sigma)
-        result, grads = trainer.loss_and_gradients(model, spec, strong)
+        _, grads = trainer.loss_and_gradients(model, spec, strong)
         model, state = trainer.adam_step(model, grads, state, 2e-2)
     return (time.perf_counter() - start) / steps
 
