@@ -35,8 +35,9 @@ class NumericError(SemimatchError):
 
 
 def is_integer(value) -> bool:
-    """Whether ``value`` has an integer type; a bool or a whole float has not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """Whether ``value`` has an integer type; a bool or a whole float has not.
+    An ``int`` is answered first: the ``Integral`` check is an ABC lookup."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Rule:
