@@ -23,12 +23,18 @@ unlabelled batches, k = 1 and k = C, every gate closed and every gate open,
 saturated softmax rows, ``intent_weight`` other than 1 and non-zero Adam
 state. It hashes the loss breakdown, the new parameters and Adam's moments.
 
+``CORPUS_DIGEST`` pins what ``synthesize_corpus`` generates: the
+``corpus_to_text`` bytes of a grid of ``GeneratorConfig`` recipes, among them
+both criterion-7 corpora (200 labelled / 5000 unlabelled, signal and tokens),
+mixed modalities, zero separation, one-frame and fixed lengths, no unlabelled
+samples and several seeds.
+
 A change meant to keep training trajectories (a refactor, a speedup) leaves
 every digest unchanged. A change that moves trajectories by design updates
 these digests and says so in ``CHANGES.md``:
-``PYTHONPATH=src python tests/test_golden.py`` prints ``LOSS_DIGEST``,
-``STEP_DIGEST``, ``GOLDEN`` and ``GOLDEN_CLI`` as the current tree computes
-them.
+``PYTHONPATH=src python tests/test_golden.py`` prints ``CORPUS_DIGEST``,
+``LOSS_DIGEST``, ``STEP_DIGEST``, ``GOLDEN`` and ``GOLDEN_CLI`` as the current
+tree computes them.
 """
 
 import contextlib
@@ -45,7 +51,7 @@ import pytest
 
 from semimatch import losses
 from semimatch.cli import main
-from semimatch.data import GeneratorConfig, save_corpus, synthesize_corpus
+from semimatch.data import GeneratorConfig, corpus_to_text, save_corpus, synthesize_corpus
 from semimatch.model import (
     PARAM_FIELDS,
     AdamState,
@@ -132,6 +138,9 @@ GOLDEN_CLI = {
     "fused/fused_metrics.json": 'fec169d1277d6b1c',
 }
 
+# sha256 of the corpus_to_text bytes of every CORPUS_GRID recipe, first 16 hex digits
+CORPUS_DIGEST = 'a14490afb3efe93b'
+
 # sha256 of every record of loss_api_records(), first 16 hex digits
 LOSS_DIGEST = '9328820c7200958e'
 
@@ -148,6 +157,31 @@ def corpus_for(modality):
         emotion_counts=(12, 12, 12), intent_counts=(18, 18), unlabelled_count=60,
         min_len=40, max_len=80, separation=0.8, correlation=0.0,
         modality_mix=1.0 if modality == "signal" else 0.0, seed=5))
+
+
+CRITERION_7 = dict(emotion_counts=(29, 29, 29, 29, 28, 28, 28), intent_counts=(25,) * 8,
+                   unlabelled_count=5000, min_len=160, max_len=320, separation=1.5,
+                   correlation=0.8, seed=100)
+SMALL = dict(emotion_counts=(3, 4, 5), intent_counts=(6, 6), unlabelled_count=70,
+             min_len=20, max_len=50, separation=0.8, correlation=0.5)
+CORPUS_GRID = [
+    *(dict(CRITERION_7, modality_mix=mix) for mix in (1.0, 0.0)),
+    *(dict(SMALL, modality_mix=mix, seed=seed) for mix in (0.0, 0.5, 1.0) for seed in (0, 1, 7)),
+    dict(SMALL, modality_mix=0.5, separation=0.0, seed=3),
+    dict(SMALL, modality_mix=0.5, separation=4.0, vocab_size=2, sample_rate=8000, seed=3),
+    dict(SMALL, modality_mix=0.5, min_len=1, max_len=3, seed=4),
+    dict(SMALL, modality_mix=0.5, min_len=1, max_len=1, seed=4),
+    dict(SMALL, modality_mix=0.5, min_len=33, max_len=33, seed=5),
+    dict(SMALL, modality_mix=0.5, unlabelled_count=0, seed=6),
+    dict(SMALL, modality_mix=0.0, unlabelled_count=0, correlation=1.0, seed=6),
+]
+
+
+def corpus_digest() -> str:
+    sha = hashlib.sha256()
+    for recipe in CORPUS_GRID:
+        sha.update(corpus_to_text(synthesize_corpus(GeneratorConfig(**recipe))).encode())
+    return sha.hexdigest()[:16]
 
 
 def trained(modality, kind, method, on_unlab, corpus):
@@ -420,6 +454,10 @@ def test_step_digest_unchanged():
     assert sha16(repr(records).encode()) == STEP_DIGEST
 
 
+def test_corpus_digest_unchanged():
+    assert corpus_digest() == CORPUS_DIGEST
+
+
 def test_loss_api_digest_unchanged():
     assert loss_digest() == LOSS_DIGEST
 
@@ -446,9 +484,10 @@ def test_eval_and_fuse_digests_unchanged(tmp_path):
 
 
 if __name__ == "__main__":
-    # Print LOSS_DIGEST, GOLDEN and GOLDEN_CLI as the current tree computes them, to paste over
-    # the dicts above when a change moves outputs by design; their diff names the
-    # runs and files that moved.
+    # Print CORPUS_DIGEST, LOSS_DIGEST, STEP_DIGEST, GOLDEN and GOLDEN_CLI as the current
+    # tree computes them, to paste over the values above when a change moves outputs by
+    # design; the dicts' diff names the runs and files that moved.
+    print(f"CORPUS_DIGEST = {corpus_digest()!r}")
     print(f"LOSS_DIGEST = {loss_digest()!r}")
     print(f"STEP_DIGEST = {step_digest()!r}")
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
