@@ -25,8 +25,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
-from .errors import ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields
+from .augment import (
+    MODALITIES,
+    EmbeddingTable,
+    Ragged,
+    SignalSequence,
+    SynonymLexicon,
+    TokenSequence,
+)
+from .errors import (
+    ConfigError,
+    ContractError,
+    Rule,
+    SchemaError,
+    SemimatchError,
+    require,
+    require_finite_fields,
+)
 from .fileio import (
     CORPUS_FORMAT,
     atomic_write_text,
@@ -224,10 +239,19 @@ class GeneratorConfig:
 
 
 _N_SEGMENTS = 8
+_BLOCK = 64   # samples generated or loaded, then checked, together
+
+
+def _draw_tokens(cdf: np.ndarray, size: int, rng) -> np.ndarray:
+    """``size`` tokens from the CDF of ``probs``, as ``rng.choice(len(probs),
+    size=size, p=probs)`` draws them: the same tokens, dtype and generator state."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 class _PayloadFactory:
-    """Class-conditional payload generators shared by labelled/unlabelled."""
+    """Class-conditional payload draws shared by labelled/unlabelled. Each
+    (emotion, intent) class's table (its signal levels or its token CDF) and
+    each length's segment index and texture are built once, on first use."""
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
@@ -237,27 +261,56 @@ class _PayloadFactory:
         self.signal_int = rng.standard_normal((n_int, _N_SEGMENTS))
         self.token_emo = rng.standard_normal((n_emo, config.vocab_size))
         self.token_int = rng.standard_normal((n_int, config.vocab_size))
+        self._tables: dict[tuple, np.ndarray] = {}
+        self._shapes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _length(self, rng):
         return int(rng.integers(self.config.min_len, self.config.max_len + 1))
 
-    def signal(self, emotion: int, intent: int, rng) -> SignalSequence:
-        cfg = self.config
-        n = self._length(rng)
-        t = np.arange(n)
-        seg = (t * _N_SEGMENTS) // n
-        sig = cfg.separation * (self.signal_emo[emotion][seg] + self.signal_int[intent][seg])
-        texture = 0.2 * np.sin(2.0 * np.pi * 4.0 * t / n)
-        frames = sig + texture + rng.standard_normal(n)
-        return SignalSequence(frames=frames, sample_rate=cfg.sample_rate)
+    def _table(self, modality: str, emotion: int, intent: int) -> np.ndarray:
+        key = (modality, emotion, intent)
+        if (table := self._tables.get(key)) is None:
+            separation = self.config.separation
+            if modality == "signal":
+                table = separation * (self.signal_emo[emotion] + self.signal_int[intent])
+            else:
+                logits = separation * (self.token_emo[emotion] + self.token_int[intent])
+                probs = np.exp(logits - logits.max())
+                probs /= probs.sum()
+                table = probs.cumsum()   # the CDF Generator.choice draws by
+                table /= table[-1]
+            if not np.isfinite(table).all():
+                raise ConfigError(f"separation {separation!r} is too large: class "
+                                  f"({emotion}, {intent}) gets non-finite {modality} evidence")
+            self._tables[key] = table
+        return table
 
-    def tokens(self, emotion: int, intent: int, rng) -> TokenSequence:
-        cfg = self.config
-        logits = cfg.separation * (self.token_emo[emotion] + self.token_int[intent])
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        toks = rng.choice(cfg.vocab_size, size=self._length(rng), p=probs)
-        return TokenSequence(tokens=toks, vocab_size=cfg.vocab_size)
+    def signal(self, emotion: int, intent: int, rng) -> np.ndarray:
+        n = self._length(rng)
+        if (shape := self._shapes.get(n)) is None:
+            t = np.arange(n)
+            shape = self._shapes[n] = ((t * _N_SEGMENTS) // n,
+                                       0.2 * np.sin(2.0 * np.pi * 4.0 * t / n))
+        seg, texture = shape
+        return self._table("signal", emotion, intent)[seg] + texture + rng.standard_normal(n)
+
+    def tokens(self, emotion: int, intent: int, rng) -> np.ndarray:
+        cdf = self._table("tokens", emotion, intent)
+        return _draw_tokens(cdf, self._length(rng), rng)
+
+
+def _samples(parts) -> list[Sample]:
+    """Samples from ``(id, modality, values, size, emotion, intent)`` parts.
+    The payloads of each modality are views of one array, checked once."""
+    payloads = {}
+    for modality, seq_type in zip(MODALITIES, (SignalSequence, TokenSequence)):
+        if mine := [part for part in parts if part[1] == modality]:
+            payloads[modality] = iter(Ragged.checked(
+                seq_type, np.concatenate([part[2] for part in mine]),
+                [len(part[2]) for part in mine], [part[3] for part in mine]))
+    return [Sample(id=sample_id, modality=modality, payload=next(payloads[modality]),
+                   emotion=emotion, intent=intent)
+            for sample_id, modality, _, _, emotion, intent in parts]
 
 
 def _paired_labels(config: GeneratorConfig, rng) -> list[tuple[int, int]]:
@@ -290,29 +343,32 @@ def synthesize_corpus(config: GeneratorConfig) -> Corpus:
         embedding = EmbeddingTable.from_seed(
             config.vocab_size, config.embedding_dim, seed=config.seed, group_size=3)
 
-    def build(index: int, prefix: str, emotion, intent, labelled: bool) -> Sample:
-        is_signal = payload_rng.random() < config.modality_mix
-        if is_signal:
-            payload = factory.signal(emotion, intent, payload_rng)
-        else:
-            payload = factory.tokens(emotion, intent, payload_rng)
-        return Sample(id=f"{prefix}-{index:06d}",
-                      modality="signal" if is_signal else "tokens",
-                      payload=payload,
-                      emotion=emotion if labelled else None,
-                      intent=intent if labelled else None)
+    def draws():
+        """Each sample's (id, emotion, intent, labelled), an unlabelled one's
+        class drawn from ``payload_rng`` just before its payload."""
+        for i, (e, c) in enumerate(pairs):
+            yield f"lab-{i:06d}", e, c, True
+        for i in range(config.unlabelled_count):
+            e, c = pairs[int(payload_rng.integers(0, len(pairs)))]
+            yield f"unl-{i:06d}", e, c, False
 
-    labelled = [build(i, "lab", e, c, True) for i, (e, c) in enumerate(pairs)]
-    unlabelled = []
-    for i in range(config.unlabelled_count):
-        e, c = pairs[int(payload_rng.integers(0, len(pairs)))]
-        unlabelled.append(build(i, "unl", e, c, False))
+    samples, block = [], []
+    for sample_id, emotion, intent, labelled in draws():
+        if payload_rng.random() < config.modality_mix:
+            part = ("signal", factory.signal(emotion, intent, payload_rng), config.sample_rate)
+        else:
+            part = ("tokens", factory.tokens(emotion, intent, payload_rng), config.vocab_size)
+        block.append((sample_id, *part, *((emotion, intent) if labelled else (None, None))))
+        if len(block) == _BLOCK:
+            samples += _samples(block)
+            block = []
+    samples += _samples(block)
 
     emotion_names = list(config.emotion_names or
                          (f"emotion_{i}" for i in range(len(config.emotion_counts))))
     intent_names = list(config.intent_names or
                         (f"intent_{i}" for i in range(len(config.intent_counts))))
-    return Corpus(labelled=labelled, unlabelled=unlabelled,
+    return Corpus(labelled=samples[:len(pairs)], unlabelled=samples[len(pairs):],
                   emotion_names=emotion_names, intent_names=intent_names,
                   lexicon=lexicon, embedding=embedding)
 
@@ -381,7 +437,7 @@ _RECORD_KEYS = {
 
 def _frames(value) -> np.ndarray:
     """Version-2 signal frames: strict base64 of little-endian float64 bytes,
-    decoded into a writable native float64 array."""
+    as a read-only view of the decoded bytes."""
     if type(value) is not str:
         raise SchemaError("frames must be a base64 JSON string")
     try:
@@ -390,10 +446,14 @@ def _frames(value) -> np.ndarray:
         raise SchemaError(f"frames: {exc}") from exc
     if len(raw) % 8:
         raise SchemaError(f"frames holds {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, "<f8").astype(float)
+    return np.frombuffer(raw, "<f8")
 
 
-def _parse_record(record: dict, embedding: EmbeddingTable | None, version: int) -> Sample:
+def _record_parts(record: dict, embedding: EmbeddingTable | None, version: int,
+                  alone: bool) -> tuple:
+    """A record's ``(id, modality, values, size, emotion, intent)``, its fields
+    checked in a fixed order. The payload checks run in that order too when
+    the record is checked ``alone``; a block runs them once, in ``_samples``."""
     modality = record["modality"]
     has_emo, has_int = "emotion" in record, "intent" in record
     if has_emo != has_int:
@@ -406,28 +466,35 @@ def _parse_record(record: dict, embedding: EmbeddingTable | None, version: int) 
     if modality == "signal":
         if version == 1 and not set(map(type, record["payload"])) <= {int, float}:
             raise SchemaError("signal payload must be a list of JSON numbers")
-        frames = (_frames(record["frames"]) if version == 2
+        values = (_frames(record["frames"]) if version == 2
                   else np.asarray(record["payload"], dtype=float))
-        seq = SignalSequence(frames=frames,
-                             sample_rate=json_int(record["sample_rate"], "sample_rate"))
+        size = json_int(record["sample_rate"], "sample_rate")
+        if alone:
+            SignalSequence(frames=values, sample_rate=size)
     else:
         payload = record["payload"]
         if not set(map(type, payload)) <= {int}:
             raise SchemaError("token payload must be a list of JSON integers")
-        seq = TokenSequence(tokens=np.asarray(payload, dtype=int),
-                            vocab_size=json_int(record["vocab_size"], "vocab_size"))
-        if embedding is not None and seq.vocab_size != embedding.vocab_size:
+        values = np.asarray(payload, dtype=int)
+        size = json_int(record["vocab_size"], "vocab_size")
+        if alone:
+            TokenSequence(tokens=values, vocab_size=size)
+        if embedding is not None and size != embedding.vocab_size:
             raise SchemaError("vocab_size differs from the embedding table")
-    return Sample(id=json_str(record["id"], "id"), modality=modality, payload=seq,
-                  emotion=json_int(record["emotion"], "emotion") if has_emo else None,
-                  intent=json_int(record["intent"], "intent") if has_int else None)
+    return (json_str(record["id"], "id"), modality, values, size,
+            json_int(record["emotion"], "emotion") if has_emo else None,
+            json_int(record["intent"], "intent") if has_int else None)
 
 
 def load_corpus(path: str) -> Corpus:
-    """Parse a corpus file, one line at a time; errors name the file and
-    the offending 1-based line."""
+    """Parse a corpus file, one block of records at a time; errors name the
+    file and the offending 1-based line.
+
+    A fault anywhere in a block, or in the file after it, is reported as the
+    first record that fails checked alone, so errors keep their file order."""
     records = read_jsonl(path, CORPUS_FORMAT)
     _, header = next(records)
+    version = header["version"]
     lexicon = embedding = None
     with located(f"{path} line 1"):
         if header.get("lexicon"):
@@ -444,13 +511,32 @@ def load_corpus(path: str) -> Corpus:
                 lexicon.validate(embedding.vocab_size)
         emotion_names = name_list(header.get("emotion_names", []), "emotion_names")
         intent_names = name_list(header.get("intent_names", []), "intent_names")
-    labelled, unlabelled = [], []
-    for line_no, record in records:
-        with located(f"{path} line {line_no}"):
-            sample = _parse_record(record, embedding, header["version"])
-        (labelled if sample.is_labelled else unlabelled).append(sample)
+
+    def parsed(block) -> list[Sample]:
+        parts = []
+        for line_no, record in block:
+            with located(f"{path} line {line_no}"):
+                parts.append(_record_parts(record, embedding, version, alone=False))
+        with located(f"{path} lines {block[0][0]}-{block[-1][0]}"):
+            return _samples(parts)
+
+    samples, block = [], []   # block: the (line number, record) pairs read, not yet parsed
+    try:
+        for item in records:
+            block.append(item)
+            if len(block) == _BLOCK:
+                samples += parsed(block)
+                block = []
+        if block:
+            samples += parsed(block)
+    except (SemimatchError, OSError):
+        for line_no, record in block:
+            with located(f"{path} line {line_no}"):
+                _record_parts(record, embedding, version, alone=True)
+        raise
     with located(f"{path}: corpus invariant violated"):
-        return Corpus(labelled=labelled, unlabelled=unlabelled,
+        return Corpus(labelled=[s for s in samples if s.is_labelled],
+                      unlabelled=[s for s in samples if not s.is_labelled],
                       emotion_names=emotion_names, intent_names=intent_names,
                       lexicon=lexicon, embedding=embedding, source=path)
 

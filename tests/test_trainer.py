@@ -428,8 +428,8 @@ class TestRaggedBranches:
     def test_no_sequence_objects_in_between(self, method, modality, weak_kind, monkeypatch):
         def refuse(batch):
             raise AssertionError("a branch was cut into sequences")
+        corpus = quick_corpus() if modality == "signal" else tokens_corpus()   # cut per block
         monkeypatch.setattr(Ragged, "__iter__", refuse)
-        corpus = quick_corpus() if modality == "signal" else tokens_corpus()
         run(quick_config(method=method, modality=modality, weak_aug_kind=weak_kind, epochs=1),
             corpus)
 
