@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, Rule, is_integer, require
+from .errors import ConfigError, ContractError, Rule, require
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -79,13 +79,14 @@ def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
 
 def _check_sizes(name: str, sizes):
     """Every sequence's size (its sample rate or vocabulary size) must be a
-    positive integer: ``sizes`` is an integer array or a list of integers (a
-    float, even a whole one or NaN, is not one). A construction passes a
-    one-item list, which this checks without building an array."""
-    if not (sizes.dtype.kind in "iu" if isinstance(sizes, np.ndarray)
-            else all(map(is_integer, sizes))):
+    positive integer that an int64 holds. ``sizes``, one item or a batch's,
+    is checked as one numpy array, so both keep one rule: its dtype must be
+    an integer one (a float, even a whole one or NaN, a bool, or an integer
+    past the int64 range gives another dtype)."""
+    sizes = np.asarray(sizes)
+    if sizes.dtype.kind not in "iu" or sizes.max() > np.iinfo(np.int64).max:
         raise ContractError(f"{name} must be an integer")
-    if min(sizes) <= 0:
+    if sizes.min() <= 0:
         raise ContractError(f"{name} must be positive")
 
 

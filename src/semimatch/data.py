@@ -242,8 +242,15 @@ _N_SEGMENTS = 8
 _BLOCK = 64   # samples generated or loaded, then checked, together
 
 
+def _token_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF by which ``Generator.choice(len(probs), p=probs)`` draws."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _draw_tokens(cdf: np.ndarray, size: int, rng) -> np.ndarray:
-    """``size`` tokens from the CDF of ``probs``, as ``rng.choice(len(probs),
+    """``size`` tokens from ``_token_cdf(probs)``, as ``rng.choice(len(probs),
     size=size, p=probs)`` draws them: the same tokens, dtype and generator state."""
     return cdf.searchsorted(rng.random(size), side="right")
 
@@ -271,17 +278,17 @@ class _PayloadFactory:
         key = (modality, emotion, intent)
         if (table := self._tables.get(key)) is None:
             separation = self.config.separation
-            if modality == "signal":
-                table = separation * (self.signal_emo[emotion] + self.signal_int[intent])
-            else:
-                logits = separation * (self.token_emo[emotion] + self.token_int[intent])
-                probs = np.exp(logits - logits.max())
-                probs /= probs.sum()
-                table = probs.cumsum()   # the CDF Generator.choice draws by
-                table /= table[-1]
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                if modality == "signal":
+                    table = separation * (self.signal_emo[emotion] + self.signal_int[intent])
+                else:
+                    logits = separation * (self.token_emo[emotion] + self.token_int[intent])
+                    probs = np.exp(logits - logits.max())
+                    probs /= probs.sum()
+                    table = _token_cdf(probs)
             if not np.isfinite(table).all():
-                raise ConfigError(f"separation {separation!r} is too large: class "
-                                  f"({emotion}, {intent}) gets non-finite {modality} evidence")
+                raise ConfigError(f"separation {separation!r} is too large: the {modality} "
+                                  f"table of class ({emotion}, {intent}) is not finite")
             self._tables[key] = table
         return table
 

@@ -23,6 +23,8 @@ probabilities of the labelled pass and the strongly-augmented pass.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +42,14 @@ from .losses import (
 )
 
 PARAM_FIELDS = ("w_trunk", "b_trunk", "w_emo", "b_emo", "w_int", "b_int")
+
+
+@functools.cache
+def _layout(shapes: tuple) -> tuple:
+    """Each field's ``(name, slice of flat's last axis, shape)`` in the layout of ``shapes``."""
+    ends = itertools.accumulate(math.prod(shape) for shape in shapes)
+    return tuple((field, slice(end - math.prod(shape), end), shape)
+                 for field, shape, end in zip(PARAM_FIELDS, shapes, ends))
 
 
 class Gradients:
@@ -62,11 +72,9 @@ class Gradients:
         return out
 
     def _bind(self, flat: np.ndarray, shapes: tuple):
-        self.flat, self._shapes, end = flat, shapes, 0
-        for field, shape in zip(PARAM_FIELDS, shapes):
-            size = math.prod(shape)
-            setattr(self, field, flat[..., end:end + size].reshape(flat.shape[:-1] + shape))
-            end += size
+        self.flat, self._shapes, lead = flat, shapes, flat.shape[:-1]
+        for field, span, shape in _layout(shapes):
+            setattr(self, field, flat[..., span].reshape(lead + shape))
 
     def _non_finite_field(self) -> str | None:
         if not np.logical_and.reduce(np.isfinite(self.flat), axis=None):

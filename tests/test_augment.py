@@ -727,12 +727,36 @@ class TestPayloadSizes:
          "sample_rate must be an integer"),
         (lambda: TokenSequence.from_concatenated([1, 2], [1, 1], [30, 30.5]),
          "vocab_size must be an integer"),
+        (lambda: SignalSequence(np.ones(5), sample_rate=10 ** 30), "sample_rate must be an integer"),
+        (lambda: SignalSequence(np.ones(5), sample_rate=2 ** 63), "sample_rate must be an integer"),
+        (lambda: TokenSequence([1], vocab_size=10 ** 30), "vocab_size must be an integer"),
+        (lambda: TokenSequence([1], vocab_size=np.uint64(2 ** 63)), "vocab_size must be an integer"),
     ], ids=["rate-nan", "rate-fraction", "rate-whole-float", "rate-bool", "rate-zero",
             "vocab-nan", "vocab-fraction", "vocab-negative", "batch-rate-nan",
-            "batch-vocab-fraction"])
+            "batch-vocab-fraction", "rate-past-int64", "rate-2**63", "vocab-past-int64",
+            "vocab-uint64-2**63"])
     def test_bad_size_rejected(self, make, message):
         with pytest.raises(ContractError, match=f"^{message}$"):
             make()
+
+    @pytest.mark.parametrize("size", [2 ** 63 - 1, 2 ** 63, 10 ** 30])
+    def test_one_rule_for_one_sequence_and_a_batch(self, size):
+        """A size a lone sequence takes, a batch of it and of another takes too,
+        and an augmentation of the sequence keeps it."""
+        def outcome(make):
+            try:
+                return make()
+            except ContractError as exc:
+                return str(exc)
+        alone = outcome(lambda: SignalSequence(np.ones(5), sample_rate=size))
+        batch = outcome(lambda: SignalSequence.from_concatenated(np.ones(6), [5, 1],
+                                                                 [size, 16000]))
+        assert isinstance(alone, str) == isinstance(batch, str)
+        if isinstance(alone, str):
+            assert alone == batch == "sample_rate must be an integer"
+        else:
+            flipped = flip_segment(alone, np.random.default_rng(0))
+            assert flipped.sample_rate == size
 
     def test_numpy_integer_sizes_accepted(self):
         assert SignalSequence(np.ones(3), sample_rate=np.int32(8000)).sample_rate == 8000

@@ -312,6 +312,17 @@ class TestGenData:
         assert main(["gen-data", "--config", "nope.cfg", "--out", "x.jsonl"]) == 1
         assert "nope.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mix, modality", [("0.0", "tokens"), ("1.0", "signal")])
+    def test_separation_too_large_for_a_class_table(self, workdir, capsys, mix, modality):
+        """One error line, no traceback, no numpy warning and no corpus file."""
+        (workdir / "huge.cfg").write_text(GEN_CFG.replace("separation = 1.0", "separation = 1e308")
+                                          + f"modality_mix = {mix}\n")
+        assert main(["gen-data", "--config", "huge.cfg", "--out", "huge.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: separation 1e+308 is too large: the {modality} table of "
+                              "class (") and err.endswith(") is not finite\n")
+        assert err.count("\n") == 1 and not (workdir / "huge.jsonl").exists()
+
 
 class TestTrain:
     def test_outputs_written(self, workdir):

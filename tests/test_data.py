@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimatch.augment import SignalSequence, TokenSequence
+import semimatch.data
 from semimatch.data import (
     Corpus,
     GeneratorConfig,
@@ -166,6 +167,13 @@ class TestStrictFieldTypes:
     @pytest.mark.parametrize("value", [16000.7, 30.5, 30.0, True, "30"])
     def test_size_field_must_be_json_int(self, tmp_path, modality_mix, key, value):
         with pytest.raises(SchemaError, match=f"line 2: {key} must be a JSON integer"):
+            self._load(tmp_path, record={key: value}, modality_mix=modality_mix)
+
+    @pytest.mark.parametrize("modality_mix, key", [(1.0, "sample_rate"), (0.0, "vocab_size")])
+    @pytest.mark.parametrize("value", [2 ** 63, 10 ** 30])
+    def test_size_past_int64_rejected_on_its_line(self, tmp_path, modality_mix, key, value):
+        """A batch holds sizes in an int64 array, so a lone record's size must fit one too."""
+        with pytest.raises(SchemaError, match=f"line 2: {key} must be an integer$"):
             self._load(tmp_path, record={key: value}, modality_mix=modality_mix)
 
     @pytest.mark.parametrize("token", [1.7, 1.0, True, "1", None])
@@ -516,6 +524,119 @@ class TestSynthesizeCorpus:
         acc_int = np.mean(np.argmax(p_int, 1) == [s.intent for s in test])
         assert abs(acc_emo - 1 / 7) <= 0.05
         assert abs(acc_int - 1 / 8) <= 0.05
+
+
+class TestClassTables:
+    """Each class's token CDF is built once and drawn from by
+    ``searchsorted``, which is how ``Generator.choice`` draws with ``p``
+    (numpy 2.4); a table that is not finite is a ConfigError naming the
+    separation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), zeros=st.integers(0, 39), size=st.sampled_from([1, 7, 160, 320]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_cdf_draw_equals_choice(self, n, zeros, size, seed):
+        """Tested on numpy 2.4; a numpy whose ``choice`` draws otherwise fails here."""
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n)
+        weights[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+        probs = weights / weights.sum()
+        drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = semimatch.data._draw_tokens(semimatch.data._token_cdf(probs), size, drawn)
+        want = chosen.choice(n, size=size, p=probs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == chosen.bit_generator.state
+
+    @pytest.mark.parametrize("modality_mix, modality", [(0.0, "tokens"), (1.0, "signal")])
+    def test_non_finite_table_rejected(self, modality_mix, modality):
+        config = small_config(modality_mix=modality_mix, separation=1e308)
+        with pytest.raises(ConfigError, match=rf"^separation 1e\+308 is too large: the "
+                                              rf"{modality} table of class \(\d, \d\) is not finite$"):
+            synthesize_corpus(config)
+
+    def test_large_finite_separation_still_generates(self):
+        corpus = synthesize_corpus(small_config(modality_mix=0.5, separation=1e300))
+        assert {s.modality for s in corpus.labelled} == {"signal", "tokens"}
+
+
+BLOCK = semimatch.data._BLOCK
+
+
+class TestBlockLoad:
+    """The loader parses and checks a block of records at a time, and still
+    reports the first faulty line of the file, with the message that line
+    gives on its own, whatever faults follow it in the block or after it."""
+
+    # fault -> (edit of a signal record's JSON line, the error text on its line)
+    FAULTS = {
+        "payload": (lambda r: r.update(frames="AAAAAAAA+H8="), "signal frames must be finite"),
+        "rate": (lambda r: r.update(sample_rate=0), "sample_rate must be positive"),
+        "huge-rate": (lambda r: r.update(sample_rate=10 ** 30), "sample_rate must be an integer"),
+        "id": (lambda r: r.update(id=None), "id must be a JSON string, got None"),
+        "field": (lambda r: r.update(extra=1),
+                  "unknown field(s) ['extra'] in a version-2 signal record"),
+        "json": (None, "invalid JSON"),
+    }
+
+    def _load_error(self, tmp_path, faults: dict[int, str]) -> str:
+        corpus = synthesize_corpus(small_config(unlabelled_count=2 * BLOCK + 10 - 18,
+                                                min_len=2, max_len=4))
+        lines = corpus_to_text(corpus).splitlines()
+        assert len(lines) == 2 * BLOCK + 11
+        for line_no, fault in faults.items():
+            edit = self.FAULTS[fault][0]
+            if edit is None:
+                lines[line_no - 1] = lines[line_no - 1][:-1]
+            else:
+                record = json.loads(lines[line_no - 1])
+                edit(record)
+                lines[line_no - 1] = json.dumps(record)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as caught:
+            load_corpus(str(path))
+        return str(caught.value).removeprefix(f"{path} ")
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("line_no", [2, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 11],
+                             ids=["first-of-block", "last-of-block", "first-of-next-block",
+                                  "last-of-next-block", "last-record"])
+    def test_one_fault_names_its_line(self, tmp_path, fault, line_no):
+        got = self._load_error(tmp_path, {line_no: fault})
+        assert got.startswith(f"line {line_no}: {self.FAULTS[fault][1]}")
+
+    @pytest.mark.parametrize("first", ["payload", "rate", "huge-rate"])
+    @pytest.mark.parametrize("later", ["payload", "id", "field", "json"])
+    @pytest.mark.parametrize("lines", [(3, 40), (2, BLOCK + 1), (BLOCK + 1, BLOCK + 2),
+                                       (BLOCK, 2 * BLOCK + 11)],
+                             ids=["same-block", "first-and-last", "across-boundary",
+                                  "blocks-apart"])
+    def test_payload_fault_reported_before_a_later_fault(self, tmp_path, first, later, lines):
+        got = self._load_error(tmp_path, {lines[0]: first, lines[1]: later})
+        assert got == f"line {lines[0]}: {self.FAULTS[first][1]}"
+
+    @pytest.mark.parametrize("later", [40, BLOCK + 40])
+    def test_payload_fault_reported_after_an_earlier_fault(self, tmp_path, later):
+        got = self._load_error(tmp_path, {5: "id", later: "payload"})
+        assert got == f"line 5: {self.FAULTS['id'][1]}"
+
+    @pytest.mark.parametrize("modality_mix", [0.0, 0.5, 1.0])
+    def test_payloads_are_views_of_one_array_per_block(self, tmp_path, modality_mix):
+        corpus = synthesize_corpus(small_config(unlabelled_count=2 * BLOCK,
+                                                modality_mix=modality_mix))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, str(path))
+        loaded = load_corpus(str(path))
+        assert corpus_to_text(loaded) == corpus_to_text(corpus)
+        for got in (corpus, loaded):
+            samples = got.labelled + got.unlabelled
+            for at in range(0, len(samples), BLOCK):
+                block = samples[at:at + BLOCK]
+                arrays = {s.modality: s.payload.frames if s.modality == "signal"
+                          else s.payload.tokens for s in block}   # one of each modality
+                for s in block:
+                    payload = s.payload.frames if s.modality == "signal" else s.payload.tokens
+                    assert payload.base is arrays[s.modality].base is not None
 
 
 class TestMakeBatches:

@@ -9,7 +9,9 @@ scripts) is not traced. Tracing makes the suite about twice as slow.
     python tools/untested_raises.py [extra pytest arguments]
 
 The exit status is pytest's; a suite that did not pass makes the list
-unreliable.
+unreliable. The ``raise`` lines are read before the run; if a file of the
+package changed during it, the lines no longer match what ran, and the tool
+prints no list and exits with status 6 (past pytest's 0-5).
 """
 
 import ast
@@ -22,9 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "semimatch"
 
 
-def raise_lines(path: Path) -> list[int]:
-    """The first line of every ``raise`` statement in the file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def raise_lines(source: str) -> list[int]:
+    """The first line of every ``raise`` statement in a file's source."""
+    tree = ast.parse(source)
     return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)})
 
 
@@ -53,17 +55,27 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(status), executed
 
 
+def mtimes() -> dict[Path, int]:
+    return {path: path.stat().st_mtime_ns for path in PACKAGE.glob("*.py")}
+
+
 def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    before = mtimes()
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(before)}
     status, executed = run_traced(["-q", "--continue-on-collection-errors", *argv])
+    if changed := sorted({path for path, _ in mtimes().items() ^ before.items()}):
+        print("files changed during the run, so their raise lines may not match what ran: "
+              + ", ".join(str(path.relative_to(ROOT)) for path in changed))
+        return 6
     unreached, total = [], 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8").splitlines()
-        for line in raise_lines(path):
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for line in raise_lines(text):
             total += 1
             if (str(path), line) not in executed:
-                unreached.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+                unreached.append(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
     print("\n".join(unreached))
     print(f"{len(unreached)} of {total} raise statements not reached by a test")
     if status:
