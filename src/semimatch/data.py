@@ -15,6 +15,13 @@ token distributions for text. The two label streams are paired through a
 partial shuffle, which keeps both per-class margins exact at every
 correlation level: correlation 1 leaves the sorted streams aligned
 (maximal coupling), correlation 0 permutes one stream uniformly.
+
+The generator and the loader build samples in blocks of ``_BLOCK``: a
+block's payloads of each modality are views of one array, which the
+``SignalSequence`` / ``TokenSequence`` checks pass over once. The loader
+parses a block's records without those checks; when anything fails in the
+block, or later in the file, it checks the block's records one by one, as
+a lone record is checked, so the error names the first faulty line.
 """
 
 from __future__ import annotations
@@ -240,6 +247,7 @@ class GeneratorConfig:
 
 _N_SEGMENTS = 8
 _BLOCK = 64   # samples generated or loaded, then checked, together
+_SHAPE_FRAMES = 1 << 16   # frames of per-length segment indices and textures kept (1 MB)
 
 
 def _token_cdf(probs: np.ndarray) -> np.ndarray:
@@ -257,8 +265,9 @@ def _draw_tokens(cdf: np.ndarray, size: int, rng) -> np.ndarray:
 
 class _PayloadFactory:
     """Class-conditional payload draws shared by labelled/unlabelled. Each
-    (emotion, intent) class's table (its signal levels or its token CDF) and
-    each length's segment index and texture are built once, on first use."""
+    (emotion, intent) class's table (its signal levels or its token CDF) is
+    built once, on first use; so is each length's segment index and texture,
+    until they hold ``_SHAPE_FRAMES`` frames."""
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
@@ -296,8 +305,9 @@ class _PayloadFactory:
         n = self._length(rng)
         if (shape := self._shapes.get(n)) is None:
             t = np.arange(n)
-            shape = self._shapes[n] = ((t * _N_SEGMENTS) // n,
-                                       0.2 * np.sin(2.0 * np.pi * 4.0 * t / n))
+            shape = ((t * _N_SEGMENTS) // n, 0.2 * np.sin(2.0 * np.pi * 4.0 * t / n))
+            if sum(self._shapes) + n <= _SHAPE_FRAMES:
+                self._shapes[n] = shape
         seg, texture = shape
         return self._table("signal", emotion, intent)[seg] + texture + rng.standard_normal(n)
 
@@ -520,12 +530,9 @@ def load_corpus(path: str) -> Corpus:
         intent_names = name_list(header.get("intent_names", []), "intent_names")
 
     def parsed(block) -> list[Sample]:
-        parts = []
-        for line_no, record in block:
-            with located(f"{path} line {line_no}"):
-                parts.append(_record_parts(record, embedding, version, alone=False))
-        with located(f"{path} lines {block[0][0]}-{block[-1][0]}"):
-            return _samples(parts)
+        with located(f"{path} lines {block[0][0]}-{block[-1][0]}"):   # its faulty line: below
+            return _samples([_record_parts(record, embedding, version, alone=False)
+                             for _, record in block])
 
     samples, block = [], []   # block: the (line number, record) pairs read, not yet parsed
     try:
