@@ -32,23 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import (
-    MODALITIES,
-    EmbeddingTable,
-    Ragged,
-    SignalSequence,
-    SynonymLexicon,
-    TokenSequence,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    Rule,
-    SchemaError,
-    SemimatchError,
-    require,
-    require_finite_fields,
-)
+from .augment import MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
+from .errors import ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields
 from .fileio import (
     CORPUS_FORMAT,
     atomic_write_text,
@@ -322,8 +307,8 @@ def _samples(parts) -> list[Sample]:
     payloads = {}
     for modality, seq_type in zip(MODALITIES, (SignalSequence, TokenSequence)):
         if mine := [part for part in parts if part[1] == modality]:
-            payloads[modality] = iter(Ragged.checked(
-                seq_type, np.concatenate([part[2] for part in mine]),
+            payloads[modality] = iter(seq_type.from_concatenated(
+                np.concatenate([part[2] for part in mine]),
                 [len(part[2]) for part in mine], [part[3] for part in mine]))
     return [Sample(id=sample_id, modality=modality, payload=next(payloads[modality]),
                    emotion=emotion, intent=intent)
@@ -360,17 +345,11 @@ def synthesize_corpus(config: GeneratorConfig) -> Corpus:
         embedding = EmbeddingTable.from_seed(
             config.vocab_size, config.embedding_dim, seed=config.seed, group_size=3)
 
-    def draws():
-        """Each sample's (id, emotion, intent, labelled), an unlabelled one's
-        class drawn from ``payload_rng`` just before its payload."""
-        for i, (e, c) in enumerate(pairs):
-            yield f"lab-{i:06d}", e, c, True
-        for i in range(config.unlabelled_count):
-            e, c = pairs[int(payload_rng.integers(0, len(pairs)))]
-            yield f"unl-{i:06d}", e, c, False
-
     samples, block = [], []
-    for sample_id, emotion, intent, labelled in draws():
+    for i in range(len(pairs) + config.unlabelled_count):
+        labelled = i < len(pairs)   # an unlabelled sample draws its class first
+        emotion, intent = pairs[i if labelled else int(payload_rng.integers(0, len(pairs)))]
+        sample_id = f"lab-{i:06d}" if labelled else f"unl-{i - len(pairs):06d}"
         if payload_rng.random() < config.modality_mix:
             part = ("signal", factory.signal(emotion, intent, payload_rng), config.sample_rate)
         else:
@@ -543,7 +522,7 @@ def load_corpus(path: str) -> Corpus:
                 block = []
         if block:
             samples += parsed(block)
-    except (SemimatchError, OSError):
+    except (SchemaError, OSError):   # every fault of parsed() is located
         for line_no, record in block:
             with located(f"{path} line {line_no}"):
                 _record_parts(record, embedding, version, alone=True)
