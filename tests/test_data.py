@@ -579,13 +579,14 @@ class TestBlockLoad:
     }
 
     def _load_error(self, tmp_path, faults: dict[int, str]) -> str:
+        # 18 labelled records, then unlabelled ones: two full blocks and 10 records more
         corpus = synthesize_corpus(small_config(unlabelled_count=2 * BLOCK + 10 - 18,
                                                 min_len=2, max_len=4))
-        lines = corpus_to_text(corpus).splitlines()
-        assert len(lines) == 2 * BLOCK + 11
+        lines = corpus_to_text(corpus).splitlines()   # the header is line 1
+        assert len(lines) == 1 + 2 * BLOCK + 10
         for line_no, fault in faults.items():
             edit = self.FAULTS[fault][0]
-            if edit is None:
+            if edit is None:   # drop the closing brace
                 lines[line_no - 1] = lines[line_no - 1][:-1]
             else:
                 record = json.loads(lines[line_no - 1])
