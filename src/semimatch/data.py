@@ -27,6 +27,8 @@ a lone record is checked, so the error names the first faulty line.
 from __future__ import annotations
 
 import binascii
+import hashlib
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -415,6 +417,31 @@ def save_corpus(corpus: Corpus, path: str):
     atomic_write_text(path, corpus_to_text(corpus))
 
 
+def corpus_fingerprint(corpus: Corpus) -> str:
+    """The sha256 hex digest of a corpus's decoded content: the class names,
+    the lexicon, the embedding table's metadata and vectors, and each
+    sample's id, modality, labels, size and payload values, as fixed-width
+    ``<f8`` / ``<i8`` bytes. File bytes are never hashed, so every format
+    version of one corpus gives one fingerprint."""
+    embedding = corpus.embedding
+    sha = hashlib.sha256(json.dumps([
+        corpus.emotion_names, corpus.intent_names,
+        corpus.lexicon and sorted(corpus.lexicon.mapping.items()),
+        embedding and [embedding.vocab_size, embedding.dim, embedding.seed,
+                       embedding.group_size]]).encode())
+    if embedding is not None:
+        sha.update(embedding.vectors.astype("<f8").tobytes())
+    for sample in corpus.labelled + corpus.unlabelled:
+        payload = sample.payload
+        values, size = ((payload.frames.astype("<f8"), payload.sample_rate)
+                        if sample.modality == "signal"
+                        else (payload.tokens.astype("<i8"), payload.vocab_size))
+        sha.update(json.dumps([sample.id, sample.modality, sample.emotion, sample.intent,
+                               int(size), len(values)]).encode())
+        sha.update(values.tobytes())
+    return sha.hexdigest()
+
+
 def _lexicon_token(key: str) -> int:
     """A lexicon key: the decimal form of a token index, as the writer gives it."""
     if key != str(token := int(key)):
@@ -587,7 +614,7 @@ def make_batches(labelled, unlabelled, batch_size: int, unlabelled_ratio: float,
 
 
 __all__ = [
-    "Corpus", "GeneratorConfig", "Sample", "SplitSpec", "corpus_to_text",
-    "load_corpus", "make_batches", "save_corpus", "stratified_split",
+    "Corpus", "GeneratorConfig", "Sample", "SplitSpec", "corpus_fingerprint",
+    "corpus_to_text", "load_corpus", "make_batches", "save_corpus", "stratified_split",
     "synthesize_corpus", "unlabelled_per_step",
 ]

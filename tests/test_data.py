@@ -2,6 +2,7 @@
 synthetic generator, and batch iteration."""
 
 import base64
+import copy
 import json
 import os
 import tempfile
@@ -19,6 +20,7 @@ from semimatch.data import (
     GeneratorConfig,
     Sample,
     SplitSpec,
+    corpus_fingerprint,
     corpus_to_text,
     load_corpus,
     make_batches,
@@ -365,6 +367,68 @@ class TestVersion1Fixture:
         with pytest.raises(SchemaError, match=f"line {at + 1}: signal payload must be a list "
                                               "of JSON numbers"):
             load_corpus(str(path))
+
+
+def _changed(corpus: Corpus, what: str) -> Corpus:
+    """``corpus`` with one field of its content changed."""
+    corpus = copy.deepcopy(corpus)
+    sample = corpus.labelled[0]
+    if what == "names":
+        corpus.emotion_names[0] += "x"
+    elif what == "lexicon":
+        corpus.lexicon.mapping[0] = corpus.lexicon.mapping[0][::-1]
+    elif what == "embedding":
+        corpus.embedding.vectors[0, 0] += 1.0
+    elif what == "id":
+        sample.id += "x"
+    elif what == "label":
+        sample.emotion = (sample.emotion + 1) % corpus.n_emotion
+    elif what == "unlabel":
+        sample.emotion = sample.intent = None
+    elif what == "size":
+        sample.payload.vocab_size += 1
+    elif what == "token":
+        sample.payload.tokens = sample.payload.tokens.copy()
+        sample.payload.tokens[0] = (sample.payload.tokens[0] + 1) % 12
+    elif what == "frame":
+        signal = next(s for s in corpus.labelled if s.modality == "signal")
+        signal.payload.frames = signal.payload.frames.copy()
+        signal.payload.frames[-1] = -signal.payload.frames[-1]
+    elif what == "order":
+        corpus.labelled[:2] = corpus.labelled[1::-1]
+    return corpus
+
+
+class TestCorpusFingerprint:
+    """``corpus_fingerprint`` hashes a corpus's decoded content, not its file."""
+
+    def test_round_trip_keeps_it(self, tmp_path):
+        corpus = synthesize_corpus(FIXTURE_CONFIG)
+        save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+        loaded = load_corpus(str(tmp_path / "corpus.jsonl"))
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
+        assert len(corpus_fingerprint(corpus)) == 64
+
+    @pytest.mark.parametrize("what", ["names", "lexicon", "embedding", "id", "label",
+                                      "unlabel", "size", "token", "frame", "order"])
+    def test_each_field_moves_it(self, what):
+        corpus = synthesize_corpus(FIXTURE_CONFIG)
+        assert corpus.labelled[0].modality == "tokens"
+        assert corpus_fingerprint(_changed(corpus, what)) != corpus_fingerprint(corpus)
+
+    def test_payload_dtype_does_not_move_it(self):
+        """Payload values are hashed at one width: int32 tokens hash as int64 ones."""
+        corpus = synthesize_corpus(FIXTURE_CONFIG)
+        narrow = copy.deepcopy(corpus)
+        for sample in narrow.labelled + narrow.unlabelled:
+            if sample.modality == "tokens":
+                sample.payload.tokens = sample.payload.tokens.astype(np.int32)
+        assert corpus_fingerprint(narrow) == corpus_fingerprint(corpus)
+
+    def test_no_resources(self):
+        corpus = synthesize_corpus(small_config(modality_mix=1.0))
+        assert corpus.lexicon is None and corpus.embedding is None
+        assert corpus_fingerprint(corpus) == corpus_fingerprint(copy.deepcopy(corpus))
 
 
 class TestSplitSpec:

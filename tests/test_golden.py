@@ -27,18 +27,21 @@ state. It hashes the loss breakdown, the new parameters and Adam's moments.
 ``corpus_to_text`` bytes of a grid of ``GeneratorConfig`` recipes, among them
 both criterion-7 corpora (200 labelled / 5000 unlabelled, signal and tokens),
 mixed modalities, zero separation, one-frame and fixed lengths, no unlabelled
-samples and several seeds.
+samples and several seeds. ``CORPUS_CONTENT_DIGEST`` pins the
+``corpus_fingerprint`` of the same recipes: their decoded content, which no
+change of the file format moves.
 
 A change meant to keep training trajectories (a refactor, a speedup) leaves
 every digest unchanged. A change that moves trajectories by design updates
 these digests and says so in ``CHANGES.md``:
 ``PYTHONPATH=src python tests/test_golden.py`` prints ``CORPUS_DIGEST``,
-``LOSS_DIGEST``, ``STEP_DIGEST``, ``GOLDEN`` and ``GOLDEN_CLI`` as the current
+``CORPUS_CONTENT_DIGEST``, ``LOSS_DIGEST``, ``STEP_DIGEST``, ``GOLDEN`` and ``GOLDEN_CLI`` as the current
 tree computes them.
 """
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -51,7 +54,13 @@ import pytest
 
 from semimatch import losses
 from semimatch.cli import main
-from semimatch.data import GeneratorConfig, corpus_to_text, save_corpus, synthesize_corpus
+from semimatch.data import (
+    GeneratorConfig,
+    corpus_fingerprint,
+    corpus_to_text,
+    save_corpus,
+    synthesize_corpus,
+)
 from semimatch.model import (
     PARAM_FIELDS,
     AdamState,
@@ -141,6 +150,9 @@ GOLDEN_CLI = {
 # sha256 of the corpus_to_text bytes of every CORPUS_GRID recipe, first 16 hex digits
 CORPUS_DIGEST = 'a14490afb3efe93b'
 
+# sha256 of the corpus_fingerprint of every CORPUS_GRID recipe, first 16 hex digits
+CORPUS_CONTENT_DIGEST = '8db99610a3ad33f4'
+
 # sha256 of every record of loss_api_records(), first 16 hex digits
 LOSS_DIGEST = '9328820c7200958e'
 
@@ -177,11 +189,15 @@ CORPUS_GRID = [
 ]
 
 
-def corpus_digest() -> str:
-    sha = hashlib.sha256()
+@functools.cache
+def corpus_digests() -> tuple[str, str]:
+    """``CORPUS_DIGEST`` and ``CORPUS_CONTENT_DIGEST`` as this tree computes them."""
+    text, content = hashlib.sha256(), hashlib.sha256()
     for recipe in CORPUS_GRID:
-        sha.update(corpus_to_text(synthesize_corpus(GeneratorConfig(**recipe))).encode())
-    return sha.hexdigest()[:16]
+        corpus = synthesize_corpus(GeneratorConfig(**recipe))
+        text.update(corpus_to_text(corpus).encode())
+        content.update(corpus_fingerprint(corpus).encode())
+    return text.hexdigest()[:16], content.hexdigest()[:16]
 
 
 def trained(modality, kind, method, on_unlab, corpus):
@@ -455,7 +471,11 @@ def test_step_digest_unchanged():
 
 
 def test_corpus_digest_unchanged():
-    assert corpus_digest() == CORPUS_DIGEST
+    assert corpus_digests()[0] == CORPUS_DIGEST
+
+
+def test_corpus_content_digest_unchanged():
+    assert corpus_digests()[1] == CORPUS_CONTENT_DIGEST
 
 
 def test_loss_api_digest_unchanged():
@@ -484,10 +504,12 @@ def test_eval_and_fuse_digests_unchanged(tmp_path):
 
 
 if __name__ == "__main__":
-    # Print CORPUS_DIGEST, LOSS_DIGEST, STEP_DIGEST, GOLDEN and GOLDEN_CLI as the current
+    # Print CORPUS_DIGEST, CORPUS_CONTENT_DIGEST, LOSS_DIGEST, STEP_DIGEST, GOLDEN and GOLDEN_CLI as the current
     # tree computes them, to paste over the values above when a change moves outputs by
     # design; the dicts' diff names the runs and files that moved.
-    print(f"CORPUS_DIGEST = {corpus_digest()!r}")
+    text_digest, content_digest = corpus_digests()
+    print(f"CORPUS_DIGEST = {text_digest!r}")
+    print(f"CORPUS_CONTENT_DIGEST = {content_digest!r}")
     print(f"LOSS_DIGEST = {loss_digest()!r}")
     print(f"STEP_DIGEST = {step_digest()!r}")
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
