@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, Rule, require
+from .errors import ConfigError, ContractError, Rule, is_integer, require
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -88,6 +88,15 @@ def _check_sizes(name: str, sizes):
         raise ContractError(f"{name} must be an integer")
     if sizes.min() <= 0:
         raise ContractError(f"{name} must be positive")
+
+
+def _size_array(sizes) -> np.ndarray:
+    """``sizes`` as one array. numpy promotes a mix of ``np.uint64`` and other
+    integers to float64, so integer sizes that did so are taken as Python ints."""
+    array = np.asarray(sizes)
+    if array.dtype.kind == "f" and all(map(is_integer, sizes)):
+        array = np.asarray([int(s) for s in sizes])
+    return array
 
 
 class _Sequence:
@@ -172,7 +181,7 @@ class Ragged:
             payload, size = seq_type._FIELDS
             arrays = [getattr(s, payload) for s in seqs]
             seqs = cls(seq_type, np.concatenate(arrays), np.array([len(a) for a in arrays]),
-                       np.array([getattr(s, size) for s in seqs]))
+                       _size_array([getattr(s, size) for s in seqs]))
         if seqs.seq_type is not seq_type:
             raise ContractError(f"expected {seq_type.__name__} payloads, "
                                 f"got a batch of {seqs.seq_type.__name__}")
@@ -181,7 +190,9 @@ class Ragged:
     @classmethod
     def checked(cls, seq_type: type, values, lengths, sizes) -> "Ragged":
         """A batch checked once, over the whole array, as ``seq_type`` checks each part."""
-        lengths, sizes = np.asarray(lengths), np.asarray(sizes)
+        lengths, sizes = np.asarray(lengths), _size_array(sizes)
+        if not len(lengths):
+            raise ContractError("a batch needs at least one sequence")
         return cls(seq_type, seq_type._checked(values, lengths, sizes), lengths, sizes)
 
     def with_values(self, values, lengths=None) -> "Ragged":

@@ -230,6 +230,8 @@ class GeneratorConfig:
         for key, least in (("sample_rate", 1), ("vocab_size", 2), ("embedding_dim", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+            if getattr(self, key) >= 2 ** 63:   # a payload size is held in an int64
+                raise ConfigError(f"{key} must be below 2**63, got {getattr(self, key)}")
 
 
 _N_SEGMENTS = 8

@@ -709,6 +709,28 @@ class TestSignalFromConcatenated:
             SignalSequence.from_concatenated(np.zeros((2, 2)), [2, 2], [16000, 16000])
 
 
+class TestBatchSizesAndEmptyBatches:
+    """A batch keeps an integer size dtype whatever integer types its sizes
+    mix, and an empty batch is a contract error."""
+
+    def test_uint64_and_int_sizes_in_one_batch(self):
+        seqs = SignalSequence.from_concatenated(np.ones(6), [5, 1], [np.uint64(5), 16000])
+        assert [s.sample_rate for s in seqs] == [5, 16000]
+        tokens = TokenSequence.from_concatenated([1, 2], [1, 1], [np.uint64(30), np.int64(3)])
+        assert [t.vocab_size for t in tokens] == [30, 3]
+
+    def test_uint64_and_int_sizes_through_an_operator(self):
+        seqs = [SignalSequence(np.ones(3), sample_rate=np.uint64(5)),
+                SignalSequence(np.ones(3), sample_rate=16000)]
+        out = augment_signal(seqs, "flip", np.random.default_rng(0))
+        assert [s.sample_rate for s in out] == [5, 16000]
+
+    @pytest.mark.parametrize("seq_type", [SignalSequence, TokenSequence])
+    def test_empty_batch_rejected(self, seq_type):
+        with pytest.raises(ContractError, match="^a batch needs at least one sequence$"):
+            seq_type.from_concatenated([], [], [])
+
+
 class TestPayloadSizes:
     """A sample rate or vocabulary size is a positive integer of any integer
     type: NaN, a fraction, a whole float and a bool are not integers."""

@@ -139,6 +139,12 @@ class TestConfigParsing:
          "vocab_size = 1\n", "vocab_size must be >= 2, got 1"),
         ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nembedding_dim = 0\n",
          "embedding_dim must be >= 1, got 0"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\n"
+         "sample_rate = 9223372036854775808\n",
+         "sample_rate must be below 2**63, got 9223372036854775808"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nmodality_mix = 0\n"
+         "vocab_size = 9223372036854775808\n",
+         "vocab_size must be below 2**63, got 9223372036854775808"),
         ("train", "method = fixmatch\nbatch_size = 4\nunlabelled_ratio = 0.1\n",
          "unlabelled_ratio 0.1 at batch_size 4 draws no unlabelled sample per step, "
          "which method 'fixmatch' needs"),

@@ -557,6 +557,19 @@ class TestSynthesizeCorpus:
         config = GeneratorConfig(emotion_counts=(2, 2), intent_counts=(2, 2), **{key: ("a", "b")})
         assert getattr(config, key) == ("a", "b")
 
+    @pytest.mark.parametrize("modality_mix", [0.0, 1.0])
+    @pytest.mark.parametrize("key", ["sample_rate", "vocab_size", "embedding_dim"])
+    @pytest.mark.parametrize("value", [2 ** 63, 10 ** 30])
+    def test_size_past_int64_is_a_config_error(self, modality_mix, key, value):
+        """A payload size is held in an int64, so the recipe must fit one:
+        the error names the key before any payload is built."""
+        with pytest.raises(ConfigError, match=rf"^{key} must be below 2\*\*63, got {value}$"):
+            small_config(modality_mix=modality_mix, **{key: value})
+
+    def test_largest_int64_size_accepted(self):
+        config = small_config(sample_rate=2 ** 63 - 1)
+        assert config.sample_rate == 2 ** 63 - 1
+
     def test_mismatched_totals_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(emotion_counts=(5, 5), intent_counts=(4, 4))
