@@ -77,7 +77,7 @@ def _check_vocabulary(vocab_sizes, table: EmbeddingTable):
         raise ContractError("embedding table vocabulary does not match the sequence")
 
 
-def _check_sizes(name: str, sizes):
+def check_sizes(name: str, sizes):
     """Every sequence's size (its sample rate or vocabulary size) must be a
     positive integer that an int64 holds. ``sizes``, one item or a batch's,
     is checked as one numpy array, so both keep one rule: its dtype must be
@@ -135,7 +135,7 @@ class SignalSequence(_Sequence):
             raise ContractError("signal must be a non-empty 1-D frame array")
         if not np.all(np.isfinite(frames)):
             raise ContractError("signal frames must be finite")
-        _check_sizes("sample_rate", sample_rates)
+        check_sizes("sample_rate", sample_rates)
         return frames
 
 
@@ -153,7 +153,7 @@ class TokenSequence(_Sequence):
         tokens = np.asarray(tokens, dtype=int)
         if tokens.ndim != 1 or min(lengths) < 1 or len(tokens) != sum(lengths):
             raise ContractError("token sequence must be non-empty and 1-D")
-        _check_sizes("vocab_size", vocab_sizes)
+        check_sizes("vocab_size", vocab_sizes)
         if tokens.min() < 0 or np.any(tokens >= np.repeat(vocab_sizes, lengths)):
             raise ContractError("token index outside the vocabulary")
         return tokens

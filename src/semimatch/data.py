@@ -5,9 +5,12 @@ samples (carrying neither), the class name lists, and the token-side
 resources (synonym lexicon, embedding table). The on-disk format is one
 JSON object per line: a header with the shared resources first, then one
 record per sample. The embedding table is stored as seed + dimensions and
-regenerated on load. Version 2, the one written, stores signal frames under
-``frames`` as one base64 string of little-endian float64 bytes; version 1,
-still read, as a JSON number list under ``payload``, like token payloads.
+regenerated on load. Version 3, the one written, stores signal frames under
+``frames`` as one strict base64 string of little-endian float64 bytes, and
+tokens under ``tokens`` as one of little-endian unsigned integers, each the
+smallest of 1, 2, 4 or 8 bytes that holds ``vocab_size - 1``. Versions 1 and
+2, still read, hold tokens as a JSON integer list under ``payload``; version
+1 holds signal frames so too, as JSON numbers.
 
 The synthetic generator builds class-conditional payloads: piecewise
 amplitude signatures plus unit noise for signals, class-tilted unigram
@@ -34,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence
+from .augment import (MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence,
+                      check_sizes)
 from .errors import ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields
 from .fileio import (
     CORPUS_FORMAT,
@@ -377,15 +381,24 @@ def synthesize_corpus(config: GeneratorConfig) -> Corpus:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _token_width(vocab_size: int) -> int:
+    """Bytes per version-3 token: the smallest of 1, 2, 4 or 8 that holds ``vocab_size - 1``."""
+    return next(width for width in (1, 2, 4, 8) if vocab_size - 1 < 1 << 8 * width)
+
+
+def _base64(values: np.ndarray) -> str:
+    return binascii.b2a_base64(values.tobytes(), newline=False).decode("ascii")
+
+
 def _sample_record(sample: Sample) -> dict:
     record: dict = {"id": sample.id, "modality": sample.modality}
     if sample.modality == "signal":
-        record["frames"] = binascii.b2a_base64(
-            sample.payload.frames.astype("<f8").tobytes(), newline=False).decode("ascii")
+        record["frames"] = _base64(sample.payload.frames.astype("<f8"))
         record["sample_rate"] = sample.payload.sample_rate
     else:
-        record["payload"] = sample.payload.tokens.tolist()
-        record["vocab_size"] = sample.payload.vocab_size
+        vocab_size = sample.payload.vocab_size
+        record["tokens"] = _base64(sample.payload.tokens.astype(f"<u{_token_width(vocab_size)}"))
+        record["vocab_size"] = vocab_size
     if sample.is_labelled:
         record["emotion"] = sample.emotion
         record["intent"] = sample.intent
@@ -455,23 +468,26 @@ def _lexicon_token(key: str) -> int:
 _RECORD_KEYS = {
     (1, "signal"): {"id", "modality", "payload", "sample_rate"},
     (2, "signal"): {"id", "modality", "frames", "sample_rate"},
+    (3, "signal"): {"id", "modality", "frames", "sample_rate"},
     (1, "tokens"): {"id", "modality", "payload", "vocab_size"},
     (2, "tokens"): {"id", "modality", "payload", "vocab_size"},
+    (3, "tokens"): {"id", "modality", "tokens", "vocab_size"},
 }
 
 
-def _frames(value) -> np.ndarray:
-    """Version-2 signal frames: strict base64 of little-endian float64 bytes,
-    as a read-only view of the decoded bytes."""
+def _decoded(name: str, value, dtype: str) -> np.ndarray:
+    """The base64 field ``name`` (signal frames from version 2, tokens from
+    version 3): strict base64 of little-endian ``dtype`` values, as a
+    read-only view of the decoded bytes."""
     if type(value) is not str:
-        raise SchemaError("frames must be a base64 JSON string")
+        raise SchemaError(f"{name} must be a base64 JSON string")
     try:
         raw = binascii.a2b_base64(value, strict_mode=True)
     except ValueError as exc:   # binascii.Error, or a non-ASCII string
-        raise SchemaError(f"frames: {exc}") from exc
-    if len(raw) % 8:
-        raise SchemaError(f"frames holds {len(raw)} bytes, not a multiple of 8")
-    return np.frombuffer(raw, "<f8")
+        raise SchemaError(f"{name}: {exc}") from exc
+    if len(raw) % (width := np.dtype(dtype).itemsize):
+        raise SchemaError(f"{name} holds {len(raw)} bytes, not a multiple of {width}")
+    return np.frombuffer(raw, dtype)
 
 
 def _record_parts(record: dict, embedding: EmbeddingTable | None, version: int,
@@ -491,17 +507,20 @@ def _record_parts(record: dict, embedding: EmbeddingTable | None, version: int,
     if modality == "signal":
         if version == 1 and not set(map(type, record["payload"])) <= {int, float}:
             raise SchemaError("signal payload must be a list of JSON numbers")
-        values = (_frames(record["frames"]) if version == 2
+        values = (_decoded("frames", record["frames"], "<f8") if version >= 2
                   else np.asarray(record["payload"], dtype=float))
         size = json_int(record["sample_rate"], "sample_rate")
         if alone:
             SignalSequence(frames=values, sample_rate=size)
     else:
-        payload = record["payload"]
-        if not set(map(type, payload)) <= {int}:
-            raise SchemaError("token payload must be a list of JSON integers")
-        values = np.asarray(payload, dtype=int)
+        if version < 3:
+            if not set(map(type, record["payload"])) <= {int}:
+                raise SchemaError("token payload must be a list of JSON integers")
+            values = np.asarray(record["payload"], dtype=int)
         size = json_int(record["vocab_size"], "vocab_size")
+        if version == 3:   # the width of its tokens follows from its vocab_size
+            check_sizes("vocab_size", size)
+            values = _decoded("tokens", record["tokens"], f"<u{_token_width(size)}")
         if alone:
             TokenSequence(tokens=values, vocab_size=size)
         if embedding is not None and size != embedding.vocab_size:

@@ -4,8 +4,10 @@ every file.
 A corpus or prediction file is a header object with ``format`` and ``version``
 on line 1, then one JSON object per line (blank lines skipped); a checkpoint
 is one JSON document that is its own header. ``VERSIONS`` gives each format's
-written version and accepted versions. Every file is UTF-8. Read errors
-name the file, and the 1-based line for line-delimited files.
+written version and accepted versions: corpora are written at version 3 and
+read at 1, 2 and 3 (``data`` states each version's records), the other
+formats at version 1 only. Every file is UTF-8. Read errors name the file,
+and the 1-based line for line-delimited files.
 """
 
 import json
@@ -20,7 +22,7 @@ PREDICTIONS_FORMAT = "semimatch-predictions"
 CHECKPOINT_FORMAT = "semimatch-checkpoint"
 
 # format: (the version written, the versions read)
-VERSIONS = {CORPUS_FORMAT: (2, (1, 2)),
+VERSIONS = {CORPUS_FORMAT: (3, (1, 2, 3)),
             PREDICTIONS_FORMAT: (1, (1,)),
             CHECKPOINT_FORMAT: (1, (1,))}
 

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import MISSING, fields
 
 import pytest
-from conftest import BAD_VERSION_2_RECORDS
+from conftest import BAD_VERSION_2_RECORDS, BAD_VERSION_3_RECORDS, as_version_2
 
 import semimatch.cli
 from semimatch.augment import FeatureExtractor
@@ -53,7 +53,8 @@ test_frac = 0.2
 
 # the BAD_VERSION_2_RECORDS texts that binascii.a2b_base64 raises itself
 A2B_BASE64_ERRORS = ("Only base64 data is allowed", "Incorrect padding",
-                     "Excess data after padding", "only ASCII characters")
+                     "Excess data after padding", "Leading padding not allowed",
+                     "only ASCII characters")
 
 
 @pytest.fixture
@@ -67,6 +68,18 @@ def workdir(tmp_path, monkeypatch):
 def make_corpus(workdir):
     assert main(["gen-data", "--config", "gen.cfg", "--out", "corpus.jsonl"]) == 0
     return workdir / "corpus.jsonl"
+
+
+def edited_corpus(workdir, version, edit):
+    """``make_corpus``'s file at ``version`` (2: restated from the version-3
+    file written), with ``edit`` applied to the record on line 2."""
+    path = make_corpus(workdir)
+    text = path.read_text()
+    lines = (as_version_2(text) if version == 2 else text).splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    return path
 
 
 def no_training(config, corpus):
@@ -570,21 +583,36 @@ class TestCorpusFieldTypes:
         (1.0, "id", [1, 2]),
     ])
     def test_non_int_rejected_on_its_line(self, workdir, capsys, modality_mix, field, value):
+        """A token is edited in a version-2 payload list; the other fields in
+        the version-3 file the CLI writes."""
         (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {modality_mix}\n")
-        path = make_corpus(workdir)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        if field == "token":
-            record["payload"][0] = value
-        else:
-            record[field] = value
-        path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+
+        def edit(record):
+            if field == "token":
+                record["payload"][0] = value
+            else:
+                record[field] = value
+        edited_corpus(workdir, 2 if field == "token" else 3, edit)
         assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
                      "--out", "run"]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
         assert not (workdir / "run").exists()
         assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
+
+    def _bad_record_rejected(self, workdir, capsys, version, modality, edit, needle):
+        mix = 1.0 if modality == "signal" else 0.0
+        (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {mix}\n")
+        edited_corpus(workdir, version, edit)
+        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
+        assert needle in err and "Traceback" not in err
+        # a2b_base64's own messages do not name the field; the reader adds it
+        field = "frames" if modality == "signal" else "tokens"
+        assert (f"line 2: {field}: " in err) == (needle in A2B_BASE64_ERRORS)
+        assert not (workdir / "run").exists()
 
     @pytest.mark.parametrize("modality, edit, needle",
                              [case[1:] for case in BAD_VERSION_2_RECORDS],
@@ -593,21 +621,16 @@ class TestCorpusFieldTypes:
                                                        modality, edit, needle):
         """Base64, byte-count, finiteness and key-set errors of a version-2
         record, ``binascii.Error`` included, reach the CLI as one line."""
-        mix = 1.0 if modality == "signal" else 0.0
-        (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {mix}\n")
-        path = make_corpus(workdir)
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        edit(record)
-        path.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
-        assert main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl",
-                     "--out", "run"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
-        assert needle in err and "Traceback" not in err
-        # a2b_base64's own messages do not name the field; the reader adds it
-        assert ("line 2: frames: " in err) == (needle in A2B_BASE64_ERRORS)
-        assert not (workdir / "run").exists()
+        self._bad_record_rejected(workdir, capsys, 2, modality, edit, needle)
+
+    @pytest.mark.parametrize("modality, edit, needle",
+                             [case[1:] for case in BAD_VERSION_3_RECORDS],
+                             ids=[case[0] for case in BAD_VERSION_3_RECORDS])
+    def test_bad_version_3_record_rejected_on_its_line(self, workdir, capsys,
+                                                       modality, edit, needle):
+        """The version-2 faults, and the base64, width, vocabulary and
+        key-set errors of a version-3 token record, reach the CLI as one line."""
+        self._bad_record_rejected(workdir, capsys, 3, modality, edit, needle)
 
 
 class TestSweep:

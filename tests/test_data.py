@@ -9,7 +9,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from conftest import BAD_VERSION_2_RECORDS
+from conftest import (
+    BAD_VERSION_2_RECORDS,
+    BAD_VERSION_3_RECORDS,
+    as_version_2,
+    token_width,
+    tokens_b64,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -143,9 +149,9 @@ class TestStrictFieldTypes:
     and class names lists of strings; anything else is a SchemaError naming
     the line, never a silent coercion."""
 
-    def _load(self, tmp_path, header=None, record=None, **generator):
-        corpus = synthesize_corpus(small_config(unlabelled_count=0, **generator))
-        lines = corpus_to_text(corpus).splitlines()[:2]
+    def _load(self, tmp_path, header=None, record=None, version=3, **generator):
+        text = corpus_to_text(synthesize_corpus(small_config(unlabelled_count=0, **generator)))
+        lines = (as_version_2(text) if version == 2 else text).splitlines()[:2]
         parsed = [json.loads(line) for line in lines]
         parsed[0].update(header or {})
         parsed[1].update(record or {})
@@ -165,26 +171,34 @@ class TestStrictFieldTypes:
         with pytest.raises(SchemaError, match=f"line 1: {key} must be a list of strings"):
             self._load(tmp_path, header={key: value})
 
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("modality_mix, key", [(1.0, "sample_rate"), (0.0, "vocab_size")])
     @pytest.mark.parametrize("value", [16000.7, 30.5, 30.0, True, "30"])
-    def test_size_field_must_be_json_int(self, tmp_path, modality_mix, key, value):
+    def test_size_field_must_be_json_int(self, tmp_path, modality_mix, key, value, version):
         with pytest.raises(SchemaError, match=f"line 2: {key} must be a JSON integer"):
-            self._load(tmp_path, record={key: value}, modality_mix=modality_mix)
+            self._load(tmp_path, record={key: value}, version=version,
+                       modality_mix=modality_mix)
 
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("modality_mix, key", [(1.0, "sample_rate"), (0.0, "vocab_size")])
     @pytest.mark.parametrize("value", [2 ** 63, 10 ** 30])
-    def test_size_past_int64_rejected_on_its_line(self, tmp_path, modality_mix, key, value):
-        """A batch holds sizes in an int64 array, so a lone record's size must fit one too."""
+    def test_size_past_int64_rejected_on_its_line(self, tmp_path, modality_mix, key, value,
+                                                  version):
+        """A batch holds sizes in an int64 array, so a lone record's size must
+        fit one too. At version 3 this is found before a token width is
+        derived from the size."""
         with pytest.raises(SchemaError, match=f"line 2: {key} must be an integer$"):
-            self._load(tmp_path, record={key: value}, modality_mix=modality_mix)
+            self._load(tmp_path, record={key: value}, version=version,
+                       modality_mix=modality_mix)
 
     @pytest.mark.parametrize("token", [1.7, 1.0, True, "1", None])
     def test_tokens_must_be_json_ints(self, tmp_path, token):
+        """A version-2 token payload is a list of JSON integers."""
         corpus = synthesize_corpus(small_config(unlabelled_count=0, modality_mix=0.0))
         payload = [int(t) for t in corpus.labelled[0].payload.tokens]
         payload[len(payload) // 2] = token
         with pytest.raises(SchemaError, match="line 2: token payload must be a list of JSON"):
-            self._load(tmp_path, record={"payload": payload}, modality_mix=0.0)
+            self._load(tmp_path, record={"payload": payload}, version=2, modality_mix=0.0)
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("lexicon", "0", [1.7, 2], "lexicon alternative must be a JSON integer"),
@@ -256,8 +270,9 @@ EDGE_FRAMES = [-0.0, 0.0, FINFO.smallest_subnormal, -FINFO.smallest_subnormal,
 
 
 class TestFormatVersions:
-    """Corpora are written at version 2 (signal frames as base64 float64
-    bytes) and read at versions 1 and 2 with the same meaning."""
+    """Corpora are written at version 3 (signal frames as base64 float64
+    bytes, tokens as base64 unsigned integers of the vocabulary's width) and
+    read at versions 1, 2 and 3 with the same meaning."""
 
     @settings(max_examples=60, deadline=None)
     @given(signals=st.lists(st.tuples(
@@ -270,7 +285,7 @@ class TestFormatVersions:
     @example(signals=[([-0.0], 16000, None)], tokens=[0])
     @example(signals=[([x], 8000, (1, 2)) for x in EDGE_FRAMES], tokens=[3])
     @example(signals=[(EDGE_FRAMES, 1, (0, 0))], tokens=[9, 9])
-    def test_versions_1_and_2_load_identically(self, signals, tokens):
+    def test_versions_1_2_and_3_load_identically(self, signals, tokens):
         samples = [Sample(id=f"s{i}", modality="signal",
                           payload=SignalSequence(np.array(frames), sample_rate),
                           emotion=None if labels is None else labels[0],
@@ -282,13 +297,31 @@ class TestFormatVersions:
                         unlabelled=[s for s in samples if not s.is_labelled],
                         emotion_names=["a", "b"], intent_names=["x", "y", "z"])
         text = corpus_to_text(corpus)
-        assert json.loads(text.splitlines()[0])["version"] == 2
+        assert json.loads(text.splitlines()[0])["version"] == 3
         with tempfile.TemporaryDirectory() as directory:
-            version_2 = write_and_load(text, directory)
-            version_1 = write_and_load(as_version_1(text), directory)
-        assert_same_corpus(version_2, corpus)
-        assert_same_corpus(version_1, corpus)
-        assert_same_corpus(version_2, version_1)
+            loaded = [write_and_load(form, directory)
+                      for form in (text, as_version_2(text), as_version_1(as_version_2(text)))]
+        for got in loaded:
+            assert_same_corpus(got, corpus)
+            assert corpus_fingerprint(got) == corpus_fingerprint(corpus)
+
+    @pytest.mark.parametrize("vocab_size, width", [
+        (2, 1), (256, 1), (257, 2), (65536, 2), (65537, 4), (2 ** 32, 4), (2 ** 32 + 1, 8),
+        (2 ** 63 - 1, 8)])
+    def test_token_width_follows_the_vocabulary(self, tmp_path, vocab_size, width):
+        """Each token takes the fewest of 1, 2, 4 or 8 bytes that hold
+        ``vocab_size - 1``; the largest token reloads as written."""
+        assert token_width(vocab_size) == width
+        tokens = [0, vocab_size - 1, vocab_size // 2]
+        corpus = Corpus(labelled=[], unlabelled=[Sample(
+            id="t", modality="tokens", payload=TokenSequence(np.array(tokens), vocab_size))],
+                        emotion_names=["a", "b"], intent_names=["x", "y"])
+        record = json.loads(corpus_to_text(corpus).splitlines()[1])
+        assert record["tokens"] == tokens_b64(tokens, width)
+        with tempfile.TemporaryDirectory() as directory:
+            loaded = write_and_load(corpus_to_text(corpus), directory)
+        assert loaded.unlabelled[0].payload.tokens.tolist() == tokens
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
 
     def test_signal_record_keys(self):
         corpus = synthesize_corpus(small_config(unlabelled_count=1, modality_mix=0.5))
@@ -296,15 +329,14 @@ class TestFormatVersions:
         keys = {r["modality"]: list(r) for r in records if "emotion" in r}
         assert keys == {
             "signal": ["id", "modality", "frames", "sample_rate", "emotion", "intent"],
-            "tokens": ["id", "modality", "payload", "vocab_size", "emotion", "intent"]}
+            "tokens": ["id", "modality", "tokens", "vocab_size", "emotion", "intent"]}
 
-    @pytest.mark.parametrize("modality, edit, needle",
-                             [case[1:] for case in BAD_VERSION_2_RECORDS],
-                             ids=[case[0] for case in BAD_VERSION_2_RECORDS])
-    def test_bad_version_2_record_names_file_and_line(self, tmp_path, modality, edit, needle):
+    @staticmethod
+    def _bad_record_error(tmp_path, version, modality, edit) -> str:
         corpus = synthesize_corpus(small_config(
             unlabelled_count=0, modality_mix=1.0 if modality == "signal" else 0.0))
-        lines = corpus_to_text(corpus).splitlines()
+        text = corpus_to_text(corpus)
+        lines = (as_version_2(text) if version == 2 else text).splitlines()
         record = json.loads(lines[1])
         edit(record)
         path = tmp_path / "corpus.jsonl"
@@ -312,13 +344,25 @@ class TestFormatVersions:
         with pytest.raises(SchemaError) as info:
             load_corpus(str(path))
         assert str(info.value).startswith(f"{path} line 2: ")
-        assert needle in str(info.value)
+        return str(info.value)
+
+    @pytest.mark.parametrize("modality, edit, needle",
+                             [case[1:] for case in BAD_VERSION_2_RECORDS],
+                             ids=[case[0] for case in BAD_VERSION_2_RECORDS])
+    def test_bad_version_2_record_names_file_and_line(self, tmp_path, modality, edit, needle):
+        assert needle in self._bad_record_error(tmp_path, 2, modality, edit)
+
+    @pytest.mark.parametrize("modality, edit, needle",
+                             [case[1:] for case in BAD_VERSION_3_RECORDS],
+                             ids=[case[0] for case in BAD_VERSION_3_RECORDS])
+    def test_bad_version_3_record_names_file_and_line(self, tmp_path, modality, edit, needle):
+        assert needle in self._bad_record_error(tmp_path, 3, modality, edit)
 
     def test_version_2_field_in_a_version_1_file_rejected(self, tmp_path):
         """The key set is per version: ``frames`` in a version-1 file is an
         unknown field."""
         corpus = synthesize_corpus(small_config(unlabelled_count=0))
-        lines = corpus_to_text(corpus).splitlines()
+        lines = as_version_2(corpus_to_text(corpus)).splitlines()
         path = tmp_path / "corpus.jsonl"
         path.write_text(lines[0].replace('"version": 2', '"version": 1') + "\n"
                         + "\n".join(lines[1:]) + "\n")
@@ -327,8 +371,9 @@ class TestFormatVersions:
             load_corpus(str(path))
 
 
-# Written by the version-1 writer, from synthesize_corpus(FIXTURE_CONFIG).
+# Written by the version-1 and the version-2 writer, from synthesize_corpus(FIXTURE_CONFIG).
 FIXTURE_V1 = os.path.join(os.path.dirname(__file__), "data", "corpus_v1.jsonl")
+FIXTURE_V2 = os.path.join(os.path.dirname(__file__), "data", "corpus_v2.jsonl")
 FIXTURE_CONFIG = GeneratorConfig(emotion_counts=(2, 2, 2), intent_counts=(3, 3),
                                  unlabelled_count=4, min_len=1, max_len=24,
                                  modality_mix=0.5, vocab_size=12, embedding_dim=4, seed=5)
@@ -343,13 +388,14 @@ class TestVersion1Fixture:
         assert loaded.unlabelled
         assert_same_corpus(loaded, synthesize_corpus(FIXTURE_CONFIG))
 
-    def test_resave_gives_version_2_with_same_content(self, tmp_path):
+    def test_resave_gives_version_3_with_same_content(self, tmp_path):
         first = load_corpus(FIXTURE_V1)
         path = tmp_path / "corpus.jsonl"
         save_corpus(first, str(path))
         lines = path.read_text().splitlines()
-        assert json.loads(lines[0])["version"] == 2
+        assert json.loads(lines[0])["version"] == 3
         assert all("frames" in json.loads(line) for line in lines[1:] if '"signal"' in line)
+        assert all("tokens" in json.loads(line) for line in lines[1:] if '"tokens"' in line)
         assert_same_corpus(load_corpus(str(path)), first)
 
     @pytest.mark.parametrize("frame", ["1.5", True, None, [1.5]])
@@ -429,6 +475,31 @@ class TestCorpusFingerprint:
         corpus = synthesize_corpus(small_config(modality_mix=1.0))
         assert corpus.lexicon is None and corpus.embedding is None
         assert corpus_fingerprint(corpus) == corpus_fingerprint(copy.deepcopy(corpus))
+
+
+class TestVersionFixtures:
+    """One corpus in the three forms: the committed version-1 and version-2
+    files, and what the writer gives today."""
+
+    def test_three_versions_give_equal_samples_and_one_fingerprint(self, tmp_path):
+        generated = synthesize_corpus(FIXTURE_CONFIG)
+        save_corpus(generated, str(tmp_path / "corpus.jsonl"))
+        forms = {1: load_corpus(FIXTURE_V1), 2: load_corpus(FIXTURE_V2),
+                 3: load_corpus(str(tmp_path / "corpus.jsonl"))}
+        for version, path in ((1, FIXTURE_V1), (2, FIXTURE_V2), (3, tmp_path / "corpus.jsonl")):
+            with open(path) as handle:
+                assert json.loads(handle.readline())["version"] == version
+        for loaded in forms.values():
+            assert_same_corpus(loaded, generated)
+        assert {corpus_fingerprint(c) for c in forms.values()} == {corpus_fingerprint(generated)}
+
+    def test_restated_forms_are_the_old_writers_bytes(self):
+        """The test-side restatements of a version-3 text give, byte for byte,
+        what the version-2 and version-1 writers wrote."""
+        text = corpus_to_text(synthesize_corpus(FIXTURE_CONFIG))
+        with open(FIXTURE_V2) as v2, open(FIXTURE_V1) as v1:
+            assert as_version_2(text) == v2.read()
+            assert as_version_1(as_version_2(text)) == v1.read()
 
 
 class TestSplitSpec:
@@ -642,27 +713,56 @@ BLOCK = semimatch.data._BLOCK
 class TestBlockLoad:
     """The loader parses and checks a block of records at a time, and still
     reports the first faulty line of the file, with the message that line
-    gives on its own, whatever faults follow it in the block or after it."""
+    gives on its own, whatever faults follow it in the block or after it.
+    Each case runs on a signal corpus at versions 2 and 3 and on a tokens
+    corpus at version 3."""
 
-    # fault -> (edit of a signal record's JSON line, the error text on its line)
+    # modality -> fault -> (edit of a record's JSON line, the error text on its line)
     FAULTS = {
-        "payload": (lambda r: r.update(frames="AAAAAAAA+H8="), "signal frames must be finite"),
-        "rate": (lambda r: r.update(sample_rate=0), "sample_rate must be positive"),
-        "huge-rate": (lambda r: r.update(sample_rate=10 ** 30), "sample_rate must be an integer"),
-        "id": (lambda r: r.update(id=None), "id must be a JSON string, got None"),
-        "field": (lambda r: r.update(extra=1),
-                  "unknown field(s) ['extra'] in a version-2 signal record"),
-        "json": (None, "invalid JSON"),
+        "signal": {
+            "payload": (lambda r: r.update(frames="AAAAAAAA+H8="),
+                        "signal frames must be finite"),
+            "rate": (lambda r: r.update(sample_rate=0), "sample_rate must be positive"),
+            "huge-rate": (lambda r: r.update(sample_rate=10 ** 30),
+                          "sample_rate must be an integer"),
+            "id": (lambda r: r.update(id=None), "id must be a JSON string, got None"),
+            "field": (lambda r: r.update(extra=1),
+                      "unknown field(s) ['extra'] in a version-{version} signal record"),
+            "json": (None, "invalid JSON"),
+        },
+        "tokens": {
+            "payload": (lambda r: r.update(tokens=tokens_b64([1, 30])),
+                        "token index outside the vocabulary"),
+            "rate": (lambda r: r.update(vocab_size=0), "vocab_size must be positive"),
+            "huge-rate": (lambda r: r.update(vocab_size=10 ** 30),
+                          "vocab_size must be an integer"),
+            "id": (lambda r: r.update(id=None), "id must be a JSON string, got None"),
+            "field": (lambda r: r.update(extra=1),
+                      "unknown field(s) ['extra'] in a version-{version} tokens record"),
+            "json": (None, "invalid JSON"),
+        },
     }
 
-    def _load_error(self, tmp_path, faults: dict[int, str]) -> str:
+    @pytest.fixture(params=[("signal", 2), ("signal", 3), ("tokens", 3)],
+                    ids=["signal-v2", "signal-v3", "tokens-v3"])
+    def form(self, request):
+        return request.param
+
+    def _needle(self, form, fault: str) -> str:
+        modality, version = form
+        return self.FAULTS[modality][fault][1].format(version=version)
+
+    def _load_error(self, tmp_path, form, faults: dict[int, str]) -> str:
+        modality, version = form
         # 18 labelled records, then unlabelled ones: two full blocks and 10 records more
         corpus = synthesize_corpus(small_config(unlabelled_count=2 * BLOCK + 10 - 18,
-                                                min_len=2, max_len=4))
-        lines = corpus_to_text(corpus).splitlines()   # the header is line 1
+                                                min_len=2, max_len=4,
+                                                modality_mix=float(modality == "signal")))
+        text = corpus_to_text(corpus)
+        lines = (as_version_2(text) if version == 2 else text).splitlines()   # header: line 1
         assert len(lines) == 1 + 2 * BLOCK + 10
         for line_no, fault in faults.items():
-            edit = self.FAULTS[fault][0]
+            edit = self.FAULTS[modality][fault][0]
             if edit is None:   # drop the closing brace
                 lines[line_no - 1] = lines[line_no - 1][:-1]
             else:
@@ -675,13 +775,13 @@ class TestBlockLoad:
             load_corpus(str(path))
         return str(caught.value).removeprefix(f"{path} ")
 
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("fault", sorted(FAULTS["signal"]))
     @pytest.mark.parametrize("line_no", [2, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 11],
                              ids=["first-of-block", "last-of-block", "first-of-next-block",
                                   "last-of-next-block", "last-record"])
-    def test_one_fault_names_its_line(self, tmp_path, fault, line_no):
-        got = self._load_error(tmp_path, {line_no: fault})
-        assert got.startswith(f"line {line_no}: {self.FAULTS[fault][1]}")
+    def test_one_fault_names_its_line(self, tmp_path, form, fault, line_no):
+        got = self._load_error(tmp_path, form, {line_no: fault})
+        assert got.startswith(f"line {line_no}: {self._needle(form, fault)}")
 
     @pytest.mark.parametrize("first", ["payload", "rate", "huge-rate"])
     @pytest.mark.parametrize("later", ["payload", "id", "field", "json"])
@@ -689,14 +789,15 @@ class TestBlockLoad:
                                        (BLOCK, 2 * BLOCK + 11)],
                              ids=["same-block", "first-and-last", "across-boundary",
                                   "blocks-apart"])
-    def test_payload_fault_reported_before_a_later_fault(self, tmp_path, first, later, lines):
-        got = self._load_error(tmp_path, {lines[0]: first, lines[1]: later})
-        assert got == f"line {lines[0]}: {self.FAULTS[first][1]}"
+    def test_payload_fault_reported_before_a_later_fault(self, tmp_path, form, first, later,
+                                                         lines):
+        got = self._load_error(tmp_path, form, {lines[0]: first, lines[1]: later})
+        assert got == f"line {lines[0]}: {self._needle(form, first)}"
 
     @pytest.mark.parametrize("later", [40, BLOCK + 40])
-    def test_payload_fault_reported_after_an_earlier_fault(self, tmp_path, later):
-        got = self._load_error(tmp_path, {5: "id", later: "payload"})
-        assert got == f"line 5: {self.FAULTS['id'][1]}"
+    def test_payload_fault_reported_after_an_earlier_fault(self, tmp_path, form, later):
+        got = self._load_error(tmp_path, form, {5: "id", later: "payload"})
+        assert got == f"line 5: {self._needle(form, 'id')}"
 
     @pytest.mark.parametrize("modality_mix", [0.0, 0.5, 1.0])
     def test_payloads_are_views_of_one_array_per_block(self, tmp_path, modality_mix):

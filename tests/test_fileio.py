@@ -107,7 +107,7 @@ FRAMING_CASES = [
     ("non-JSON line 1", lambda lines: ["{not json"] + lines[1:], 1),
     ("JSON array on line 1", lambda lines: ["[1, 2]"] + lines[1:], 1),
     ("wrong format", lambda lines: _set_header(lines, format="semimatch-other"), 1),
-    ("wrong version", lambda lines: _set_header(lines, version=3), 1),
+    ("wrong version", lambda lines: _set_header(lines, version=4), 1),
     ("float version", lambda lines: _set_header(lines, version=1.0), 1),
     ("missing version", lambda lines: [json.dumps(
         {k: v for k, v in json.loads(lines[0]).items() if k != "version"})] + lines[1:], 1),
@@ -175,10 +175,10 @@ class TestLineFraming:
                 np.testing.assert_array_equal(a, b)
 
     def test_version_2_read_only_for_corpora(self, files, tmp_path, capsys):
-        """Corpora are written at version 2, predictions and checkpoints at
+        """Corpora are written at version 3, predictions and checkpoints at
         version 1; a prediction file claiming version 2 is rejected (for
         checkpoints, see ``TestCheckpointFraming``)."""
-        assert json.loads(lines_of(files["corpus.jsonl"])[0])["version"] == 2
+        assert json.loads(lines_of(files["corpus.jsonl"])[0])["version"] == 3
         assert json.loads(lines_of(files["p2.jsonl"])[0])["version"] == 1
         assert json.loads(files["checkpoint.json"].read_text())["version"] == 1
         path = files["p2.jsonl"]

@@ -148,7 +148,7 @@ GOLDEN_CLI = {
 }
 
 # sha256 of the corpus_to_text bytes of every CORPUS_GRID recipe, first 16 hex digits
-CORPUS_DIGEST = 'a14490afb3efe93b'
+CORPUS_DIGEST = '2ce9a3b7b557e4e1'
 
 # sha256 of the corpus_fingerprint of every CORPUS_GRID recipe, first 16 hex digits
 CORPUS_CONTENT_DIGEST = '8db99610a3ad33f4'
