@@ -519,7 +519,8 @@ def _record_parts(record: dict, embedding: EmbeddingTable | None, version: int,
             values = np.asarray(record["payload"], dtype=int)
         size = json_int(record["vocab_size"], "vocab_size")
         if version == 3:   # the width of its tokens follows from its vocab_size
-            check_sizes("vocab_size", size)
+            if not 0 < size < 2 ** 63:
+                check_sizes("vocab_size", size)   # raises the size rule's own message
             values = _decoded("tokens", record["tokens"], f"<u{_token_width(size)}")
         if alone:
             TokenSequence(tokens=values, vocab_size=size)
