@@ -437,13 +437,14 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     the lexicon, the embedding table's metadata and vectors, and each
     sample's id, modality, labels, size and payload values, as fixed-width
     ``<f8`` / ``<i8`` bytes. File bytes are never hashed, so every format
-    version of one corpus gives one fingerprint."""
+    version of one corpus gives one fingerprint; a numpy integer hashes as
+    the Python int it equals."""
     embedding = corpus.embedding
     sha = hashlib.sha256(json.dumps([
         corpus.emotion_names, corpus.intent_names,
         corpus.lexicon and sorted(corpus.lexicon.mapping.items()),
         embedding and [embedding.vocab_size, embedding.dim, embedding.seed,
-                       embedding.group_size]]).encode())
+                       embedding.group_size]], default=int).encode())
     if embedding is not None:
         sha.update(embedding.vectors.astype("<f8").tobytes())
     for sample in corpus.labelled + corpus.unlabelled:
@@ -452,7 +453,7 @@ def corpus_fingerprint(corpus: Corpus) -> str:
                         if sample.modality == "signal"
                         else (payload.tokens.astype("<i8"), payload.vocab_size))
         sha.update(json.dumps([sample.id, sample.modality, sample.emotion, sample.intent,
-                               int(size), len(values)]).encode())
+                               size, len(values)], default=int).encode())
         sha.update(values.tobytes())
     return sha.hexdigest()
 

@@ -610,7 +610,7 @@ class TestCorpusFieldTypes:
         assert err.startswith("error: corpus.jsonl line 2: ") and err.count("\n") == 1
         assert needle in err and "Traceback" not in err
         # a2b_base64's own messages do not name the field; the reader adds it
-        field = "frames" if modality == "signal" else "tokens"
+        field = "tokens" if (version, modality) == (3, "tokens") else "frames"
         assert (f"line 2: {field}: " in err) == (needle in A2B_BASE64_ERRORS)
         assert not (workdir / "run").exists()
 

@@ -462,13 +462,17 @@ class TestCorpusFingerprint:
         assert corpus.labelled[0].modality == "tokens"
         assert corpus_fingerprint(_changed(corpus, what)) != corpus_fingerprint(corpus)
 
-    def test_payload_dtype_does_not_move_it(self):
-        """Payload values are hashed at one width: int32 tokens hash as int64 ones."""
+    def test_numpy_types_do_not_move_it(self):
+        """Payload values are hashed at one width, so int32 tokens hash as
+        int64 ones, and numpy integer labels and sizes as Python ints."""
         corpus = synthesize_corpus(FIXTURE_CONFIG)
         narrow = copy.deepcopy(corpus)
         for sample in narrow.labelled + narrow.unlabelled:
             if sample.modality == "tokens":
                 sample.payload.tokens = sample.payload.tokens.astype(np.int32)
+                sample.payload.vocab_size = np.int32(sample.payload.vocab_size)
+            if sample.is_labelled:
+                sample.emotion, sample.intent = np.int64(sample.emotion), np.uint8(sample.intent)
         assert corpus_fingerprint(narrow) == corpus_fingerprint(corpus)
 
     def test_no_resources(self):
