@@ -254,6 +254,7 @@ def assert_same_corpus(got: Corpus, expected: Corpus):
             assert frames.tobytes() == b.payload.frames.tobytes()
         else:
             assert a.payload.vocab_size == b.payload.vocab_size
+            assert a.payload.tokens.dtype == b.payload.tokens.dtype
             assert a.payload.tokens.tolist() == b.payload.tokens.tolist()
 
 

@@ -58,6 +58,7 @@ from semimatch.data import (
     GeneratorConfig,
     corpus_fingerprint,
     corpus_to_text,
+    load_corpus,
     save_corpus,
     synthesize_corpus,
 )
@@ -476,6 +477,16 @@ def test_corpus_digest_unchanged():
 
 def test_corpus_content_digest_unchanged():
     assert corpus_digests()[1] == CORPUS_CONTENT_DIGEST
+
+
+def test_corpus_grid_reloads_to_its_fingerprint(tmp_path):
+    """Each grid corpus, written at the current version and read back, has
+    the content it was generated with."""
+    path = str(tmp_path / "corpus.jsonl")
+    for recipe in CORPUS_GRID:
+        corpus = synthesize_corpus(GeneratorConfig(**recipe))
+        save_corpus(corpus, path)
+        assert corpus_fingerprint(load_corpus(path)) == corpus_fingerprint(corpus), recipe
 
 
 def test_loss_api_digest_unchanged():
