@@ -428,8 +428,10 @@ def _changed(corpus: Corpus, what: str) -> Corpus:
         corpus.embedding.vectors[0, 0] += 1.0
     elif what == "id":
         sample.id += "x"
-    elif what == "label":
+    elif what == "emotion":
         sample.emotion = (sample.emotion + 1) % corpus.n_emotion
+    elif what == "intent":
+        sample.intent = (sample.intent + 1) % corpus.n_intent
     elif what == "unlabel":
         sample.emotion = sample.intent = None
     elif what == "size":
@@ -456,8 +458,8 @@ class TestCorpusFingerprint:
         assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
         assert len(corpus_fingerprint(corpus)) == 64
 
-    @pytest.mark.parametrize("what", ["names", "lexicon", "embedding", "id", "label",
-                                      "unlabel", "size", "token", "frame", "order"])
+    @pytest.mark.parametrize("what", ["names", "lexicon", "embedding", "id", "emotion",
+                                      "intent", "unlabel", "size", "token", "frame", "order"])
     def test_each_field_moves_it(self, what):
         corpus = synthesize_corpus(FIXTURE_CONFIG)
         assert corpus.labelled[0].modality == "tokens"
