@@ -236,6 +236,17 @@ class GeneratorConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
             if getattr(self, key) >= 2 ** 63:   # a payload size is held in an int64
                 raise ConfigError(f"{key} must be below 2**63, got {getattr(self, key)}")
+        # one numpy array holds under 2**63 bytes: the float64 token tables have a
+        # row per class, the embedding table (built for token samples) one per token
+        classes = max(len(self.emotion_counts), len(self.intent_counts))
+        if 8 * classes * self.vocab_size >= 2 ** 63:
+            raise ConfigError(f"vocab_size {self.vocab_size} needs float64 token tables of "
+                              f"{classes} x {self.vocab_size} entries, more than one numpy "
+                              "array can hold")
+        if self.modality_mix < 1.0 and 8 * self.vocab_size * self.embedding_dim >= 2 ** 63:
+            raise ConfigError(f"embedding_dim {self.embedding_dim} needs a float64 embedding "
+                              f"table of {self.vocab_size} x {self.embedding_dim} entries, "
+                              "more than one numpy array can hold")
 
 
 _N_SEGMENTS = 8

@@ -1,5 +1,6 @@
-"""Training loop: batching, augmentation, loss composition, Adam updates,
-per-epoch validation, and checkpoint selection by validation JRBM.
+"""Training loop: batching, augmentation, one ``train_step`` per batch
+(loss composition and an Adam update), per-epoch validation, and
+checkpoint selection by validation JRBM.
 
 Determinism contract: every random draw comes from a generator keyed by
 (config seed, stream id, epoch), so two runs with the same config and
@@ -269,10 +270,10 @@ def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo
 
 def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor,
                     memo, steps, epoch: int):
-    """``(lab_batch, unlab_batch, lab_x, weak_x, strong_x)`` for each step of
-    an epoch, in order: the step's batches and the feature rows of its
-    labelled, unlabelled weak and unlabelled strong branches, sliced from
-    one ``_rows`` call per branch and block of steps."""
+    """``(lab_batch, lab_x, weak_x, strong_x)`` for each step of an epoch, in
+    order: the step's labelled batch and the feature rows of its labelled,
+    unlabelled weak and unlabelled strong branches, sliced from one
+    ``_rows`` call per branch and block of steps."""
     rng_lab = np.random.default_rng([config.seed, _STREAM_LAB_AUG, epoch])
     rng_weak = np.random.default_rng([config.seed, _STREAM_WEAK_AUG, epoch])
     rng_strong = np.random.default_rng([config.seed, _STREAM_STRONG_AUG, epoch])
@@ -287,7 +288,7 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
         for lab_batch, unlab_batch in block:
             lab_start, lab_end = lab_end, lab_end + len(lab_batch)
             unlab_start, unlab_end = unlab_end, unlab_end + len(unlab_batch)
-            yield (lab_batch, unlab_batch, lab_x[lab_start:lab_end],
+            yield (lab_batch, lab_x[lab_start:lab_end],
                    weak_x[unlab_start:unlab_end], strong_x[unlab_start:unlab_end])
 
 
@@ -364,6 +365,19 @@ def extractor_for(config: TrainConfig, corpus: Corpus) -> FeatureExtractor:
                             max_token_len=config.token_max_len, table=corpus.embedding)
 
 
+def train_step(method: str, model: TwoHeadModel, spec: BatchLossSpec, weak_x: np.ndarray,
+               strong_x: np.ndarray, tau: float, sigma: float, state: AdamState, lr: float):
+    """One step of train(): ``(loss, new model, new Adam state)``, with ``spec`` filled in."""
+    strong = None   # the strong branch's forward, which the loss reuses
+    if len(strong_x):   # an empty unlabelled branch (the baseline's) has no batch decisions
+        spec.strong_features = strong_x
+        weak = forward_batch(model, weak_x)
+        strong = forward_batch(model, strong_x, parts=True)
+        spec.emo_terms, spec.int_terms = batch_terms(method, weak, strong[3:], tau, sigma)
+    result, grads = loss_and_gradients(model, spec, strong)
+    return result, *adam_step(model, grads, state, lr)
+
+
 def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     """Run the configured method on the corpus; see the module docstring."""
     train_set, valid_set, test_set = split_for(config, corpus)
@@ -388,24 +402,15 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
                              seed=[config.seed, _STREAM_BATCH, epoch])
 
         results = []
-        for lab_batch, unlab_batch, lab_x, weak_x, strong_x in _epoch_features(
+        for lab_batch, lab_x, weak_x, strong_x in _epoch_features(
                 config, corpus, extractor, memo, steps, epoch):
             spec = BatchLossSpec(
                 lab_features=lab_x,
                 emo_labels=np.array([s.emotion for s in lab_batch]),
                 int_labels=np.array([s.intent for s in lab_batch]),
                 coeffs=coeffs, intent_weight=config.intent_weight)
-
-            strong = None   # the strong branch's forward, which the loss reuses
-            if unlab_batch:
-                spec.strong_features = strong_x
-                weak = forward_batch(model, weak_x)
-                strong = forward_batch(model, spec.strong_features, parts=True)
-                spec.emo_terms, spec.int_terms = batch_terms(
-                    config.method, weak, strong[3:], config.tau, config.sigma)
-
-            result, grads = loss_and_gradients(model, spec, strong)
-            model, state = adam_step(model, grads, state, lr)
+            result, model, state = train_step(config.method, model, spec, weak_x, strong_x,
+                                              config.tau, config.sigma, state, lr)
             results.append(result)
 
         val = evaluate(model, valid_eval, extractor, rows=valid_x)
@@ -447,5 +452,5 @@ def epoch_reports_csv(reports) -> str:
 __all__ = [
     "EpochReport", "METHODS", "TaskEpochStats", "TrainConfig", "TrainResult", "epoch_reports_csv",
     "evaluate", "extractor_for", "labelled_pool", "lr_at_epoch", "metrics_from_probs",
-    "predict_probs", "shared_features", "split_for", "train", "unlabelled_pool",
+    "predict_probs", "shared_features", "split_for", "train", "train_step", "unlabelled_pool",
 ]

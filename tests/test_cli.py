@@ -158,6 +158,17 @@ class TestConfigParsing:
         ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\nmodality_mix = 0\n"
          "vocab_size = 9223372036854775808\n",
          "vocab_size must be below 2**63, got 9223372036854775808"),
+        ("gen-data", "emotion_counts = 3, 3\nintent_counts = 3, 3\n"
+         "vocab_size = 2305843009213693952\n",
+         "vocab_size 2305843009213693952 needs float64 token tables of 2 x "
+         "2305843009213693952 entries, more than one numpy array can hold"),
+        ("gen-data", "emotion_counts = 3, 3\nintent_counts = 3, 3\nmodality_mix = 0.5\n"
+         "embedding_dim = 2305843009213693952\n",
+         "embedding_dim 2305843009213693952 needs a float64 embedding table of 30 x "
+         "2305843009213693952 entries, more than one numpy array can hold"),
+        ("train", "epochs = 2\nweak_aug_on_unlabelled = maybe\n",
+         "line 2: key 'weak_aug_on_unlabelled': expected a boolean, got 'maybe'"),
+        ("train", "tau = abc\n", "line 1: key 'tau': expected a number, got 'abc'"),
         ("train", "method = fixmatch\nbatch_size = 4\nunlabelled_ratio = 0.1\n",
          "unlabelled_ratio 0.1 at batch_size 4 draws no unlabelled sample per step, "
          "which method 'fixmatch' needs"),

@@ -648,6 +648,32 @@ class TestSynthesizeCorpus:
         config = small_config(sample_rate=2 ** 63 - 1)
         assert config.sample_rate == 2 ** 63 - 1
 
+    @pytest.mark.parametrize("key, value, modality_mix, table, rows", [
+        ("vocab_size", 2 ** 61, 1.0, "float64 token tables", 3),
+        ("vocab_size", 2 ** 60 // 3 + 1, 0.0, "float64 token tables", 3),
+        ("embedding_dim", 2 ** 61, 0.5, "a float64 embedding table", 30),
+    ])
+    def test_table_past_one_numpy_array_is_a_config_error(self, key, value, modality_mix,
+                                                          table, rows):
+        """The generator's float64 tables must each fit one numpy array, under
+        2**63 bytes, so the error names the key before any table is drawn.
+        Only sizes that numpy refuses without allocating are tried; a table
+        that fits the address space but not memory is left to the CLI's
+        ``MemoryError`` handling."""
+        with pytest.raises(ConfigError, match=f"^{key} {value} needs {table} of {rows} x "
+                                              f"{value} entries, more than one numpy array "
+                                              "can hold$"):
+            small_config(modality_mix=modality_mix, **{key: value})
+        with pytest.raises(ValueError, match="array is too big"):   # numpy allocates nothing
+            np.empty((rows, value))
+
+    def test_largest_tables_accepted(self):
+        """The largest vocabulary whose three-row token tables fit, and an
+        embedding dimension that an all-signal recipe never draws a table
+        for; neither is synthesized."""
+        assert small_config(vocab_size=2 ** 60 // 3).vocab_size == 2 ** 60 // 3
+        assert small_config(embedding_dim=2 ** 61, modality_mix=1.0).embedding_dim == 2 ** 61
+
     def test_mismatched_totals_rejected(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(emotion_counts=(5, 5), intent_counts=(4, 4))

@@ -16,12 +16,15 @@ function over a few hundred seeded batches (tied, uniform and one-hot rows,
 sigma = j/B and 1, exact-threshold tau, and inputs with one fault each). It
 hashes each output's types and bits, and each exception's type and message.
 
-``STEP_DIGEST`` pins one training step as ``train()`` runs it (the weak and
-strong forwards, ``batch_terms``, ``loss_and_gradients`` and ``adam_step``)
-over a few hundred seeded random steps: every method, one-row labelled and
-unlabelled batches, k = 1 and k = C, every gate closed and every gate open,
-saturated softmax rows, ``intent_weight`` other than 1 and non-zero Adam
-state. It hashes the loss breakdown, the new parameters and Adam's moments.
+``STEP_DIGEST`` pins ``trainer.train_step``, the function ``train()`` calls
+for each step (the weak and strong forwards, ``batch_terms``,
+``loss_and_gradients`` and ``adam_step``; the baseline's empty unlabelled
+branch takes only the last two), over a few hundred seeded random steps:
+every method, one-row labelled and unlabelled batches, k = 1 and k = C,
+every gate closed and every gate open, saturated softmax rows,
+``intent_weight`` other than 1 and non-zero Adam state. It hashes the loss
+breakdown, the new parameters and Adam's moments, so a change that moves the
+bits of a step ``train()`` takes moves it.
 
 ``CORPUS_DIGEST`` pins what ``synthesize_corpus`` generates: the
 ``corpus_to_text`` bytes of a grid of ``GeneratorConfig`` recipes, among them
@@ -67,13 +70,11 @@ from semimatch.model import (
     AdamState,
     BatchLossSpec,
     TwoHeadModel,
-    adam_step,
     forward_batch,
     init_model,
-    loss_and_gradients,
 )
 from semimatch.persist import checkpoint_to_text
-from semimatch.trainer import METHODS, TrainConfig, epoch_reports_csv, train
+from semimatch.trainer import METHODS, TrainConfig, epoch_reports_csv, train, train_step
 
 WEAK_KINDS = {"signal": ("flip", "pitch_shift"), "tokens": ("swap", "synonym")}
 # confidence thresholds at which each modality's gates open for some samples
@@ -412,19 +413,6 @@ def _step_case(rng, i: int):
                       step=int(rng.integers(0, 60)))
     lr = float(rng.choice([3e-3, 0.1]))
     return method, model, spec, weak_x, strong_x, tau, sigma, state, lr
-
-
-def train_step(method, model, spec, weak_x, strong_x, tau, sigma, state, lr):
-    """One step of ``train()``'s loop: ``(loss, new model, new Adam state)``."""
-    strong = None
-    if method != "baseline":
-        spec.strong_features = strong_x
-        weak = forward_batch(model, weak_x)
-        strong = forward_batch(model, spec.strong_features, parts=True)
-        spec.emo_terms, spec.int_terms = losses.batch_terms(method, weak, strong[3:], tau, sigma)
-    result, grads = loss_and_gradients(model, spec, strong)
-    model, state = adam_step(model, grads, state, lr)
-    return result, model, state
 
 
 def step_records(steps: int = 240):

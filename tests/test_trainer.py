@@ -64,6 +64,10 @@ class TestLrSchedule:
         for epoch in (0, 1, 7, 30):
             assert lr_at_epoch(1e-3, 1.0, epoch) == 1e-3
 
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ContractError, match="^epoch must be non-negative$"):
+            lr_at_epoch(3e-5, 0.9, -1)
+
     def test_reported_lr_follows_schedule(self):
         corpus = quick_corpus()
         result = run(quick_config(epochs=4), corpus)
@@ -138,6 +142,12 @@ class TestTrainLoop:
 
 
 class TestConfigValidation:
+    def test_unknown_method_and_modality(self):
+        with pytest.raises(ConfigError, match="^unknown method 'selfmatch'$"):
+            TrainConfig(method="selfmatch")
+        with pytest.raises(ConfigError, match="^unknown modality 'video'$"):
+            TrainConfig(modality="video")
+
     def test_wrong_weak_kind_for_modality(self):
         with pytest.raises(ConfigError):
             TrainConfig(modality="signal", weak_aug_kind="synonym")
@@ -304,6 +314,31 @@ class TestForwardCount:
         steps, evals = calls["adam_step"], calls["evaluate"]
         assert steps > 0 and evals == 3
         assert calls["_forward_parts"] == per_step * steps + evals
+
+
+class TestTrainStepCalls:
+    """train() takes every step through ``train_step``: one call per step of
+    each epoch's ``make_batches`` schedule, with an unlabelled branch that is
+    empty exactly for the baseline."""
+
+    @pytest.mark.parametrize("method", ["baseline", "fixmatch", "fullmatch"])
+    def test_one_call_per_scheduled_step(self, method, monkeypatch):
+        schedule, branch_rows = [], []
+        make_batches, train_step = semimatch.trainer.make_batches, semimatch.trainer.train_step
+
+        def scheduled(*args, **kwargs):
+            steps = make_batches(*args, **kwargs)
+            schedule.append(len(steps))
+            return steps
+
+        def step(*args):   # (method, model, spec, weak_x, strong_x, tau, sigma, state, lr)
+            branch_rows.append(len(args[4]))
+            return train_step(*args)
+        monkeypatch.setattr(semimatch.trainer, "make_batches", scheduled)
+        monkeypatch.setattr(semimatch.trainer, "train_step", step)
+        run(quick_config(method=method, epochs=3), quick_corpus())
+        assert len(schedule) == 3 and len(branch_rows) == sum(schedule) > 0
+        assert all((rows == 0) == (method == "baseline") for rows in branch_rows)
 
 
 class TestProbCheckCount:

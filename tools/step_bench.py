@@ -1,14 +1,16 @@
 """Time one training step per method at the benchmark workloads' shapes.
 
-One step is the body of ``trainer.train``'s step loop, called through
-``semimatch.trainer``'s names: the weak and strong forwards, ``batch_terms``,
-``loss_and_gradients`` and ``adam_step`` (the baseline runs the last two
-only). The shapes are the workloads': 4 labelled and 16 unlabelled rows
-(batch 4, ratio 4), hidden width 64, 7 emotion and 8 intent classes, and a
-feature width of 32 (signal, 8 bins) or 17 (tokens), at the default tau and
-sigma. Each repeat times a run of steps per method and width, from the same
-seeded model, in an order that rotates from repeat to repeat. It prints the
-median and IQR of the microseconds per step.
+One step is one ``semimatch.trainer.train_step`` call, the function
+``trainer.train`` calls for each step: the weak and strong forwards,
+``batch_terms``, ``loss_and_gradients`` and ``adam_step``. As in ``train``,
+the baseline's unlabelled branches are empty, so it runs the last two only.
+The shapes are the workloads': 4 labelled and 16 unlabelled rows (batch 4,
+ratio 4), hidden width 64, 7 emotion and 8 intent classes, and a feature
+width of 32 (signal, 8 bins) or 17 (tokens), at the default tau and sigma.
+Each repeat times a run of steps per method and width, from the same seeded
+model, in an order that rotates from repeat to repeat. It prints the median
+and IQR of the microseconds per step, one row per method and width (the IQR
+of a single repeat is 0).
 
     python tools/step_bench.py [--repeats 15] [--steps 200]
 
@@ -50,20 +52,16 @@ def run_steps(method: str, width: int, data: list, steps: int) -> float:
     model = init_model(width, HIDDEN, N_EMOTION, N_INTENT, np.random.default_rng(7))
     state = AdamState.zeros_like(model)
     coeffs = LossCoefficients()
+    if method == "baseline":    # train() draws no unlabelled sample for it
+        empty = np.empty((0, width))
+        data = [(*batch[:3], empty, empty) for batch in data]
     start = time.perf_counter()
     for i in range(steps):
         lab_x, emo, intent, weak_x, strong_x = data[i % len(data)]
         spec = BatchLossSpec(lab_features=lab_x, emo_labels=emo, int_labels=intent,
                              coeffs=coeffs, intent_weight=config.intent_weight)
-        strong = None
-        if method != "baseline":
-            spec.strong_features = strong_x
-            weak = trainer.forward_batch(model, weak_x)
-            strong = trainer.forward_batch(model, spec.strong_features, parts=True)
-            spec.emo_terms, spec.int_terms = trainer.batch_terms(
-                method, weak, strong[3:], config.tau, config.sigma)
-        _, grads = trainer.loss_and_gradients(model, spec, strong)
-        model, state = trainer.adam_step(model, grads, state, 2e-2)
+        _, model, state = trainer.train_step(method, model, spec, weak_x, strong_x,
+                                             config.tau, config.sigma, state, 2e-2)
     return (time.perf_counter() - start) / steps
 
 
@@ -72,6 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--steps", type=int, default=200)
     args = parser.parse_args(argv)
+    if args.repeats < 1 or args.steps < 1:
+        parser.error("--repeats and --steps must be at least 1")
     data = {m: batches(w, np.random.default_rng(w)) for m, w in WIDTHS.items()}
     cells = [(method, modality) for modality in WIDTHS for method in trainer.METHODS]
     for cell in cells:                      # warm-up
@@ -82,7 +82,9 @@ def main(argv=None) -> int:
             times[cell].append(run_steps(cell[0], WIDTHS[cell[1]], data[cell[1]], args.steps))
     print(f"us per step, median (IQR) of {args.repeats} repeats of {args.steps} steps")
     for (method, modality), runs in times.items():
-        q1, median, q3 = statistics.quantiles([t * 1e6 for t in runs], n=4, method="inclusive")
+        us = [t * 1e6 for t in runs]
+        q1, median, q3 = (statistics.quantiles(us, n=4, method="inclusive") if len(us) > 1
+                          else us * 3)
         print(f"{method:9s} {modality:6s} width {WIDTHS[modality]:2d}: "
               f"{median:7.1f} ({q3 - q1:5.1f})")
     return 0
