@@ -45,7 +45,7 @@ from .fileio import (
     atomic_write_text,
     json_int,
     json_str,
-    jsonl_text,
+    jsonl_lines,
     located,
     name_list,
     read_jsonl,
@@ -416,8 +416,9 @@ def _sample_record(sample: Sample) -> dict:
     return record
 
 
-def corpus_to_text(corpus: Corpus) -> str:
-    """Serialize to the line-delimited format (header line first)."""
+def _corpus_lines(corpus: Corpus):
+    """The line-delimited format's lines, header first. The header is built,
+    and checked, before the first line is asked for."""
     header: dict = {
         "emotion_names": corpus.emotion_names,
         "intent_names": corpus.intent_names,
@@ -435,12 +436,17 @@ def corpus_to_text(corpus: Corpus) -> str:
             "seed": corpus.embedding.seed,
             "group_size": corpus.embedding.group_size,
         }
-    return jsonl_text(CORPUS_FORMAT, header,
-                      map(_sample_record, corpus.labelled + corpus.unlabelled))
+    return jsonl_lines(CORPUS_FORMAT, header,
+                       map(_sample_record, corpus.labelled + corpus.unlabelled))
+
+
+def corpus_to_text(corpus: Corpus) -> str:
+    """Serialize to the line-delimited format (header line first)."""
+    return "".join(_corpus_lines(corpus))
 
 
 def save_corpus(corpus: Corpus, path: str):
-    atomic_write_text(path, corpus_to_text(corpus))
+    atomic_write_text(path, _corpus_lines(corpus))
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:

@@ -6,7 +6,8 @@ on line 1, then one JSON object per line (blank lines skipped); a checkpoint
 is one JSON document that is its own header. ``VERSIONS`` gives each format's
 written version and accepted versions: corpora are written at version 3 and
 read at 1, 2 and 3 (``data`` states each version's records), the other
-formats at version 1 only. Every file is UTF-8. Read errors name the file,
+formats at version 1 only. Every file is UTF-8, whatever the locale, and a
+line-delimited file is written one line at a time. Read errors name the file,
 and the 1-based line for line-delimited files.
 """
 
@@ -27,14 +28,15 @@ VERSIONS = {CORPUS_FORMAT: (3, (1, 2, 3)),
             CHECKPOINT_FORMAT: (1, (1,))}
 
 
-def atomic_write_text(path: str, text: str):
-    """Write text so a failure never leaves a partial file at `path`."""
+def atomic_write_text(path: str, text):
+    """Write ``text``, a string or an iterable of string pieces, as UTF-8 so
+    a failure never leaves a partial file at ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,11 +44,12 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def jsonl_text(format_name: str, header: dict, records) -> str:
-    """The header line, ``format`` and ``version`` first, then one line per record."""
-    lines = [json.dumps({"format": format_name, "version": VERSIONS[format_name][0], **header})]
-    lines.extend(map(json.dumps, records))
-    return "\n".join(lines) + "\n"
+def jsonl_lines(format_name: str, header: dict, records):
+    """Yield the header line, ``format`` and ``version`` first, then one line
+    per record, each ending in ``\\n``."""
+    yield json.dumps({"format": format_name, "version": VERSIONS[format_name][0], **header}) + "\n"
+    for record in records:
+        yield json.dumps(record) + "\n"
 
 
 @contextmanager

@@ -24,7 +24,7 @@ from .fileio import (
     atomic_write_text,
     json_int,
     json_str,
-    jsonl_text,
+    jsonl_lines,
     located,
     name_list,
     read_json,
@@ -69,19 +69,24 @@ def load_checkpoint(path: str) -> tuple[TwoHeadModel, TrainConfig, list[str], li
         return model, config, emotion_names, intent_names
 
 
-def predictions_to_text(sample_ids, emo_labels, int_labels,
-                        emo_probs: np.ndarray, int_probs: np.ndarray) -> str:
+def _prediction_lines(sample_ids, emo_labels, int_labels,
+                      emo_probs: np.ndarray, int_probs: np.ndarray):
     header = {"n_emotion": int(emo_probs.shape[1]), "n_intent": int(int_probs.shape[1])}
     rows = ({"id": str(sid), "emotion": int(emo_labels[i]), "intent": int(int_labels[i]),
              "emo_probs": list(emo_probs[i]), "int_probs": list(int_probs[i])}
             for i, sid in enumerate(sample_ids))
-    return jsonl_text(PREDICTIONS_FORMAT, header, rows)
+    return jsonl_lines(PREDICTIONS_FORMAT, header, rows)
+
+
+def predictions_to_text(sample_ids, emo_labels, int_labels,
+                        emo_probs: np.ndarray, int_probs: np.ndarray) -> str:
+    return "".join(_prediction_lines(sample_ids, emo_labels, int_labels, emo_probs, int_probs))
 
 
 def save_predictions(path: str, sample_ids, emo_labels, int_labels,
                      emo_probs, int_probs):
-    atomic_write_text(path, predictions_to_text(sample_ids, emo_labels, int_labels,
-                                                emo_probs, int_probs))
+    atomic_write_text(path, _prediction_lines(sample_ids, emo_labels, int_labels,
+                                              emo_probs, int_probs))
 
 
 def _label(value, name: str, n_classes: int) -> int:

@@ -2,14 +2,19 @@
 corpus, prediction dump and checkpoint is accepted intact or rejected with
 an error that names the file (and the line, for line-delimited files)."""
 
+import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semimatch.augment import FeatureExtractor
+import semimatch.data
+from semimatch.augment import EmbeddingTable, FeatureExtractor
 from semimatch.cli import main
 from semimatch.data import (
     GeneratorConfig,
@@ -18,8 +23,8 @@ from semimatch.data import (
     save_corpus,
     synthesize_corpus,
 )
-from semimatch.errors import SchemaError
-from semimatch.fileio import atomic_write_text, read_jsonl
+from semimatch.errors import ConfigError, SchemaError
+from semimatch.fileio import atomic_write_text, jsonl_lines, read_jsonl
 from semimatch.model import init_model
 from semimatch.persist import (
     load_checkpoint,
@@ -131,6 +136,95 @@ class TestAtomicWrite:
             atomic_write_text(str(tmp_path / "out.jsonl"), "{}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_pieces_written_in_order(self, tmp_path):
+        """A string is written whole; an iterable of strings piece by piece."""
+        path = tmp_path / "out.txt"
+        atomic_write_text(str(path), "abc")
+        assert path.read_bytes() == b"abc"
+        atomic_write_text(str(path), (piece for piece in ("a\n", "", "bc\n")))
+        assert path.read_bytes() == b"a\nbc\n"
+
+    def test_non_seed_embedding_writes_nothing(self, tmp_path):
+        """The header is built before the temp file opens, so its error
+        leaves the directory as it was."""
+        corpus = synthesize_corpus(GeneratorConfig(
+            emotion_counts=(4, 4), intent_counts=(4, 4), unlabelled_count=2, min_len=4,
+            max_len=8, modality_mix=0.0, seed=1))
+        corpus = dataclasses.replace(
+            corpus, embedding=EmbeddingTable(vectors=corpus.embedding.vectors))
+        with pytest.raises(ConfigError,
+                           match="^only seed-built embedding tables can be serialized$"):
+            save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fault_mid_stream_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A record that fails once 100 records have reached the temp file
+        leaves no temp file, and the file already at the path keeps its bytes."""
+        corpus = synthesize_corpus(GeneratorConfig(
+            emotion_counts=(30, 30), intent_counts=(30, 30), unlabelled_count=90, min_len=100,
+            max_len=200, seed=2))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"old bytes\n")
+        serialized = []
+
+        def failing_record(sample):
+            if len(serialized) == 100:
+                (tmp,) = tmp_path.glob(".tmp-*")
+                assert tmp.stat().st_size > 0
+                raise RuntimeError("record 100 failed")
+            serialized.append(sample.id)
+            return original(sample)
+
+        original = semimatch.data._sample_record
+        monkeypatch.setattr(semimatch.data, "_sample_record", failing_record)
+        with pytest.raises(RuntimeError, match="record 100 failed"):
+            save_corpus(corpus, str(path))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old bytes\n"
+
+    def test_save_corpus_peak_memory_is_a_line_not_the_file(self, tmp_path):
+        """Lines are written one at a time: the traced allocation peak of a
+        save stays under a quarter of the file size (holding the whole text
+        once, as a joined string, would alone reach it)."""
+        corpus = synthesize_corpus(GeneratorConfig(
+            emotion_counts=(10, 10), intent_counts=(10, 10), unlabelled_count=380,
+            min_len=160, max_len=320, modality_mix=1.0, seed=3))
+        path = tmp_path / "corpus.jsonl"
+        tracemalloc.start()
+        try:
+            save_corpus(corpus, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 500_000
+        assert peak < size / 4, (peak, size)
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """``semimatch eval`` in the C locale, without UTF-8 mode, writes a
+        non-ASCII class name into its CSV as UTF-8."""
+        names = ("calme", "colère", "喜び")
+        corpus = synthesize_corpus(GeneratorConfig(
+            emotion_counts=(10,) * N_EMOTION, intent_counts=(15,) * N_INTENT,
+            unlabelled_count=2, min_len=8, max_len=16, seed=3, emotion_names=names))
+        save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+        dim = FeatureExtractor("signal", bins=TRAIN_CONFIG.signal_bins).dim
+        model = init_model(dim, TRAIN_CONFIG.hidden_size, N_EMOTION, N_INTENT,
+                           np.random.default_rng(1))
+        save_checkpoint(str(tmp_path / "checkpoint.json"), model, TRAIN_CONFIG,
+                        corpus.emotion_names, corpus.intent_names)
+        src = os.path.dirname(os.path.dirname(semimatch.data.__file__))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "semimatch.cli", "eval",
+             "--checkpoints", str(tmp_path / "checkpoint.json"),
+             "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        csv = (tmp_path / "out" / "confusion_emotion.csv").read_bytes().decode("utf-8")
+        assert csv.splitlines()[0] == "true\\pred," + ",".join(names)
+
 
 class TestLineFraming:
     @pytest.fixture(params=FRAMING_CASES, ids=[case[0] for case in FRAMING_CASES])
@@ -213,6 +307,19 @@ class TestLineFraming:
         assert [next(records)[0] for _ in range(3)] == [1, 2, 3]
         with pytest.raises(SchemaError, match="line 4: invalid JSON"):
             next(records)
+
+    def test_writer_streams(self):
+        """Lines come one at a time from a generator: the header line is
+        yielded before any record is serialized."""
+        def records():
+            raise AssertionError("a record was serialized before the header was yielded")
+            yield
+
+        lines = jsonl_lines("semimatch-corpus", {"n": 1}, records())
+        assert iter(lines) is lines and not isinstance(lines, (list, tuple))
+        assert next(lines) == '{"format": "semimatch-corpus", "version": 3, "n": 1}\n'
+        with pytest.raises(AssertionError, match="before the header"):
+            next(lines)
 
 
 class TestCheckpointFraming:

@@ -192,14 +192,20 @@ CORPUS_GRID = [
 
 
 @functools.cache
-def corpus_digests() -> tuple[str, str]:
-    """``CORPUS_DIGEST`` and ``CORPUS_CONTENT_DIGEST`` as this tree computes them."""
-    text, content = hashlib.sha256(), hashlib.sha256()
-    for recipe in CORPUS_GRID:
-        corpus = synthesize_corpus(GeneratorConfig(**recipe))
-        text.update(corpus_to_text(corpus).encode())
-        content.update(corpus_fingerprint(corpus).encode())
-    return text.hexdigest()[:16], content.hexdigest()[:16]
+def corpus_digests() -> tuple[str, str, str]:
+    """``CORPUS_DIGEST`` and ``CORPUS_CONTENT_DIGEST`` as this tree computes
+    them, and the digest ``CORPUS_DIGEST`` states over the file bytes that
+    ``save_corpus`` writes instead of the ``corpus_to_text`` bytes."""
+    text, content, written = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        for recipe in CORPUS_GRID:
+            corpus = synthesize_corpus(GeneratorConfig(**recipe))
+            text.update(corpus_to_text(corpus).encode())
+            content.update(corpus_fingerprint(corpus).encode())
+            save_corpus(corpus, str(path))
+            written.update(path.read_bytes())
+    return text.hexdigest()[:16], content.hexdigest()[:16], written.hexdigest()[:16]
 
 
 def trained(modality, kind, method, on_unlab, corpus):
@@ -467,6 +473,13 @@ def test_corpus_content_digest_unchanged():
     assert corpus_digests()[1] == CORPUS_CONTENT_DIGEST
 
 
+def test_save_corpus_writes_the_corpus_to_text_bytes():
+    """The file ``save_corpus`` streams holds, for every grid recipe, the
+    bytes ``CORPUS_DIGEST`` pins."""
+    text_digest, _, written_digest = corpus_digests()
+    assert written_digest == text_digest
+
+
 def test_corpus_grid_reloads_to_its_fingerprint(tmp_path):
     """Each grid corpus, written at the current version and read back, has
     the content it was generated with."""
@@ -506,7 +519,7 @@ if __name__ == "__main__":
     # Print CORPUS_DIGEST, CORPUS_CONTENT_DIGEST, LOSS_DIGEST, STEP_DIGEST, GOLDEN and GOLDEN_CLI as the current
     # tree computes them, to paste over the values above when a change moves outputs by
     # design; the dicts' diff names the runs and files that moved.
-    text_digest, content_digest = corpus_digests()
+    text_digest, content_digest, _ = corpus_digests()
     print(f"CORPUS_DIGEST = {text_digest!r}")
     print(f"CORPUS_CONTENT_DIGEST = {content_digest!r}")
     print(f"LOSS_DIGEST = {loss_digest()!r}")
