@@ -2,14 +2,14 @@
 
 The classifier, every loss term, and backprop are written by hand, so the
 first thing worth demonstrating is that the analytic gradients are exact.
-The oracle perturbs each parameter by +-1e-5 and differences the loss;
+The oracle perturbs each parameter by +-``model.FD_STEP`` and differences the loss;
 batch decisions (pseudo labels, gates, the rank cut k, soft targets) are
 frozen before either path runs.
 """
 
 import numpy as np
 
-from semimatch.gradcheck import run_gradient_checks
+from semimatch.gradcheck import TOLERANCE, run_gradient_checks
 from semimatch.losses import LossCoefficients, build_task_terms
 from semimatch.model import (
     BatchLossSpec,
@@ -46,7 +46,7 @@ spec = BatchLossSpec(
 
 result, analytic = loss_and_gradients(model, spec)
 numeric = finite_difference_gradient(lambda m: batch_loss(m, spec).total, model)
-err = max_relative_error(analytic, numeric)
+err = max_relative_error(analytic, numeric, floor=TOLERANCE)
 print(f"combined loss on this batch: {result.total:.6f}")
 print(f"max relative error, analytic vs numeric: {err:.3e}")
 

@@ -35,7 +35,7 @@ print("\nbinned summary features (4 bins x mean/std/min/max):")
 print(f"  {np.round(featurize_signal(seq, bins=4), 2)}")
 
 vocab = 12
-lexicon = SynonymLexicon.from_groups(vocab_size=vocab, group_size=3)
+lexicon = SynonymLexicon.from_groups(vocab_size=vocab)
 table = EmbeddingTable.from_seed(vocab_size=vocab, dim=5, seed=1)
 tokens = TokenSequence(tokens=np.array([0, 3, 6, 9, 1, 4]), vocab_size=vocab)
 

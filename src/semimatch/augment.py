@@ -47,6 +47,8 @@ STRONG_TOKEN_KIND = "contextual"
 MODALITIES = ("signal", "tokens")
 DEFAULT_SAMPLE_RATE = 16000
 MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a finite float
+GROUP_SIZE = 3   # consecutive token ids per synonym group and per embedding centre
+_JITTER = 0.15   # scale of each token's embedding noise around its group's centre
 
 
 # operator and featurizer keyword -> its range rules (errors.Rule), checked in
@@ -224,12 +226,11 @@ class SynonymLexicon:
     mapping: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @classmethod
-    def from_groups(cls, vocab_size: int, group_size: int = 3) -> "SynonymLexicon":
+    def from_groups(cls, vocab_size: int) -> "SynonymLexicon":
         """Group consecutive token ids; members of a group replace each other."""
-        require("group_size", Rule.COUNT, group_size)
         mapping = {}
-        for start in range(0, vocab_size, group_size):
-            group = list(range(start, min(start + group_size, vocab_size)))
+        for start in range(0, vocab_size, GROUP_SIZE):
+            group = list(range(start, min(start + GROUP_SIZE, vocab_size)))
             for tok in group:
                 others = tuple(t for t in group if t != tok)
                 if others:
@@ -268,14 +269,14 @@ class EmbeddingTable:
 
     @classmethod
     def from_seed(cls, vocab_size: int, dim: int, seed: int,
-                  group_size: int = 3, jitter: float = 0.15) -> "EmbeddingTable":
+                  group_size: int = GROUP_SIZE) -> "EmbeddingTable":
         if vocab_size < 2 or dim < 1 or group_size < 1:
             raise ConfigError(
                 "embedding table needs vocab_size >= 2, dim >= 1 and group_size >= 1")
         rng = np.random.default_rng([int(seed), 90001])
         n_groups = -(-vocab_size // group_size)
         centres = rng.standard_normal((n_groups, dim))
-        noise = jitter * rng.standard_normal((vocab_size, dim))
+        noise = _JITTER * rng.standard_normal((vocab_size, dim))
         groups = np.arange(vocab_size) // group_size
         return cls(vectors=centres[groups] + noise, seed=int(seed), group_size=group_size)
 

@@ -37,9 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import (MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon, TokenSequence,
-                      check_sizes)
-from .errors import ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields
+from .augment import (GROUP_SIZE, MODALITIES, EmbeddingTable, SignalSequence, SynonymLexicon,
+                      TokenSequence, check_sizes)
+from .errors import (ConfigError, ContractError, Rule, SchemaError, require, require_finite_fields,
+                     require_fits)
 from .fileio import (
     CORPUS_FORMAT,
     atomic_write_text,
@@ -213,11 +214,16 @@ class GeneratorConfig:
         if len(self.emotion_counts) < 2 or len(self.intent_counts) < 2:
             raise ConfigError("each task needs at least two classes")
         require("per-class counts", Rule.POSITIVE, *self.emotion_counts, *self.intent_counts)
-        if sum(self.emotion_counts) != sum(self.intent_counts):
+        total = sum(self.emotion_counts)
+        if total != sum(self.intent_counts):
             raise ConfigError("emotion and intent counts must sum to the same total")
         require("unlabelled_count", Rule.NON_NEGATIVE, self.unlabelled_count)
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("need 1 <= min_len <= max_len")
+        # a payload holds up to max_len float64 frames or int64 tokens, and each
+        # task's int64 label array an entry per labelled sample
+        require_fits(f"max_len {self.max_len}", "a float64 payload", self.max_len)
+        require_fits(f"emotion_counts summing to {total}", "int64 label arrays", total)
         require("correlation", Rule.UNIT, self.correlation)
         require("modality_mix", Rule.UNIT, self.modality_mix)
         require("separation", Rule.NON_NEGATIVE, self.separation)
@@ -236,17 +242,14 @@ class GeneratorConfig:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
             if getattr(self, key) >= 2 ** 63:   # a payload size is held in an int64
                 raise ConfigError(f"{key} must be below 2**63, got {getattr(self, key)}")
-        # one numpy array holds under 2**63 bytes: the float64 token tables have a
-        # row per class, the embedding table (built for token samples) one per token
+        # the float64 token tables have a row per class, the embedding table
+        # (built for token samples) one per token
         classes = max(len(self.emotion_counts), len(self.intent_counts))
-        if 8 * classes * self.vocab_size >= 2 ** 63:
-            raise ConfigError(f"vocab_size {self.vocab_size} needs float64 token tables of "
-                              f"{classes} x {self.vocab_size} entries, more than one numpy "
-                              "array can hold")
-        if self.modality_mix < 1.0 and 8 * self.vocab_size * self.embedding_dim >= 2 ** 63:
-            raise ConfigError(f"embedding_dim {self.embedding_dim} needs a float64 embedding "
-                              f"table of {self.vocab_size} x {self.embedding_dim} entries, "
-                              "more than one numpy array can hold")
+        require_fits(f"vocab_size {self.vocab_size}", "float64 token tables",
+                     classes, self.vocab_size)
+        if self.modality_mix < 1.0:
+            require_fits(f"embedding_dim {self.embedding_dim}", "a float64 embedding table",
+                         self.vocab_size, self.embedding_dim)
 
 
 _N_SEGMENTS = 8
@@ -360,9 +363,8 @@ def synthesize_corpus(config: GeneratorConfig) -> Corpus:
 
     lexicon = embedding = None
     if config.modality_mix < 1.0:
-        lexicon = SynonymLexicon.from_groups(config.vocab_size, group_size=3)
-        embedding = EmbeddingTable.from_seed(
-            config.vocab_size, config.embedding_dim, seed=config.seed, group_size=3)
+        lexicon = SynonymLexicon.from_groups(config.vocab_size)
+        embedding = EmbeddingTable.from_seed(config.vocab_size, config.embedding_dim, config.seed)
 
     samples, block = [], []
     for i in range(len(pairs) + config.unlabelled_count):
@@ -569,7 +571,7 @@ def load_corpus(path: str) -> Corpus:
             embedding = EmbeddingTable.from_seed(
                 json_int(meta["vocab_size"], "vocab_size"), json_int(meta["dim"], "dim"),
                 seed=json_int(meta["seed"], "seed"),
-                group_size=json_int(meta.get("group_size", 3), "group_size"))
+                group_size=json_int(meta.get("group_size", GROUP_SIZE), "group_size"))
             if lexicon is not None:
                 lexicon.validate(embedding.vocab_size)
         emotion_names = name_list(header.get("emotion_names", []), "emotion_names")

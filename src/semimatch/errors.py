@@ -60,6 +60,14 @@ def require(name: str, rule, *values):
             raise ConfigError(f"{name} must {must}")
 
 
+def require_fits(subject: str, what: str, *shape: int):
+    """Raise :class:`ConfigError`, naming ``subject``, unless ``shape`` entries
+    of 8 bytes fit one numpy array, which holds under 2**63 bytes."""
+    if 8 * math.prod(shape) >= 2 ** 63:
+        raise ConfigError(f"{subject} needs {what} of {' x '.join(map(str, shape))} entries, "
+                          "more than one numpy array can hold")
+
+
 def require_finite_fields(config):
     """Raise :class:`ConfigError` naming the first field of the dataclass
     ``config`` that holds anything but a finite real number (a bool is not

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import Rule, require
 from .losses import LossCoefficients, batch_terms, build_task_terms
 from .model import (
+    FD_STEP,
     BatchLossSpec,
     Gradients,
     batch_loss,
@@ -28,6 +29,9 @@ from .model import (
 
 # tau low enough that random-init confidences open some gates and close others
 _GATE_TAU = 0.15
+# each random batch: its size, and its model's input, hidden and class widths
+_BATCH_SIZE, _INPUT_DIM, _HIDDEN_SIZE, _N_EMOTION, _N_INTENT = 4, 16, 8, 7, 8
+TOLERANCE = 1e-4   # the largest relative error, and the floor under each entry's scale
 
 
 @dataclass
@@ -84,33 +88,30 @@ def _specs_for_batch(rng, model, batch_size, input_dim, sigma=0.99):
     }
 
 
-def _numeric_gradient(model, spec, eps):
+def _numeric_gradient(model, spec):
     """``finite_difference_gradient`` of ``spec``'s loss from one ``batch_loss``
-    call on the 2P stacked parameter sets theta + eps e_i, then theta - eps e_i."""
+    call on the 2P stacked parameter sets theta + FD_STEP e_i, then theta - FD_STEP e_i."""
     n = model.flat.size
-    flat = model.flat + eps * np.concatenate([np.eye(n), -np.eye(n)])
+    flat = model.flat + FD_STEP * np.concatenate([np.eye(n), -np.eye(n)])
     loss = batch_loss(model._wrap(flat, model._shapes), spec).total
-    return Gradients._wrap((loss[:n] - loss[n:]) / (2.0 * eps), model._shapes)
+    return Gradients._wrap((loss[:n] - loss[n:]) / (2.0 * FD_STEP), model._shapes)
 
 
-def run_gradient_checks(seed: int = 0, n_batches: int = 20, batch_size: int = 4,
-                        n_emotion: int = 7, n_intent: int = 8, input_dim: int = 16,
-                        hidden_size: int = 8, eps: float = 1e-5,
-                        tolerance: float = 1e-4) -> GradCheckReport:
+def run_gradient_checks(seed: int = 0, n_batches: int = 20) -> GradCheckReport:
     """Compare analytic and numeric gradients over seeded random batches."""
     require("seed", Rule.NON_NEGATIVE, seed)
     require("n_batches", Rule.COUNT, n_batches)
     worst: dict[str, float] = {}
     for batch_index in range(n_batches):
         rng = np.random.default_rng([seed, 50001, batch_index])
-        model = init_model(input_dim, hidden_size, n_emotion, n_intent, rng)
-        for name, spec in _specs_for_batch(rng, model, batch_size, input_dim).items():
+        model = init_model(_INPUT_DIM, _HIDDEN_SIZE, _N_EMOTION, _N_INTENT, rng)
+        for name, spec in _specs_for_batch(rng, model, _BATCH_SIZE, _INPUT_DIM).items():
             _, analytic = loss_and_gradients(model, spec)
-            numeric = _numeric_gradient(model, spec, eps)
-            err = max_relative_error(analytic, numeric, floor=tolerance)
+            numeric = _numeric_gradient(model, spec)
+            err = max_relative_error(analytic, numeric, floor=TOLERANCE)
             worst[name] = max(worst.get(name, 0.0), err)
     return GradCheckReport(per_config=worst, max_rel_error=max(worst.values()),
-                           tolerance=tolerance, seeds_checked=n_batches)
+                           tolerance=TOLERANCE, seeds_checked=n_batches)
 
 
-__all__ = ["GradCheckReport", "run_gradient_checks"]
+__all__ = ["GradCheckReport", "TOLERANCE", "run_gradient_checks"]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, Rule, require
+from .errors import ContractError, NumericError, Rule, require, require_fits
 from .losses import (
     CLAMP_MIN,
     LossBreakdown,
@@ -42,6 +42,8 @@ from .losses import (
 )
 
 PARAM_FIELDS = ("w_trunk", "b_trunk", "w_emo", "b_emo", "w_int", "b_int")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FD_STEP = 1e-5   # the central-difference step of both gradient oracles
 
 
 @functools.cache
@@ -164,6 +166,10 @@ def init_model(input_dim: int, hidden_size: int, n_emotion: int, n_intent: int,
                rng: np.random.Generator) -> TwoHeadModel:
     """Seeded uniform init in +-1/sqrt(fan_in) for every parameter."""
     require("input_dim and hidden_size", Rule.COUNT, input_dim, hidden_size)
+    shapes = {"trunk": (input_dim, hidden_size), "emotion head": (hidden_size, n_emotion),
+              "intent head": (hidden_size, n_intent)}
+    for name, shape in shapes.items():   # each weight matrix is drawn as one numpy array
+        require_fits(f"hidden_size {hidden_size}", f"a float64 {name} weight matrix", *shape)
 
     def layer(fan_in, fan_out):
         limit = 1.0 / np.sqrt(fan_in)
@@ -171,9 +177,7 @@ def init_model(input_dim: int, hidden_size: int, n_emotion: int, n_intent: int,
         b = rng.uniform(-limit, limit, size=fan_out)
         return w, b
 
-    w1, b1 = layer(input_dim, hidden_size)
-    we, be = layer(hidden_size, n_emotion)
-    wi, bi = layer(hidden_size, n_intent)
+    (w1, b1), (we, be), (wi, bi) = (layer(*shape) for shape in shapes.values())
     return TwoHeadModel(w1, b1, we, be, wi, bi)
 
 
@@ -361,9 +365,8 @@ def backprop(model: TwoHeadModel, spec: BatchLossSpec) -> tuple[float, Gradients
     return result.total, grads
 
 
-def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[TwoHeadModel, AdamState]:
+def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState,
+              lr: float) -> tuple[TwoHeadModel, AdamState]:
     """One bias-corrected Adam update in one pass over the flat vectors. Never
     in place: the trainer keeps the best epoch's model while training goes on."""
     require("learning rate", Rule.POSITIVE, lr)
@@ -372,20 +375,20 @@ def adam_step(model: TwoHeadModel, grads: Gradients, state: AdamState, lr: float
         raise ContractError(f"gradient shape mismatch for {field}")
     t = state.step + 1
     g = grads.flat
-    m = beta1 * state.m     # fresh buffers, updated in place in the same order
-    m += (1.0 - beta1) * g
-    v = beta2 * state.v
-    v += (1.0 - beta2) * g * g
-    step = lr * (m / (1.0 - beta1 ** t))
-    step /= np.sqrt(v / (1.0 - beta2 ** t)) + eps
+    m = ADAM_BETA1 * state.m     # fresh buffers, updated in place in the same order
+    m += (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = lr * (m / (1.0 - ADAM_BETA1 ** t))
+    step /= np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS
     new = TwoHeadModel.__new__(TwoHeadModel)    # in model's layout, which passed its checks
     Gradients._bind(new, model.flat - step, model._shapes)
     new._check_finite()
     return new, AdamState(m=m, v=v, step=t)
 
 
-def finite_difference_gradient(loss_fn, model: TwoHeadModel, eps: float = 1e-5) -> Gradients:
-    """Central-difference gradient oracle: (L(t+eps) - L(t-eps)) / (2 eps).
+def finite_difference_gradient(loss_fn, model: TwoHeadModel) -> Gradients:
+    """Central-difference gradient oracle: (L(t+h) - L(t-h)) / (2h), h = :data:`FD_STEP`.
 
     ``loss_fn`` must be a pure function of the model parameters; any frozen
     batch decisions must be captured in its closure so that perturbing a
@@ -394,16 +397,16 @@ def finite_difference_gradient(loss_fn, model: TwoHeadModel, eps: float = 1e-5) 
     work = model.copy()
     out = Gradients.zeros_like(model)
     for i, orig in enumerate(model.flat):
-        work.flat[i] = orig + eps
+        work.flat[i] = orig + FD_STEP
         plus = loss_fn(work)
-        work.flat[i] = orig - eps
+        work.flat[i] = orig - FD_STEP
         minus = loss_fn(work)
         work.flat[i] = orig
-        out.flat[i] = (plus - minus) / (2.0 * eps)
+        out.flat[i] = (plus - minus) / (2.0 * FD_STEP)
     return out
 
 
-def max_relative_error(analytic: Gradients, numeric: Gradients, floor: float = 1e-4) -> float:
+def max_relative_error(analytic: Gradients, numeric: Gradients, floor: float) -> float:
     """Largest guarded relative difference between two gradient sets.
 
     Per entry: ``|a - n| / max(|a|, |n|, floor)``. The floor turns the

@@ -69,24 +69,13 @@ def load_checkpoint(path: str) -> tuple[TwoHeadModel, TrainConfig, list[str], li
         return model, config, emotion_names, intent_names
 
 
-def _prediction_lines(sample_ids, emo_labels, int_labels,
-                      emo_probs: np.ndarray, int_probs: np.ndarray):
+def save_predictions(path: str, sample_ids, emo_labels, int_labels,
+                     emo_probs: np.ndarray, int_probs: np.ndarray):
     header = {"n_emotion": int(emo_probs.shape[1]), "n_intent": int(int_probs.shape[1])}
     rows = ({"id": str(sid), "emotion": int(emo_labels[i]), "intent": int(int_labels[i]),
              "emo_probs": list(emo_probs[i]), "int_probs": list(int_probs[i])}
             for i, sid in enumerate(sample_ids))
-    return jsonl_lines(PREDICTIONS_FORMAT, header, rows)
-
-
-def predictions_to_text(sample_ids, emo_labels, int_labels,
-                        emo_probs: np.ndarray, int_probs: np.ndarray) -> str:
-    return "".join(_prediction_lines(sample_ids, emo_labels, int_labels, emo_probs, int_probs))
-
-
-def save_predictions(path: str, sample_ids, emo_labels, int_labels,
-                     emo_probs, int_probs):
-    atomic_write_text(path, _prediction_lines(sample_ids, emo_labels, int_labels,
-                                              emo_probs, int_probs))
+    atomic_write_text(path, jsonl_lines(PREDICTIONS_FORMAT, header, rows))
 
 
 def _label(value, name: str, n_classes: int) -> int:
@@ -134,5 +123,5 @@ def load_predictions(path: str):
 
 __all__ = [
     "load_checkpoint", "load_predictions", "save_checkpoint", "save_predictions",
-    "checkpoint_to_text", "predictions_to_text",
+    "checkpoint_to_text",
 ]

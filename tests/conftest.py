@@ -99,6 +99,8 @@ BAD_VERSION_2_RECORDS = [
      "unknown field(s) ['payload'] in a version-2 signal record"),
     ("signal-version-1-payload", "signal", _frames_as_version_1,
      "unknown field(s) ['payload'] in a version-2 signal record"),
+    ("signal-modality-audio", "signal", lambda r: r.update(modality="audio"),
+     "unknown modality 'audio'"),
     ("signal-unknown-key", "signal", lambda r: r.update(extra=1),
      "unknown field(s) ['extra'] in a version-2 signal record"),
     ("signal-no-frames", "signal", lambda r: r.pop("frames"), "missing field 'frames'"),

@@ -176,7 +176,7 @@ class TestTokenOperators:
             assert all(any(tok == orig for orig in it) for tok in out.tokens.tolist())
 
     def test_synonym_stays_in_lexicon_groups(self, rng):
-        lexicon = SynonymLexicon.from_groups(vocab_size=12, group_size=3)
+        lexicon = SynonymLexicon.from_groups(vocab_size=12)
         for _ in range(200):
             seq = random_tokens(rng, vocab=12)
             out = augment_tokens([seq], "synonym", rng, lexicon=lexicon, p=1.0)[0]
@@ -212,7 +212,7 @@ class TestTokenOperators:
             assert len(out) == len(seq)
 
     def test_seed_reproducible(self, rng):
-        lexicon = SynonymLexicon.from_groups(vocab_size=15, group_size=3)
+        lexicon = SynonymLexicon.from_groups(vocab_size=15)
         table = EmbeddingTable.from_seed(vocab_size=15, dim=6, seed=2)
         seq = random_tokens(rng, vocab=15)
         for kind in WEAK_TOKEN_KINDS + (STRONG_TOKEN_KIND,):
@@ -267,7 +267,7 @@ def loop_gaussian_noise(seq, rng, scale=0.05):
     return signal(seq.frames + rng.normal(0.0, scale, size=len(seq)), seq.sample_rate)
 
 
-LEXICON = SynonymLexicon.from_groups(vocab_size=30, group_size=3)
+LEXICON = SynonymLexicon.from_groups(vocab_size=30)
 TABLE = EmbeddingTable.from_seed(vocab_size=30, dim=6, seed=2)
 
 

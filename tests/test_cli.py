@@ -20,6 +20,7 @@ from semimatch.config import (
 )
 from semimatch.data import GeneratorConfig, SplitSpec, load_corpus, stratified_split
 from semimatch.errors import ConfigError
+from semimatch.gradcheck import GradCheckReport
 from semimatch.persist import load_checkpoint
 from semimatch.trainer import TrainConfig, evaluate
 
@@ -96,6 +97,13 @@ class TestConfigParsing:
         assert config.weak_aug_kind == "flip"
         assert config.strong_aug_kind == "gaussian_noise"
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("1", True), ("yes", True), ("on", True), ("TRUE", True), ("Yes", True),
+        ("false", False), ("0", False), ("no", False), ("off", False), ("OFF", False)])
+    def test_boolean_spellings(self, text, value):
+        config = train_config_from_text(f"weak_aug_on_unlabelled = {text}\n")
+        assert config.weak_aug_on_unlabelled is value
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown train config key"):
             train_config_from_text("methodology = fixmatch\n")
@@ -166,6 +174,22 @@ class TestConfigParsing:
          "embedding_dim = 2305843009213693952\n",
          "embedding_dim 2305843009213693952 needs a float64 embedding table of 30 x "
          "2305843009213693952 entries, more than one numpy array can hold"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\n"
+         "max_len = 4611686018427387904\n",
+         "max_len 4611686018427387904 needs a float64 payload of 4611686018427387904 entries, "
+         "more than one numpy array can hold"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\n"
+         "min_len = 4611686018427387904\nmax_len = 4611686018427387904\n",
+         "max_len 4611686018427387904 needs a float64 payload of 4611686018427387904 entries, "
+         "more than one numpy array can hold"),
+        ("gen-data", "emotion_counts = 2, 2\nintent_counts = 2, 2\n"
+         "max_len = 1000000000000000000000\n",
+         "max_len 1000000000000000000000 needs a float64 payload of 1000000000000000000000 "
+         "entries, more than one numpy array can hold"),
+        ("gen-data", "emotion_counts = 4611686018427387904, 4611686018427387904\n"
+         "intent_counts = 4611686018427387904, 4611686018427387904\n",
+         "emotion_counts summing to 9223372036854775808 needs int64 label arrays of "
+         "9223372036854775808 entries, more than one numpy array can hold"),
         ("train", "epochs = 2\nweak_aug_on_unlabelled = maybe\n",
          "line 2: key 'weak_aug_on_unlabelled': expected a boolean, got 'maybe'"),
         ("train", "tau = abc\n", "line 1: key 'tau': expected a number, got 'abc'"),
@@ -384,6 +408,20 @@ class TestTrain:
         assert capsys.readouterr().err == line
         assert not (workdir / "run").exists()
 
+    def test_hidden_size_past_one_numpy_array(self, workdir, capsys):
+        """The weight matrices are checked at their real widths, so the error
+        comes from training, after the config file has loaded."""
+        make_corpus(workdir)
+        capsys.readouterr()
+        (workdir / "big.cfg").write_text(TRAIN_CFG.replace("hidden_size = 8",
+                                                           f"hidden_size = {2 ** 60}"))
+        assert main(["train", "--config", "big.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        assert capsys.readouterr().err == (
+            "error: hidden_size 1152921504606846976 needs a float64 trunk weight matrix of "
+            "16 x 1152921504606846976 entries, more than one numpy array can hold\n")
+        assert not (workdir / "run").exists()
+
     def test_epoch_csv_bit_identical_across_runs(self, workdir):
         make_corpus(workdir)
         main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "a"])
@@ -486,6 +524,40 @@ class TestEvalAndFuse:
         assert main(["fuse", "--checkpoints", "eval1/predictions.jsonl",
                      "--out", "fused"]) == 1
         assert "at least two" in capsys.readouterr().err
+
+    def test_eval_takes_one_checkpoint(self, workdir, capsys):
+        assert main(["eval", "--checkpoints", "a.json", "b.json", "--corpus", "c.jsonl",
+                     "--out", "out"]) == 1
+        assert capsys.readouterr().err == "error: eval expects exactly one checkpoint\n"
+        assert not (workdir / "out").exists()
+
+    def test_eval_of_an_empty_split(self, workdir, capsys):
+        make_corpus(workdir)
+        (workdir / "novalid.cfg").write_text(TRAIN_CFG.replace(
+            "train_frac = 0.6", "train_frac = 0.8").replace("valid_frac = 0.2", "valid_frac = 0"))
+        assert main(["train", "--config", "novalid.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "m"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoints", "m/checkpoint.json", "--corpus", "corpus.jsonl",
+                     "--split", "valid", "--out", "out"]) == 1
+        assert capsys.readouterr().err == "error: the valid split is empty under this config\n"
+        assert not (workdir / "out").exists()
+
+    def test_fuse_rejects_mismatched_labels(self, workdir, capsys):
+        make_corpus(workdir)
+        main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "m1"])
+        main(["eval", "--checkpoints", "m1/checkpoint.json", "--corpus", "corpus.jsonl",
+              "--out", "eval1"])
+        header, row, *rows = (workdir / "eval1/predictions.jsonl").read_text().splitlines()
+        row = json.loads(row)
+        row["emotion"] = (row["emotion"] + 1) % 3
+        (workdir / "relabelled.jsonl").write_text("\n".join([header, json.dumps(row)] + rows))
+        capsys.readouterr()
+        assert main(["fuse", "--checkpoints", "eval1/predictions.jsonl", "relabelled.jsonl",
+                     "--out", "fused"]) == 1
+        assert capsys.readouterr().err == (
+            "error: relabelled.jsonl: labels do not match the first file\n")
+        assert not (workdir / "fused").exists()
 
     def test_fuse_rejects_mismatched_ids(self, workdir, capsys):
         self._train_two(workdir)
@@ -661,6 +733,26 @@ class TestSweep:
         methods = {line.split(",")[0] for line in lines[2:]}
         assert methods == {"fixmatch", "fullmatch"}
 
+    @pytest.mark.parametrize("gen_cfg, train_cfg, message", [
+        (GEN_CFG, TRAIN_CFG.replace("train_frac = 0.6", "train_frac = 0.8").replace(
+            "test_frac = 0.2", "test_frac = 0"),
+         "sweep needs test_frac > 0 to report test metrics"),
+        # every joint class has fewer samples than splits, so all go to train
+        (GEN_CFG.replace("12, 12, 12", "2, 2").replace("18, 18", "2, 2"), TRAIN_CFG,
+         "the test split is empty under this config"),
+    ], ids=["test_frac-0", "joint-classes-too-small"])
+    def test_sweep_without_a_test_split(self, workdir, capsys, gen_cfg, train_cfg, message):
+        (workdir / "gen.cfg").write_text(gen_cfg)
+        (workdir / "train.cfg").write_text(train_cfg)
+        make_corpus(workdir)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the split's warning of tiny joint classes
+            assert main(["sweep", "--config", "train.cfg", "--corpus", "corpus.jsonl",
+                         "--out", "sweep"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "sweep").exists()
+
 
 class TestSweepSharedFeatures:
     """A sweep's cells share their feature rows: 7 distinct branches per
@@ -727,6 +819,14 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "overall max relative error" in out
         assert "PASSED" in out
+
+    def test_over_tolerance_fails(self, capsys, monkeypatch):
+        report = GradCheckReport(per_config={"full_stack": 2e-4}, max_rel_error=2e-4,
+                                 tolerance=1e-4, seeds_checked=1)
+        monkeypatch.setattr(semimatch.cli, "run_gradient_checks",
+                            lambda seed, n_batches: report)
+        assert main(["gradcheck"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "gradient check FAILED"
 
 
 class TestUsageErrors:

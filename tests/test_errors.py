@@ -1,17 +1,20 @@
 """The range rules of every config field and function argument: each check's
 error type and exact message, the NaN values each rule rejects, and the
-type check of bool config fields."""
+type check of bool config fields. Then the other checks of a public
+constructor or function that no other test reaches."""
 
 import math
 
 import numpy as np
 import pytest
 
-from semimatch.augment import SynonymLexicon
-from semimatch.data import GeneratorConfig, SplitSpec, make_batches, unlabelled_per_step
-from semimatch.errors import ConfigError
+from semimatch.augment import EmbeddingTable, FeatureExtractor, SignalSequence
+from semimatch.data import (Corpus, GeneratorConfig, Sample, SplitSpec, make_batches,
+                            unlabelled_per_step)
+from semimatch.errors import ConfigError, ContractError, SchemaError
 from semimatch.gradcheck import run_gradient_checks
 from semimatch.losses import fixmatch_loss, gate_pseudo_label, select_k
+from semimatch.metrics import confusion_csv, margin_fusion
 from semimatch.model import AdamState, Gradients, adam_step, init_model
 from semimatch.trainer import TrainConfig
 
@@ -56,6 +59,10 @@ RANGE_CHECKS = [
     ("modality_mix", lambda: _generator(modality_mix=-0.1), "modality_mix must lie in [0, 1]"),
     ("separation", lambda: _generator(separation=-0.1), "separation must be non-negative"),
     ("generator-seed", lambda: _generator(seed=-1), "seed must be non-negative"),
+    ("generator-one-class", lambda: GeneratorConfig((4,), (2, 2)),
+     "each task needs at least two classes"),
+    ("min_len-past-max_len", lambda: _generator(min_len=9, max_len=8),
+     "need 1 <= min_len <= max_len"),
     ("split-fractions", lambda: SplitSpec(1.25, -0.25), "split fractions must lie in [0, 1]"),
     ("train-fraction", lambda: SplitSpec(0.0, 1.0), "the train fraction must be positive"),
     ("split-seed", lambda: SplitSpec(0.5, 0.5, seed=-1), "seed must be non-negative"),
@@ -66,10 +73,14 @@ RANGE_CHECKS = [
      "seed must be non-negative"),
     ("gradcheck-seed", lambda: run_gradient_checks(seed=-1), "seed must be non-negative"),
     ("n_batches", lambda: run_gradient_checks(n_batches=0), "n_batches must be positive"),
-    ("group_size", lambda: SynonymLexicon.from_groups(6, group_size=0),
-     "group_size must be positive"),
     ("input_dim", lambda: _init(0, 4), "input_dim and hidden_size must be positive"),
     ("hidden_size", lambda: _init(4, 0), "input_dim and hidden_size must be positive"),
+    ("trunk-past-one-array", lambda: _init(16, 2 ** 60 // 16),
+     "hidden_size 72057594037927936 needs a float64 trunk weight matrix of 16 x "
+     "72057594037927936 entries, more than one numpy array can hold"),
+    ("head-past-one-array", lambda: init_model(1, 2 ** 60 // 3 + 1, 3, 2, None),
+     "hidden_size 384307168202282326 needs a float64 emotion head weight matrix of "
+     "384307168202282326 x 3 entries, more than one numpy array can hold"),
     ("lr", lambda: _adam(0.0), "learning rate must be positive"),
     ("gate-tau", lambda: gate_pseudo_label([0.6, 0.4], 0.0), "tau must lie in (0, 1]"),
     ("select_k-sigma", lambda: select_k([[0.6, 0.4]], [[0.6, 0.4]], 1.5),
@@ -88,8 +99,6 @@ NAN_CHECKS = [
     ("unlabelled_ratio", lambda: unlabelled_per_step(4, NAN),
      "unlabelled_ratio must be non-negative"),
     ("batch_size", lambda: unlabelled_per_step(NAN, 1.0), "batch_size must be positive"),
-    ("group_size", lambda: SynonymLexicon.from_groups(6, group_size=NAN),
-     "group_size must be positive"),
     ("input_dim", lambda: _init(NAN, 4), "input_dim and hidden_size must be positive"),
     ("hidden_size", lambda: _init(4, NAN), "input_dim and hidden_size must be positive"),
     ("sigma", lambda: select_k([[0.6, 0.4]], [[0.6, 0.4]], NAN), "sigma must lie in (0, 1]"),
@@ -110,6 +119,45 @@ def test_nan_is_out_of_range(call, message):
     with pytest.raises(ConfigError) as info:
         call()
     assert str(info.value) == message
+
+
+def _sample(**changes):
+    fields = dict(id="x", modality="signal", payload=SignalSequence(np.ones(3)), emotion=0,
+                  intent=0)
+    return Sample(**fields | changes)
+
+
+def _corpus(emotion_names=("a", "b"), intent=0):
+    return Corpus([_sample(intent=intent)], [], list(emotion_names), ["c", "d"])
+
+
+# (case, a call with one bad input, the error type, the exact message)
+INPUT_CHECKS = [
+    ("embedding-1-d", lambda: EmbeddingTable(vectors=np.ones(3)), ContractError,
+     "embedding table must be a 2-D matrix"),
+    ("embedding-nan", lambda: EmbeddingTable(vectors=[[0.5, NAN]]), ContractError,
+     "embedding table must be finite"),
+    ("tokens-without-table", lambda: FeatureExtractor("tokens"), ConfigError,
+     "token featurization needs an embedding table"),
+    ("sample-modality", lambda: _sample(modality="audio"), SchemaError,
+     "sample x: unknown modality 'audio'"),
+    ("corpus-one-class", lambda: _corpus(emotion_names=["a"]), SchemaError,
+     "each task needs at least two classes"),
+    ("corpus-intent-label", lambda: _corpus(intent=2), SchemaError,
+     "sample x: intent label out of range"),
+    ("fusion-1-d", lambda: margin_fusion([[0.6, 0.4]]), ContractError,
+     "probability tables must be (n_samples, n_classes)"),
+    ("confusion-names", lambda: confusion_csv(np.zeros((2, 2), int), ["a", "b", "c"]),
+     ContractError, "class name count does not match the matrix"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [c[1:] for c in INPUT_CHECKS],
+                         ids=[c[0] for c in INPUT_CHECKS])
+def test_input_check_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None])

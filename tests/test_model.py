@@ -124,7 +124,7 @@ class TestBackprop:
             spec = _random_fullmatch_spec(rng, model)
             _, analytic = loss_and_gradients(model, spec)
             numeric = finite_difference_gradient(lambda m: batch_loss(m, spec).total, model)
-            assert max_relative_error(analytic, numeric) <= 1e-4
+            assert max_relative_error(analytic, numeric, floor=1e-4) <= 1e-4
 
     def test_empty_objective_is_zero(self):
         model = tiny_model()
@@ -197,7 +197,8 @@ class TestParameterSetAxis:
         model, spec = _config_spec(name, rng, batch_size)
         flat = model.flat + 0.1 * rng.standard_normal((n_sets, model.flat.size))
         stacked = TwoHeadModel._wrap(flat, model._shapes)
-        assert (stacked.input_dim, stacked.n_emotion, stacked.n_intent) == (16, 7, 8)
+        assert (stacked.input_dim, stacked.hidden_size, stacked.n_emotion,
+                stacked.n_intent) == (16, 8, 7, 8)
         x = rng.standard_normal((batch_size, 16))
         probs, totals = forward_batch(stacked, x), batch_loss(stacked, spec).total
         assert totals.shape == (n_sets,)
@@ -213,7 +214,7 @@ class TestParameterSetAxis:
         for _ in range(3):
             model, spec = _config_spec(name, rng, 4)
             reference = finite_difference_gradient(lambda m: batch_loss(m, spec).total, model)
-            numeric = _numeric_gradient(model, spec, 1e-5)
+            numeric = _numeric_gradient(model, spec)
             assert max_relative_error(numeric, reference, floor=1e-300) <= 1e-9
 
     def test_single_set_loss_parts_are_python_floats(self):

@@ -1,5 +1,7 @@
 """The scripts under ``tools/`` run against the package as it stands."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,24 @@ def test_setup_bench_reports_every_phase():
     for first in (0, 4):
         high_water = [float(row[3]) for row in rows[first:first + 4]]
         assert high_water == sorted(high_water) and high_water[0] > 0
+
+
+def test_untested_raises_counts_every_raise():
+    """``tools/untested_raises.py`` traces a pytest run in its own process and
+    counts every ``raise`` of the package; the raise in ``errors.require``,
+    which the range-check tests reach, is not listed."""
+    package = ROOT / "src" / "semimatch"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    total = sum(isinstance(node, ast.Raise) for tree in trees.values() for node in ast.walk(tree))
+    require = next(node for node in ast.walk(trees[package / "errors.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "require")
+    require_raise = next(node for node in ast.walk(require) if isinstance(node, ast.Raise))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untested_raises.py"), "-p", "no:cacheprovider",
+         "tests/test_errors.py"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(rf"\d+ of {total} raise statements not reached by a test", lines[-1])
+    assert f"src/semimatch/errors.py:{require_raise.lineno}: " not in proc.stdout
+    assert any(line.startswith("src/semimatch/cli.py:") for line in lines)
