@@ -14,7 +14,7 @@ sample rate or vocabulary size. A body checks its output once, over the whole
 array, and draws the same numbers, in the same order, as the per-sequence
 operator called in a loop. ``augment_signal`` / ``augment_tokens`` apply one
 operator by name to a batch (giving a batch) or to a list (giving a list);
-the per-sequence operators are one-element calls.
+the per-sequence operators are one-element calls with the body's keywords.
 
 The two replace operators (synonym, contextual) share one body. Each
 token takes a pair of doubles ``(u, v)``, all pairs from one
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, Rule, is_integer, require
+from .errors import ConfigError, ContractError, Rule, fits, is_integer, require
 
 WEAK_SIGNAL_KINDS = ("flip", "time_mask", "pitch_shift")
 STRONG_SIGNAL_KIND = "gaussian_noise"
@@ -50,9 +50,20 @@ MAX_PITCH_STEPS = 12287   # the largest step s whose factor 2 ** (s / 12) is a f
 GROUP_SIZE = 3   # consecutive token ids per synonym group and per embedding centre
 _JITTER = 0.15   # scale of each token's embedding noise around its group's centre
 
+# the fixed operator and featurizer settings, each the default of every function that takes it
+FLIP_MAX_SECONDS = 6.25
+TIME_MASK_MAX_FRAMES = 30000
+PITCH_MAX_STEPS = 4
+SWAP_COUNT = 1
+DELETE_PROB = 0.1
+SYNONYM_PROB = 0.15
+CONTEXTUAL_PROB = 0.15
+CONTEXTUAL_NEIGHBORS = 5
+TOKEN_MAX_LEN = 64
+
 
 # operator and featurizer keyword -> its range rules (errors.Rule), checked in
-# order; TrainConfig checks its fields through them too
+# order; TrainConfig checks signal_bins and noise_scale through them too
 _PARAM_RULES = {
     "max_seconds": [Rule.POSITIVE],
     "max_frames": [Rule.INTEGER, Rule.POSITIVE],
@@ -300,16 +311,14 @@ class EmbeddingTable:
 # signal operators
 # ---------------------------------------------------------------------------
 
-def flip_segment(seq: SignalSequence, rng: np.random.Generator,
-                 max_seconds: float = 6.25) -> SignalSequence:
-    """Reverse one contiguous segment; position and length drawn uniformly."""
-    return augment_signal([seq], "flip", rng, max_seconds=max_seconds)[0]
+def flip_segment(seq: SignalSequence, rng: np.random.Generator, **params) -> SignalSequence:
+    """Reverse one contiguous segment of up to max_seconds; position and length drawn uniformly."""
+    return augment_signal([seq], "flip", rng, **params)[0]
 
 
-def time_mask(seq: SignalSequence, rng: np.random.Generator,
-              max_frames: int = 30000) -> SignalSequence:
+def time_mask(seq: SignalSequence, rng: np.random.Generator, **params) -> SignalSequence:
     """Zero one contiguous sub-clip of up to max_frames frames."""
-    return augment_signal([seq], "time_mask", rng, max_frames=max_frames)[0]
+    return augment_signal([seq], "time_mask", rng, **params)[0]
 
 
 def _segment_all(batch: Ragged, rng: np.random.Generator, caps, reverse: bool) -> Ragged:
@@ -326,30 +335,32 @@ def _segment_all(batch: Ragged, rng: np.random.Generator, caps, reverse: bool) -
     return batch.with_values(frames)
 
 
-def _flip_all(batch: Ragged, rng: np.random.Generator, max_seconds: float = 6.25) -> Ragged:
+def _flip_all(batch: Ragged, rng: np.random.Generator,
+              max_seconds: float = FLIP_MAX_SECONDS) -> Ragged:
     _check_param("max_seconds", max_seconds)
     caps = [max(1, min(n, int(round(max_seconds * rate))))
             for n, rate in zip(batch.lengths.tolist(), batch.sizes.tolist())]
     return _segment_all(batch, rng, caps, reverse=True)
 
 
-def _time_mask_all(batch: Ragged, rng: np.random.Generator, max_frames: int = 30000) -> Ragged:
+def _time_mask_all(batch: Ragged, rng: np.random.Generator,
+                   max_frames: int = TIME_MASK_MAX_FRAMES) -> Ragged:
     _check_param("max_frames", max_frames)
     return _segment_all(batch, rng, [min(n, max_frames) for n in batch.lengths.tolist()],
                         reverse=False)
 
 
-def pitch_shift(seq: SignalSequence, rng: np.random.Generator,
-                max_steps: int = 4) -> SignalSequence:
+def pitch_shift(seq: SignalSequence, rng: np.random.Generator, **params) -> SignalSequence:
     """Resample by a semitone factor 2**(s/12), s != 0 drawn in [-max, max].
 
     Linear interpolation; the shifted signal is truncated or zero-padded
     back to the original length.
     """
-    return augment_signal([seq], "pitch_shift", rng, max_steps=max_steps)[0]
+    return augment_signal([seq], "pitch_shift", rng, **params)[0]
 
 
-def _pitch_shift_all(batch: Ragged, rng: np.random.Generator, max_steps: int = 4) -> Ragged:
+def _pitch_shift_all(batch: Ragged, rng: np.random.Generator,
+                     max_steps: int = PITCH_MAX_STEPS) -> Ragged:
     """``pitch_shift`` of every sequence; one draw gives every step, in the
     order a per-sequence loop would draw them."""
     _check_param("max_steps", max_steps)
@@ -364,10 +375,9 @@ def _pitch_shift_all(batch: Ragged, rng: np.random.Generator, max_steps: int = 4
     return batch.with_values(frames)
 
 
-def gaussian_noise(seq: SignalSequence, rng: np.random.Generator,
-                   scale: float = 0.05) -> SignalSequence:
+def gaussian_noise(seq: SignalSequence, rng: np.random.Generator, **params) -> SignalSequence:
     """Add N(0, scale^2) noise to every frame."""
-    return augment_signal([seq], "gaussian_noise", rng, scale=scale)[0]
+    return augment_signal([seq], "gaussian_noise", rng, **params)[0]
 
 
 def _gaussian_noise_all(batch: Ragged, rng: np.random.Generator, scale: float = 0.05) -> Ragged:
@@ -408,14 +418,13 @@ def augment_signal(seqs, kind: str, rng: np.random.Generator,
 # token operators
 # ---------------------------------------------------------------------------
 
-def swap_adjacent(seq: TokenSequence, rng: np.random.Generator,
-                  n_swaps: int = 1) -> TokenSequence:
+def swap_adjacent(seq: TokenSequence, rng: np.random.Generator, **params) -> TokenSequence:
     """Exchange randomly chosen adjacent pairs n_swaps times."""
-    return augment_tokens([seq], "swap", rng, n_swaps=n_swaps)[0]
+    return augment_tokens([seq], "swap", rng, **params)[0]
 
 
 def _swap_all(batch: Ragged, rng: np.random.Generator, lexicon=None, table=None,
-              n_swaps: int = 1) -> Ragged:
+              n_swaps: int = SWAP_COUNT) -> Ragged:
     """``swap_adjacent`` of every sequence, drawing each swap in loop order."""
     _check_param("n_swaps", n_swaps)
     tokens = batch.values.copy()
@@ -426,14 +435,13 @@ def _swap_all(batch: Ragged, rng: np.random.Generator, lexicon=None, table=None,
     return batch.with_values(tokens)
 
 
-def delete_tokens(seq: TokenSequence, rng: np.random.Generator,
-                  p: float = 0.1) -> TokenSequence:
+def delete_tokens(seq: TokenSequence, rng: np.random.Generator, **params) -> TokenSequence:
     """Drop each token with probability p; keep one token if all would go."""
-    return augment_tokens([seq], "delete", rng, p=p)[0]
+    return augment_tokens([seq], "delete", rng, **params)[0]
 
 
 def _delete_all(batch: Ragged, rng: np.random.Generator, lexicon=None, table=None,
-                p: float = 0.1) -> Ragged:
+                p: float = DELETE_PROB) -> Ragged:
     """``delete_tokens`` of every sequence, drawing in loop order."""
     _check_param("p", p)
     keep = np.empty(len(batch.values), dtype=bool)
@@ -470,8 +478,8 @@ def _replace_all(batch: Ragged, alternatives, rng: np.random.Generator, p: float
     return batch.with_values(out)
 
 
-def _synonym_all(batch: Ragged, rng: np.random.Generator,
-                 lexicon: SynonymLexicon | None = None, table=None, p: float = 0.15) -> Ragged:
+def _synonym_all(batch: Ragged, rng: np.random.Generator, lexicon: SynonymLexicon | None = None,
+                 table=None, p: float = SYNONYM_PROB) -> Ragged:
     """``synonym_replace`` of every sequence."""
     if lexicon is None:
         raise ConfigError("synonym replacement needs a lexicon")
@@ -479,8 +487,8 @@ def _synonym_all(batch: Ragged, rng: np.random.Generator,
 
 
 def _contextual_all(batch: Ragged, rng: np.random.Generator, lexicon=None,
-                    table: EmbeddingTable | None = None, n_neighbors: int = 5,
-                    p: float = 0.15) -> Ragged:
+                    table: EmbeddingTable | None = None, n_neighbors: int = CONTEXTUAL_NEIGHBORS,
+                    p: float = CONTEXTUAL_PROB) -> Ragged:
     """``contextual_replace`` of every sequence."""
     if table is None:
         raise ConfigError("contextual replacement needs an embedding table")
@@ -489,10 +497,10 @@ def _contextual_all(batch: Ragged, rng: np.random.Generator, lexicon=None,
     return _replace_all(batch, table.neighbour_lists(n_neighbors).__getitem__, rng, p)
 
 
-def synonym_replace(seq: TokenSequence, lexicon: SynonymLexicon,
-                    rng: np.random.Generator, p: float = 0.15) -> TokenSequence:
+def synonym_replace(seq: TokenSequence, lexicon: SynonymLexicon, rng: np.random.Generator,
+                    **params) -> TokenSequence:
     """Replace tokens with a uniformly drawn lexicon alternative, prob p each."""
-    return augment_tokens([seq], "synonym", rng, lexicon=lexicon, p=p)[0]
+    return augment_tokens([seq], "synonym", rng, lexicon=lexicon, **params)[0]
 
 
 def nearest_neighbours(table: EmbeddingTable, token: int, n: int) -> np.ndarray:
@@ -505,12 +513,10 @@ def nearest_neighbours(table: EmbeddingTable, token: int, n: int) -> np.ndarray:
     return order[:min(n, table.vocab_size - 1)]
 
 
-def contextual_replace(seq: TokenSequence, table: EmbeddingTable,
-                       rng: np.random.Generator, n_neighbors: int = 5,
-                       p: float = 0.15) -> TokenSequence:
+def contextual_replace(seq: TokenSequence, table: EmbeddingTable, rng: np.random.Generator,
+                       **params) -> TokenSequence:
     """Replace tokens with one of their top-n embedding neighbours, prob p each."""
-    return augment_tokens([seq], "contextual", rng, table=table, n_neighbors=n_neighbors,
-                          p=p)[0]
+    return augment_tokens([seq], "contextual", rng, table=table, **params)[0]
 
 
 _TOKEN_OPS = {
@@ -557,6 +563,8 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
     """
     _check_param("bins", bins)
     batch = Ragged.of(seqs, SignalSequence)
+    if not fits(len(batch), 4 * bins):
+        raise ContractError(f"{len(batch)} x {4 * bins} signal features do not fit one numpy array")
     frames, lengths = batch.values, batch.lengths
     q, rem = np.divmod(lengths, bins)
     sizes = q[:, None] + (np.arange(bins) < rem[:, None])
@@ -576,7 +584,7 @@ def featurize_signal_batch(seqs, bins: int) -> np.ndarray:
 
 
 def featurize_tokens(seq: TokenSequence, table: EmbeddingTable,
-                     max_length: int = 64) -> np.ndarray:
+                     max_length: int = TOKEN_MAX_LEN) -> np.ndarray:
     """Mean token embedding plus the length fraction len/max_length."""
     _check_param("max_length", max_length)
     _check_vocabulary([seq.vocab_size], table)
@@ -584,7 +592,8 @@ def featurize_tokens(seq: TokenSequence, table: EmbeddingTable,
     return np.concatenate([mean_vec, [len(seq) / max_length]])
 
 
-def featurize_tokens_batch(seqs, table: EmbeddingTable, max_length: int = 64) -> np.ndarray:
+def featurize_tokens_batch(seqs, table: EmbeddingTable,
+                           max_length: int = TOKEN_MAX_LEN) -> np.ndarray:
     """``featurize_tokens`` of every sequence, stacked -> (N, dim + 1).
 
     Each row's mean is its tokens' embedding sum divided by their count,
@@ -624,7 +633,7 @@ class FeatureExtractor:
 
     modality: str
     bins: int = 4
-    max_token_len: int = 64
+    max_token_len: int = TOKEN_MAX_LEN
     table: EmbeddingTable | None = None
 
     def __post_init__(self):

@@ -4,13 +4,14 @@ One assignment per line; blank lines and ``#`` comments are ignored;
 unknown keys are errors. The keys, and how each value is parsed, are
 derived from the fields of :class:`TrainConfig` / :class:`GeneratorConfig`
 and their annotations. List-valued generator fields use comma-separated
-entries.
+entries. A retired train key is read only at its fixed value, and dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
+from . import augment
 from .data import GeneratorConfig
 from .errors import ConfigError, SchemaError
 from .fileio import read_text
@@ -94,6 +95,25 @@ TRAIN_CONFIG_KEYS = tuple(_TRAIN_PARSERS)
 GENERATOR_CONFIG_KEYS = tuple(_GENERATOR_PARSERS)
 _TRAIN_JSON_TYPES = {f.name: _FIELD_TYPES[f.type][1:] for f in fields(TrainConfig)}
 
+# keys TrainConfig no longer has; a file may still set each, to its fixed value (_retire)
+RETIRED_TRAIN_KEYS = ("strong_aug_kind", "token_max_len", "flip_max_seconds",
+                      "time_mask_max_frames", "pitch_max_steps", "swap_count", "delete_prob",
+                      "synonym_prob", "contextual_prob", "contextual_neighbors")
+
+
+def _retire(values: dict, where, form) -> TrainConfig:
+    """``TrainConfig`` of ``values`` without the retired keys, each of which must hold
+    the value every run used, equal in ``form``: ``augment.<KEY>``, or for
+    strong_aug_kind the modality's strong operator. Else a ConfigError at ``where(key)``."""
+    config = TrainConfig(**{k: v for k, v in values.items() if k not in RETIRED_TRAIN_KEYS})
+    for key in (key for key in values if key in RETIRED_TRAIN_KEYS):
+        fixed = (augment.strong_kind(config.modality) if key == "strong_aug_kind"
+                 else getattr(augment, key.upper()))
+        if form(values[key]) != form(fixed):
+            raise ConfigError(f"{where(key)}retired key '{key}' is fixed at {form(fixed)}, "
+                              f"got {form(values[key])}")
+    return config
+
 
 def train_config_from_json(values) -> TrainConfig:
     """A :class:`TrainConfig` from a JSON object, as a checkpoint stores it.
@@ -101,12 +121,14 @@ def train_config_from_json(values) -> TrainConfig:
     if not isinstance(values, dict):
         raise SchemaError("config must be a JSON object")
     for key, value in values.items():
+        if key in RETIRED_TRAIN_KEYS:   # _retire compares its repr, so its type too
+            continue
         if key not in _TRAIN_JSON_TYPES:
             raise SchemaError(f"unknown train config key '{key}'")
         types, name = _TRAIN_JSON_TYPES[key]
         if type(value) not in types:
             raise SchemaError(f"config key '{key}': expected {name}, got {value!r}")
-    return TrainConfig(**values)
+    return _retire(values, lambda key: "", repr)
 
 
 def _build(mapping: dict[str, tuple[int, str]], parsers: dict, what: str) -> dict:
@@ -122,9 +144,10 @@ def _build(mapping: dict[str, tuple[int, str]], parsers: dict, what: str) -> dic
 
 
 def train_config_from_text(text: str, **overrides) -> TrainConfig:
-    built = _build(parse_key_values(text), _TRAIN_PARSERS, "train")
+    mapping = parse_key_values(text)   # a retired key's text is compared as written
+    built = _build(mapping, _TRAIN_PARSERS | dict.fromkeys(RETIRED_TRAIN_KEYS, str), "train")
     built.update(overrides)
-    return TrainConfig(**built)
+    return _retire(built, lambda key: f"line {mapping[key][0]}: ", str)
 
 
 def generator_config_from_text(text: str, **overrides) -> GeneratorConfig:
@@ -154,7 +177,7 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
 
 
 __all__ = [
-    "GENERATOR_CONFIG_KEYS", "TRAIN_CONFIG_KEYS", "generator_config_from_text",
-    "load_generator_config", "load_train_config", "parse_key_values",
+    "GENERATOR_CONFIG_KEYS", "RETIRED_TRAIN_KEYS", "TRAIN_CONFIG_KEYS",
+    "generator_config_from_text", "load_generator_config", "load_train_config", "parse_key_values",
     "train_config_from_json", "train_config_from_text",
 ]

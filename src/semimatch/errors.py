@@ -60,10 +60,14 @@ def require(name: str, rule, *values):
             raise ConfigError(f"{name} must {must}")
 
 
+def fits(*shape: int) -> bool:
+    """Whether ``shape`` 8-byte entries fit one numpy array (under 2**63 bytes)."""
+    return 8 * math.prod(shape) < 2 ** 63
+
+
 def require_fits(subject: str, what: str, *shape: int):
-    """Raise :class:`ConfigError`, naming ``subject``, unless ``shape`` entries
-    of 8 bytes fit one numpy array, which holds under 2**63 bytes."""
-    if 8 * math.prod(shape) >= 2 ** 63:
+    """Raise :class:`ConfigError`, naming ``subject``, unless ``shape`` :func:`fits`."""
+    if not fits(*shape):
         raise ConfigError(f"{subject} needs {what} of {' x '.join(map(str, shape))} entries, "
                           "more than one numpy array can hold")
 

@@ -52,7 +52,7 @@ from .augment import (
     weak_kinds,
 )
 from .data import Corpus, SplitSpec, make_batches, stratified_split, unlabelled_per_step
-from .errors import ConfigError, ContractError, Rule, require, require_finite_fields
+from .errors import ConfigError, ContractError, Rule, require, require_finite_fields, require_fits
 from .losses import METHODS, LossCoefficients, batch_terms
 from .losses import build_task_terms  # noqa: F401  perfbench/tracer.py wraps this name
 from .metrics import MetricsReport
@@ -81,7 +81,6 @@ class TrainConfig:
     method: str = "baseline"
     modality: str = "signal"
     weak_aug_kind: str | None = None     # default: flip (signal) / synonym (tokens)
-    strong_aug_kind: str | None = None   # fixed per modality; kept for visibility
     weak_aug_on_unlabelled: bool = True
     epochs: int = 30
     batch_size: int = 8
@@ -100,16 +99,7 @@ class TrainConfig:
     valid_frac: float = 0.15
     test_frac: float = 0.15
     signal_bins: int = 4
-    token_max_len: int = 64
-    flip_max_seconds: float = 6.25
-    time_mask_max_frames: int = 30000
-    pitch_max_steps: int = 4
     noise_scale: float = 0.05
-    swap_count: int = 1
-    delete_prob: float = 0.1
-    synonym_prob: float = 0.15
-    contextual_prob: float = 0.15
-    contextual_neighbors: int = 5
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -122,12 +112,6 @@ class TrainConfig:
         if self.weak_aug_kind not in weak_kinds(self.modality):
             raise ConfigError(
                 f"'{self.weak_aug_kind}' is not a weak augmentation for {self.modality}")
-        expected_strong = strong_kind(self.modality)
-        if self.strong_aug_kind is None:
-            self.strong_aug_kind = expected_strong
-        if self.strong_aug_kind != expected_strong:
-            raise ConfigError(
-                f"the strong augmentation for {self.modality} is '{expected_strong}'")
         for name in ("tau", "sigma", "lr_decay"):
             require(name, Rule.OPEN_UNIT, getattr(self, name))
         require("learning_rate", Rule.POSITIVE, self.learning_rate)
@@ -141,10 +125,9 @@ class TrainConfig:
                 f"draws no unlabelled sample per step, which method '{self.method}' needs")
         for name in ("unsup_weight", "negative_weight", "entropy_weight", "intent_weight"):
             require(name, Rule.NON_NEGATIVE, getattr(self, name))
-        # featurizer and augmentation fields, under their functions' rules, in any modality
-        for keyword, name in [("bins", "signal_bins"), ("max_length", "token_max_len"),
-                              *(kw for params in _AUG_PARAMS.values() for kw in params.items())]:
-            _check_param(keyword, getattr(self, name), name)
+        # under the rules of the keywords they feed, in any modality
+        _check_param("bins", self.signal_bins, "signal_bins")
+        _check_param("scale", self.noise_scale, "noise_scale")
         # raises ConfigError on bad fractions or a negative seed
         SplitSpec(self.train_frac, self.valid_frac, self.test_frac, seed=self.seed)
 
@@ -186,19 +169,6 @@ class TrainResult:
     best_epoch: int
     val_metrics: MetricsReport       # validation metrics of the best checkpoint
     test_metrics: MetricsReport | None
-
-
-# operator kind -> {operator keyword: TrainConfig field}
-_AUG_PARAMS = {
-    "flip": {"max_seconds": "flip_max_seconds"},
-    "time_mask": {"max_frames": "time_mask_max_frames"},
-    "pitch_shift": {"max_steps": "pitch_max_steps"},
-    "gaussian_noise": {"scale": "noise_scale"},
-    "swap": {"n_swaps": "swap_count"},
-    "delete": {"p": "delete_prob"},
-    "synonym": {"p": "synonym_prob"},
-    "contextual": {"n_neighbors": "contextual_neighbors", "p": "contextual_prob"},
-}
 
 
 # the most samples, labelled and unlabelled, that one block of an epoch's
@@ -243,11 +213,9 @@ def _rows(config: TrainConfig, corpus: Corpus, extractor: FeatureExtractor, memo
     as one ``Ragged`` batch."""
     if not samples:
         return np.empty((0, extractor.dim))
-    if kind is not None:
-        params = {keyword: getattr(config, name) for keyword, name in _AUG_PARAMS[kind].items()}
+    params = {"scale": config.noise_scale} if kind == "gaussian_noise" else {}   # others fixed
     if memo is not None:
-        key = (extractor.modality, extractor.bins, extractor.max_token_len,
-               tuple(s.id for s in samples))
+        key = (extractor.modality, extractor.bins, tuple(s.id for s in samples))
         if kind is not None:
             key += (kind, *params.values(), repr(rng.bit_generator.state))
         if key in memo:
@@ -283,7 +251,8 @@ def _epoch_features(config: TrainConfig, corpus: Corpus, extractor: FeatureExtra
         unlab = [s for _, unlab_batch in block for s in unlab_batch]
         lab_x = _rows(config, corpus, extractor, memo, lab, config.weak_aug_kind, rng_lab)
         weak_x = _rows(config, corpus, extractor, memo, unlab, weak_unlab_kind, rng_weak)
-        strong_x = _rows(config, corpus, extractor, memo, unlab, config.strong_aug_kind, rng_strong)
+        strong_x = _rows(config, corpus, extractor, memo, unlab, strong_kind(config.modality),
+                         rng_strong)
         lab_end = unlab_end = 0
         for lab_batch, unlab_batch in block:
             lab_start, lab_end = lab_end, lab_end + len(lab_batch)
@@ -361,8 +330,7 @@ def split_for(config: TrainConfig, corpus: Corpus) -> tuple[list, list, list]:
 def extractor_for(config: TrainConfig, corpus: Corpus) -> FeatureExtractor:
     """The featurizer of the config's modality and sizes over the corpus's
     embedding: the one train() fits with and eval reads with."""
-    return FeatureExtractor(config.modality, bins=config.signal_bins,
-                            max_token_len=config.token_max_len, table=corpus.embedding)
+    return FeatureExtractor(config.modality, bins=config.signal_bins, table=corpus.embedding)
 
 
 def train_step(method: str, model: TwoHeadModel, spec: BatchLossSpec, weak_x: np.ndarray,
@@ -385,6 +353,14 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     valid_eval = valid_set or train_set
 
     extractor = extractor_for(config, corpus)
+    mu = 0.0 if config.method == "baseline" else config.unlabelled_ratio
+    # the most rows one featurizer call takes: a split's, or a block branch's (_blocks)
+    n_unlab = unlabelled_per_step(config.batch_size, mu)
+    rows = max(len(valid_eval), len(test_set), min(
+        max(len(train_set), n_unlab * -(-len(train_set) // config.batch_size)),
+        max(_BLOCK_SAMPLES, config.batch_size + n_unlab)))
+    if config.modality == "signal":   # a token row is as wide as the corpus's embedding
+        require_fits(f"signal_bins {config.signal_bins}", "a feature matrix", rows, extractor.dim)
     memo = shared[1] if (shared := _SHARED.get()) and shared[0] is corpus else None
     valid_x = _rows(config, corpus, extractor, memo, valid_eval, None, None)
     model = init_model(extractor.dim, config.hidden_size, corpus.n_emotion, corpus.n_intent,
@@ -392,7 +368,6 @@ def train(config: TrainConfig, corpus: Corpus) -> TrainResult:
     state = AdamState.zeros_like(model)
     coeffs = LossCoefficients(unsup=config.unsup_weight, negative=config.negative_weight,
                               entropy=config.entropy_weight)
-    mu = 0.0 if config.method == "baseline" else config.unlabelled_ratio
 
     reports: list[EpochReport] = []
     best_jrbm, best_model, best_val, best_epoch = -1.0, model, None, 0

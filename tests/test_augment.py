@@ -19,6 +19,7 @@ from semimatch.augment import (
     TokenSequence,
     WEAK_SIGNAL_KINDS,
     WEAK_TOKEN_KINDS,
+    _check_param,
     augment_signal,
     augment_tokens,
     contextual_replace,
@@ -36,7 +37,7 @@ from semimatch.augment import (
     time_mask,
 )
 from semimatch.errors import ConfigError, ContractError
-from semimatch.trainer import _AUG_PARAMS, TrainConfig
+from semimatch.trainer import TrainConfig
 
 
 def signal(frames, sr=16000):
@@ -104,6 +105,13 @@ class TestSignalOperators:
         assert len(out) == len(seq) and np.all(np.isfinite(out.frames))
         with pytest.raises(ConfigError, match=f"max_steps must be at most {MAX_PITCH_STEPS}"):
             pitch_shift(seq, rng, max_steps=MAX_PITCH_STEPS + 1)
+
+    @pytest.mark.parametrize("steps", [20000, 2000000000])
+    def test_pitch_steps_that_overflowed_the_factor_rejected(self, rng, steps):
+        """The values that once ended training in an OverflowError in the
+        pitch factor are out of range for the operator's keyword."""
+        with pytest.raises(ConfigError, match=f"^max_steps must be at most {MAX_PITCH_STEPS}$"):
+            augment_signal([random_signal(rng)], "pitch_shift", rng, max_steps=steps)
 
     def test_pitch_shift_down_stretches(self):
         # factor 2**(-12/12) = 0.5: output samples the input at half speed
@@ -915,9 +923,10 @@ class TestNearestNeighbours:
 
 
 def _range_cases():
-    """``(keyword, TrainConfig key, call)`` for every config field that an
-    operator or featurizer checks; ``call(**{keyword: value})`` runs one
-    function that takes the keyword on a small payload."""
+    """``(keyword, TrainConfig key or None, call)`` for every keyword that an
+    operator or featurizer checks, with the config field that feeds it, if
+    one does; ``call(**{keyword: value})`` runs one function that takes the
+    keyword on a small payload."""
     seq = signal(np.sin(np.arange(60.0)))
     tokens = TokenSequence(np.arange(12) % 9, 9)
     table = EmbeddingTable.from_seed(vocab_size=9, dim=3, seed=1)
@@ -928,16 +937,18 @@ def _range_cases():
             return partial(augment_signal, [seq], kind, np.random.default_rng(0))
         return partial(augment_tokens, [tokens], kind, np.random.default_rng(0),
                        lexicon=lexicon, table=table)
-    cases = [(keyword, key, kind, operator(kind))
-             for kind, params in _AUG_PARAMS.items() for keyword, key in params.items()] + [
+    cases = [(keyword, key, kind, operator(kind)) for keyword, key, kind in [
+        ("max_seconds", None, "flip"), ("max_frames", None, "time_mask"),
+        ("max_steps", None, "pitch_shift"), ("scale", "noise_scale", "gaussian_noise"),
+        ("n_swaps", None, "swap"), ("p", None, "delete"), ("p", None, "synonym"),
+        ("n_neighbors", None, "contextual"), ("p", None, "contextual")]] + [
         ("bins", "signal_bins", "featurize_signal", partial(featurize_signal, seq)),
         ("bins", "signal_bins", "featurize_signal_batch",
          partial(featurize_signal_batch, [seq])),
-        ("max_length", "token_max_len", "featurize_tokens",
-         partial(featurize_tokens, tokens, table)),
-        ("max_length", "token_max_len", "featurize_tokens_batch",
+        ("max_length", None, "featurize_tokens", partial(featurize_tokens, tokens, table)),
+        ("max_length", None, "featurize_tokens_batch",
          partial(featurize_tokens_batch, [tokens], table))]
-    return [pytest.param(keyword, key, call, id=f"{key}-{function}")
+    return [pytest.param(keyword, key, call, id=f"{key or keyword}-{function}")
             for keyword, key, function, call in cases]
 
 
@@ -952,14 +963,19 @@ def _outcome(call, name: str) -> str:
 
 
 class TestConfigAgreesWithFunctions:
-    """TrainConfig and the function a field feeds accept the same values and
-    reject the same ones, each naming its own key or keyword."""
+    """Each function checks a keyword under that keyword's rules, and
+    TrainConfig checks a field that feeds one under the same rules: they
+    accept the same values and reject the same ones, each naming its own key
+    or keyword."""
 
     @pytest.mark.parametrize("keyword, key, call", _range_cases())
     def test_boundary_values(self, keyword, key, call):
         values = [-1, 0, 0.5, 1, 2.0] + {"p": [1.0000001],
                                     "max_steps": [MAX_PITCH_STEPS + 1]}.get(keyword, [])
         for value in values:
-            config = _outcome(lambda: TrainConfig(**{key: value}), key)
+            rules = _outcome(lambda: _check_param(keyword, value), keyword)
             function = _outcome(lambda: call(**{keyword: value}), keyword)
-            assert config == function, (value, config, function)
+            assert function == rules, (value, function, rules)
+            if key is not None:
+                config = _outcome(lambda: TrainConfig(**{key: value}), key)
+                assert config == function, (value, config, function)

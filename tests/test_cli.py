@@ -95,7 +95,8 @@ class TestConfigParsing:
         assert config.epochs == 2
         assert config.learning_rate == 3e-3
         assert config.weak_aug_kind == "flip"
-        assert config.strong_aug_kind == "gaussian_noise"
+        # a retired key at its fixed value is dropped
+        assert train_config_from_text(TRAIN_CFG + "strong_aug_kind = gaussian_noise\n") == config
 
     @pytest.mark.parametrize("text, value", [
         ("true", True), ("1", True), ("yes", True), ("on", True), ("TRUE", True), ("Yes", True),
@@ -216,9 +217,7 @@ NON_DEFAULT_TRAIN = TrainConfig(
     epochs=3, batch_size=5, unlabelled_ratio=2.5, learning_rate=1.25e-3, lr_decay=0.875,
     tau=0.8, sigma=0.9, unsup_weight=0.25, negative_weight=0.125, entropy_weight=0.375,
     intent_weight=0.75, hidden_size=12, seed=11, train_frac=0.5, valid_frac=0.25,
-    test_frac=0.25, signal_bins=6, token_max_len=40, flip_max_seconds=1.5,
-    time_mask_max_frames=900, pitch_max_steps=2, noise_scale=0.3, swap_count=2,
-    delete_prob=0.05, synonym_prob=0.3, contextual_prob=0.2, contextual_neighbors=3)
+    test_frac=0.25, signal_bins=6, noise_scale=0.3)
 
 NON_DEFAULT_GENERATOR = GeneratorConfig(
     emotion_counts=(5, 6, 7), intent_counts=(9, 9), unlabelled_count=4, min_len=20,
@@ -228,10 +227,33 @@ NON_DEFAULT_GENERATOR = GeneratorConfig(
 
 # each featurizer and augmentation field with a value just outside the range
 # its function enforces
-AUG_OUT_OF_RANGE = [
-    ("signal_bins", "0"), ("token_max_len", "0"), ("flip_max_seconds", "0"), ("time_mask_max_frames", "0"), ("pitch_max_steps", "0"),
-    ("noise_scale", "-1"), ("swap_count", "-1"), ("delete_prob", "7"),
-    ("synonym_prob", "-0.5"), ("contextual_prob", "1.5"), ("contextual_neighbors", "0"),
+AUG_OUT_OF_RANGE = [("signal_bins", "0"), ("noise_scale", "-1")]
+
+# each retired key -> its fixed value at the signal modality, as a config file writes it
+RETIRED_FIXED = {
+    "strong_aug_kind": "gaussian_noise", "token_max_len": "64", "flip_max_seconds": "6.25",
+    "time_mask_max_frames": "30000", "pitch_max_steps": "4", "swap_count": "1",
+    "delete_prob": "0.1", "synonym_prob": "0.15", "contextual_prob": "0.15",
+    "contextual_neighbors": "5",
+}
+
+# each retired key at a value other than its fixed one: the values that were
+# out of range while it was a field, then in range, then not of its type or
+# not finite, then another spelling of a fixed value (a file must write the
+# value as it is fixed), then the two pitch steps that overflowed the pitch
+# factor before it had a bound
+RETIRED_VALUES = [
+    ("strong_aug_kind", "flip"), ("token_max_len", "0"), ("flip_max_seconds", "0"),
+    ("time_mask_max_frames", "0"), ("pitch_max_steps", "0"), ("swap_count", "-1"),
+    ("delete_prob", "7"), ("synonym_prob", "-0.5"), ("contextual_prob", "1.5"),
+    ("contextual_neighbors", "0"),
+    ("strong_aug_kind", "contextual"), ("token_max_len", "40"), ("flip_max_seconds", "1.5"),
+    ("time_mask_max_frames", "900"), ("pitch_max_steps", "2"), ("swap_count", "2"),
+    ("delete_prob", "0.05"), ("synonym_prob", "0.3"), ("contextual_prob", "0.2"),
+    ("contextual_neighbors", "3"),
+    ("swap_count", "1.0"), ("swap_count", "true"), ("delete_prob", "nan"),
+    ("flip_max_seconds", "inf"), ("flip_max_seconds", "6.250"),
+    ("pitch_max_steps", "20000"), ("pitch_max_steps", "2000000000"),
 ]
 
 FLOAT_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
@@ -300,12 +322,10 @@ class TestConfigFields:
         assert not (workdir / "run").exists()
 
     # finite values that loaded and then failed in training: an OverflowError
-    # and a ValueError ("array is too big") in the unlabelled draw, an
-    # OverflowError in the pitch factor, and a 14.9 GiB step table; training
-    # is stubbed out so that no run allocates
+    # and a ValueError ("array is too big") in the unlabelled draw; training is
+    # stubbed out so that no run allocates
     @pytest.mark.parametrize("key, value", [
-        ("unlabelled_ratio", "1e300"), ("unlabelled_ratio", "1e18"),
-        ("pitch_max_steps", "20000"), ("pitch_max_steps", "2000000000")])
+        ("unlabelled_ratio", "1e300"), ("unlabelled_ratio", "1e18")])
     def test_unrunnable_finite_value_rejected(self, workdir, capsys, monkeypatch, key, value):
         monkeypatch.setattr(semimatch.cli, "train", no_training)
         (workdir / "corpus.jsonl").write_text("")
@@ -317,6 +337,39 @@ class TestConfigFields:
         assert err.startswith(f"error: big.cfg: {key} ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("key, value", RETIRED_VALUES)
+    def test_retired_key_at_another_value_rejected(self, workdir, capsys, monkeypatch,
+                                                   key, value):
+        """Named with the file, the line, the key and its fixed value, before
+        the corpus is read."""
+        monkeypatch.setattr(semimatch.cli, "train", no_training)
+        (workdir / "corpus.jsonl").write_text("")
+        (workdir / "old.cfg").write_text(TRAIN_CFG + f"{key} = {value}\n")
+        assert main(["train", "--config", "old.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        line = TRAIN_CFG.count("\n") + 1
+        assert capsys.readouterr().err == (f"error: old.cfg: line {line}: retired key '{key}' "
+                                           f"is fixed at {RETIRED_FIXED[key]}, got {value}\n")
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("modality", ["signal", "tokens"])
+    def test_retired_keys_at_their_values_train_unchanged(self, workdir, modality):
+        mix = {"signal": 1.0, "tokens": 0.0}[modality]
+        (workdir / "gen.cfg").write_text(GEN_CFG + f"modality_mix = {mix}\n")
+        make_corpus(workdir)
+        text = TRAIN_CFG.replace("weak_aug_kind = flip\n", "").replace(
+            "modality = signal", f"modality = {modality}")
+        strong = {"signal": "gaussian_noise", "tokens": "contextual"}[modality]
+        retired = "".join(f"{key} = {value}\n" for key, value in RETIRED_FIXED.items()
+                          if key != "strong_aug_kind")
+        (workdir / "new.cfg").write_text(text)
+        (workdir / "old.cfg").write_text(f"strong_aug_kind = {strong}\n" + text + retired)
+        for name in ("new", "old"):
+            assert main(["train", "--config", f"{name}.cfg", "--corpus", "corpus.jsonl",
+                         "--out", name]) == 0
+        for file in ("checkpoint.json", "epochs.csv", "summary.json"):
+            assert (workdir / "old" / file).read_bytes() == (workdir / "new" / file).read_bytes()
 
     @pytest.mark.parametrize("command", ["train", "gen-data"])
     def test_non_utf8_config_names_file(self, workdir, capsys, command):
@@ -422,6 +475,22 @@ class TestTrain:
             "16 x 1152921504606846976 entries, more than one numpy array can hold\n")
         assert not (workdir / "run").exists()
 
+    @pytest.mark.parametrize("bins", [2 ** 61, 2 ** 63])
+    def test_signal_bins_past_one_numpy_array(self, workdir, capsys, bins):
+        """Checked before anything is featurized, at the most rows one
+        featurizer call takes: 24, each epoch's 3 steps' 8 unlabelled samples.
+        numpy refuses both sizes without allocating; before this check they
+        ended in a ValueError and an OverflowError traceback."""
+        make_corpus(workdir)
+        capsys.readouterr()
+        (workdir / "big.cfg").write_text(TRAIN_CFG + f"signal_bins = {bins}\n")
+        assert main(["train", "--config", "big.cfg", "--corpus", "corpus.jsonl",
+                     "--out", "run"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: signal_bins {bins} needs a feature matrix of 24 x {4 * bins} entries, "
+            "more than one numpy array can hold\n")
+        assert not (workdir / "run").exists()
+
     def test_epoch_csv_bit_identical_across_runs(self, workdir):
         make_corpus(workdir)
         main(["train", "--config", "train.cfg", "--corpus", "corpus.jsonl", "--out", "a"])
@@ -501,7 +570,7 @@ class TestEvalAndFuse:
                              seed=config.seed)
             pool = stratified_split(pool, spec)[2]
         extractor = FeatureExtractor(config.modality, bins=config.signal_bins,
-                                     max_token_len=config.token_max_len, table=corpus.embedding)
+                                     table=corpus.embedding)
         expected = evaluate(model, pool, extractor).to_dict()
         written = json.loads((workdir / "eval1/metrics.json").read_text())
         assert written == json.loads(json.dumps(expected))

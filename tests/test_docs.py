@@ -64,6 +64,6 @@ def test_written_defaults_match_the_dataclasses():
                 for f in fields(config)}
     written = [(key, value) for key, value in written_defaults(config_keys_section())
                if key in defaults]
-    assert len(written) >= 33   # the parser still finds every default written today
+    assert len(written) >= 24   # the parser still finds every default written today
     wrong = [(key, value, defaults[key]) for key, value in written if value != defaults[key]]
     assert not wrong

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from semimatch.augment import EmbeddingTable, FeatureExtractor, SignalSequence
+from semimatch.augment import (EmbeddingTable, FeatureExtractor, SignalSequence, TokenSequence,
+                               delete_tokens, featurize_signal_batch)
 from semimatch.data import (Corpus, GeneratorConfig, Sample, SplitSpec, make_batches,
                             unlabelled_per_step)
 from semimatch.errors import ConfigError, ContractError, SchemaError
@@ -49,7 +50,8 @@ RANGE_CHECKS = [
     ("unsup_weight", lambda: TrainConfig(unsup_weight=-0.5), "unsup_weight must be non-negative"),
     ("intent_weight", lambda: TrainConfig(intent_weight=-1e-9),
      "intent_weight must be non-negative"),
-    ("delete_prob", lambda: TrainConfig(delete_prob=1.5), "delete_prob must lie in [0, 1]"),
+    ("delete-p", lambda: delete_tokens(TokenSequence(np.arange(3), 3), None, p=1.5),
+     "p must lie in [0, 1]"),
     ("signal_bins", lambda: TrainConfig(signal_bins=0), "signal_bins must be positive"),
     ("per-class-counts", lambda: GeneratorConfig((2, 0), (1, 1)),
      "per-class counts must be positive"),
@@ -121,6 +123,10 @@ def test_nan_is_out_of_range(call, message):
     assert str(info.value) == message
 
 
+def _signal(n):
+    return SignalSequence(np.ones(n))
+
+
 def _sample(**changes):
     fields = dict(id="x", modality="signal", payload=SignalSequence(np.ones(3)), emotion=0,
                   intent=0)
@@ -149,6 +155,14 @@ INPUT_CHECKS = [
      "probability tables must be (n_samples, n_classes)"),
     ("confusion-names", lambda: confusion_csv(np.zeros((2, 2), int), ["a", "b", "c"]),
      ContractError, "class name count does not match the matrix"),
+    # sizes numpy refuses without allocating; they were a ValueError ("array is
+    # too big") and an OverflowError from numpy
+    ("signal-features-2**61", lambda: featurize_signal_batch([_signal(3), _signal(5)], 2 ** 61),
+     ContractError,
+     "2 x 9223372036854775808 signal features do not fit one numpy array"),
+    ("signal-features-2**63", lambda: featurize_signal_batch([_signal(3)], 2 ** 63),
+     ContractError,
+     "1 x 36893488147419103232 signal features do not fit one numpy array"),
 ]
 
 

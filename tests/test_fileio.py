@@ -369,7 +369,16 @@ class TestCheckpointFields:
         (lambda doc: doc.pop("intent_names"), "intent_names must be a list of strings"),
         (lambda doc: doc["params"].pop("w_int"), "missing field 'w_int'"),
         (lambda doc: doc["config"].update(no_such_key=1), "no_such_key"),
-        (lambda doc: doc["config"].update(delete_prob=7), "delete_prob must lie in [0, 1]"),
+        (lambda doc: doc["config"].update(delete_prob=7),
+         "retired key 'delete_prob' is fixed at 0.1, got 7"),
+        (lambda doc: doc["config"].update(strong_aug_kind="contextual"),
+         "retired key 'strong_aug_kind' is fixed at 'gaussian_noise', got 'contextual'"),
+        (lambda doc: doc["config"].update(strong_aug_kind=None),
+         "retired key 'strong_aug_kind' is fixed at 'gaussian_noise', got None"),
+        (lambda doc: doc["config"].update(swap_count=True),
+         "retired key 'swap_count' is fixed at 1, got True"),
+        (lambda doc: doc["config"].update(time_mask_max_frames=30000.0),
+         "retired key 'time_mask_max_frames' is fixed at 30000, got 30000.0"),
         (lambda doc: doc["config"].update(epochs=2.5),
          "config key 'epochs': expected an integer, got 2.5"),
         (lambda doc: doc["config"].update(hidden_size=True),
@@ -387,7 +396,8 @@ class TestCheckpointFields:
          "4 emotion_names for a 3-class emotion head"),
         (lambda doc: doc["intent_names"].pop(), "1 intent_names for a 2-class intent head"),
     ], ids=["short-bias", "tau-2", "nan-weight", "names-string", "names-missing",
-            "param-missing", "unknown-config-key", "delete-prob-7", "epochs-float",
+            "param-missing", "unknown-config-key", "delete-prob-7", "strong-kind-other",
+            "strong-kind-null", "swap-count-bool", "mask-frames-float", "epochs-float",
             "hidden-size-bool", "tau-bool", "flag-int", "method-null", "kind-int",
             "config-list", "emotion-names-long", "intent-names-short"])
     def test_bad_field_names_file(self, files, tmp_path, capsys, edit, needle):

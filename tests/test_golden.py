@@ -10,6 +10,9 @@ methods, and weak augmentation of unlabelled data on and off, on a
 ``GOLDEN_CLI`` pins what ``semimatch eval --split test`` writes for two
 signal grid checkpoints and one tokens grid checkpoint, and what
 ``semimatch fuse`` writes for the two signal ones, which share the split.
+The same checkpoints in the layout that still records the retired config
+keys (``config.RETIRED_TRAIN_KEYS``), which ``LEGACY_CHECKPOINTS`` pins,
+load to the same model and config and evaluate to the same bytes.
 
 ``LOSS_DIGEST`` pins the loss API: every public :mod:`semimatch.losses`
 function over a few hundred seeded batches (tied, uniform and one-hot rows,
@@ -48,6 +51,7 @@ import functools
 import hashlib
 import io
 import itertools
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -73,7 +77,7 @@ from semimatch.model import (
     forward_batch,
     init_model,
 )
-from semimatch.persist import checkpoint_to_text
+from semimatch.persist import checkpoint_to_text, load_checkpoint
 from semimatch.trainer import METHODS, TrainConfig, epoch_reports_csv, train, train_step
 
 WEAK_KINDS = {"signal": ("flip", "pitch_shift"), "tokens": ("swap", "synonym")}
@@ -94,30 +98,30 @@ GRID = [(modality, kind, method, on_unlab)
 # decision of the loss. tokens-swap-fixmatch keeps its checkpoints: its best
 # validation epoch is the first, whose row of the epochs CSV did not move.
 GOLDEN = {
-    "signal-flip-baseline-weak-unlab": ('15246ea0bcfb9414', 'dfb0f41b4c7d27e2'),
-    "signal-flip-baseline-raw-unlab": ('15246ea0bcfb9414', '4d9674ee0b3830ef'),
-    "signal-flip-fixmatch-weak-unlab": ('0a2bada1b8d39280', '94d2d8e45f6657c5'),
-    "signal-flip-fixmatch-raw-unlab": ('784431d9d978410f', 'f8b0b01ffbf80cdc'),
-    "signal-flip-fullmatch-weak-unlab": ('4e135fefd7dec8ad', '5a93335951c0b76b'),
-    "signal-flip-fullmatch-raw-unlab": ('ff89d9ffb0949c14', '8cec60b534bec383'),
-    "signal-pitch_shift-baseline-weak-unlab": ('90c8d4098c7d029e', '6c71ad264d0e9605'),
-    "signal-pitch_shift-baseline-raw-unlab": ('90c8d4098c7d029e', 'a270c643633f4639'),
-    "signal-pitch_shift-fixmatch-weak-unlab": ('5f8e5aa707ac8f31', '4d2a1419f873fe80'),
-    "signal-pitch_shift-fixmatch-raw-unlab": ('368149e5dbdb6b97', 'a62306378f3e8287'),
-    "signal-pitch_shift-fullmatch-weak-unlab": ('c8f83f54974f392b', '6b83f66d71a27f8c'),
-    "signal-pitch_shift-fullmatch-raw-unlab": ('0e84b430db7822f9', '39aff7d080944a9a'),
-    "tokens-swap-baseline-weak-unlab": ('2e62a5c8ca48f158', 'b79e094503080499'),
-    "tokens-swap-baseline-raw-unlab": ('2e62a5c8ca48f158', '7b6a6ae10a18d17e'),
-    "tokens-swap-fixmatch-weak-unlab": ('fc09b409bd88d999', '10bdf00dedddcb62'),
-    "tokens-swap-fixmatch-raw-unlab": ('fc09b409bd88d999', '8af7bd46a915adfa'),
-    "tokens-swap-fullmatch-weak-unlab": ('a60c5b91b99dc29c', '0956299d1b95b208'),
-    "tokens-swap-fullmatch-raw-unlab": ('a60c5b91b99dc29c', '314948d6b7644d0d'),
-    "tokens-synonym-baseline-weak-unlab": ('5651f47a71b8075f', 'd194af15106336c1'),
-    "tokens-synonym-baseline-raw-unlab": ('5651f47a71b8075f', '8457e38a69a085d2'),
-    "tokens-synonym-fixmatch-weak-unlab": ('48992efc07f2e8fa', '8b4b348f1b3de3d9'),
-    "tokens-synonym-fixmatch-raw-unlab": ('50bc6bc2da71ef83', 'ca2e6162c1f169fd'),
-    "tokens-synonym-fullmatch-weak-unlab": ('905c914eebf16879', '084cfb3afb27ca92'),
-    "tokens-synonym-fullmatch-raw-unlab": ('905c914eebf16879', 'a2ac021358005c71'),
+    "signal-flip-baseline-weak-unlab": ('15246ea0bcfb9414', 'd1e94bfe9f964d5d'),
+    "signal-flip-baseline-raw-unlab": ('15246ea0bcfb9414', '18cdde2903e84b4c'),
+    "signal-flip-fixmatch-weak-unlab": ('0a2bada1b8d39280', '6d9a6e9aeadcaae1'),
+    "signal-flip-fixmatch-raw-unlab": ('784431d9d978410f', '2dd2b9bae9773aff'),
+    "signal-flip-fullmatch-weak-unlab": ('4e135fefd7dec8ad', '1c4d998f29e0ad7e'),
+    "signal-flip-fullmatch-raw-unlab": ('ff89d9ffb0949c14', 'cd32bfa298bd6630'),
+    "signal-pitch_shift-baseline-weak-unlab": ('90c8d4098c7d029e', 'd7a92f06d142263d'),
+    "signal-pitch_shift-baseline-raw-unlab": ('90c8d4098c7d029e', '9a70619daa42d19f'),
+    "signal-pitch_shift-fixmatch-weak-unlab": ('5f8e5aa707ac8f31', 'b26e3f5307ca7067'),
+    "signal-pitch_shift-fixmatch-raw-unlab": ('368149e5dbdb6b97', '86940ff147cc65ea'),
+    "signal-pitch_shift-fullmatch-weak-unlab": ('c8f83f54974f392b', 'ceb059de6ecc3903'),
+    "signal-pitch_shift-fullmatch-raw-unlab": ('0e84b430db7822f9', '7e66a24943dd5ce2'),
+    "tokens-swap-baseline-weak-unlab": ('2e62a5c8ca48f158', '933bd852e6b95626'),
+    "tokens-swap-baseline-raw-unlab": ('2e62a5c8ca48f158', 'a5e0754057e3fed9'),
+    "tokens-swap-fixmatch-weak-unlab": ('fc09b409bd88d999', 'dfda45e6ee66b717'),
+    "tokens-swap-fixmatch-raw-unlab": ('fc09b409bd88d999', 'a495180be7e6a1f0'),
+    "tokens-swap-fullmatch-weak-unlab": ('a60c5b91b99dc29c', '0eb983404e7752ff'),
+    "tokens-swap-fullmatch-raw-unlab": ('a60c5b91b99dc29c', '3f207107e4b7cf89'),
+    "tokens-synonym-baseline-weak-unlab": ('5651f47a71b8075f', '654f931462a4cc85'),
+    "tokens-synonym-baseline-raw-unlab": ('5651f47a71b8075f', '3dff534b9aa2f333'),
+    "tokens-synonym-fixmatch-weak-unlab": ('48992efc07f2e8fa', '1fd3307dddfe5012'),
+    "tokens-synonym-fixmatch-raw-unlab": ('50bc6bc2da71ef83', 'fede99e66b5d978b'),
+    "tokens-synonym-fullmatch-weak-unlab": ('905c914eebf16879', '9f54a6483cc842c1'),
+    "tokens-synonym-fullmatch-raw-unlab": ('905c914eebf16879', 'd0c5bc298fbb4ada'),
 }
 
 
@@ -148,6 +152,19 @@ GOLDEN_CLI = {
     "tokens-synonym-fullmatch-weak-unlab/confusion_intent.csv": '2358ada7e2cea0cf',
     "fused/fused_metrics.json": 'fec169d1277d6b1c',
 }
+
+# eval run id -> sha256 of its checkpoint text in the layout written before
+# the retired keys left TrainConfig (the GOLDEN digest of that layout), first
+# 16 hex digits; every checkpoint of that layout holds these values
+LEGACY_CHECKPOINTS = {
+    "signal-flip-baseline-weak-unlab": 'dfb0f41b4c7d27e2',
+    "signal-pitch_shift-baseline-weak-unlab": '6c71ad264d0e9605',
+    "tokens-synonym-fullmatch-weak-unlab": '084cfb3afb27ca92',
+}
+RETIRED_VALUES = dict(token_max_len=64, flip_max_seconds=6.25, time_mask_max_frames=30000,
+                      pitch_max_steps=4, swap_count=1, delete_prob=0.1, synonym_prob=0.15,
+                      contextual_prob=0.15, contextual_neighbors=5)
+STRONG_KINDS = {"signal": "gaussian_noise", "tokens": "contextual"}
 
 # sha256 of the corpus_to_text bytes of every CORPUS_GRID recipe, first 16 hex digits
 CORPUS_DIGEST = '2ce9a3b7b557e4e1'
@@ -234,14 +251,24 @@ def digests(modality, kind, method, on_unlab, corpus):
                  for text in (epoch_reports_csv(result.reports), checkpoint))
 
 
-def cli_digests(workdir: Path, corpora) -> dict:
-    """``eval --split test`` of each ``EVAL_RUNS`` checkpoint, then ``fuse``
-    of the two signal runs' predictions: the digest of every file written."""
+def legacy_checkpoint(text: str, modality: str) -> str:
+    """The checkpoint ``text`` in the layout that records the retired keys."""
+    doc = json.loads(text)
+    doc["config"].update(RETIRED_VALUES, strong_aug_kind=STRONG_KINDS[modality])
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def cli_digests(workdir: Path, corpora, legacy: bool = False) -> dict:
+    """``eval --split test`` of each ``EVAL_RUNS`` checkpoint (in the legacy
+    layout, if asked), then ``fuse`` of the two signal runs' predictions: the
+    digest of every file written."""
     for modality, corpus in corpora.items():
         save_corpus(corpus, str(workdir / f"{modality}.jsonl"))
     argvs = []
     for name, cell in EVAL_RUNS.items():
-        (workdir / f"{name}.json").write_text(trained(*cell, corpora[cell[0]])[1])
+        text = trained(*cell, corpora[cell[0]])[1]
+        (workdir / f"{name}.json").write_text(legacy_checkpoint(text, cell[0]) if legacy
+                                              else text)
         argvs.append(["eval", "--checkpoints", str(workdir / f"{name}.json"),
                       "--corpus", str(workdir / f"{cell[0]}.jsonl"),
                       "--out", str(workdir / name), "--split", "test"])
@@ -513,6 +540,25 @@ def test_training_digests_unchanged(modality):
 def test_eval_and_fuse_digests_unchanged(tmp_path):
     corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
     assert cli_digests(tmp_path, corpora) == GOLDEN_CLI
+
+
+def test_legacy_checkpoints_load_and_evaluate_unchanged(tmp_path):
+    """A checkpoint that still records the retired keys, byte for byte as it
+    was written then, loads to the model and config of today's, and ``eval``
+    and ``fuse`` of it write the ``GOLDEN_CLI`` bytes."""
+    corpora = {modality: corpus_for(modality) for modality in WEAK_KINDS}
+    for name, cell in EVAL_RUNS.items():
+        text = trained(*cell, corpora[cell[0]])[1]
+        legacy = legacy_checkpoint(text, cell[0])
+        assert sha16(legacy.encode()) == LEGACY_CHECKPOINTS[name]
+        (tmp_path / "new.json").write_text(text)
+        (tmp_path / "old.json").write_text(legacy)
+        (new_model, *new), (old_model, *old) = (load_checkpoint(str(tmp_path / f"{which}.json"))
+                                                for which in ("new", "old"))
+        assert old == new
+        assert ([getattr(old_model, f).tobytes() for f in PARAM_FIELDS]
+                == [getattr(new_model, f).tobytes() for f in PARAM_FIELDS])
+    assert cli_digests(tmp_path, corpora, legacy=True) == GOLDEN_CLI
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from semimatch.augment import (
     featurize_signal,
     featurize_tokens,
 )
+from semimatch.config import train_config_from_json, train_config_from_text
 from semimatch.data import GeneratorConfig, Sample, SplitSpec, stratified_split, synthesize_corpus
 from semimatch.errors import ConfigError, ContractError
 from semimatch.model import PARAM_FIELDS, TwoHeadModel
@@ -153,9 +154,16 @@ class TestConfigValidation:
             TrainConfig(modality="signal", weak_aug_kind="synonym")
 
     def test_strong_kind_is_fixed_per_modality(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(modality="signal", strong_aug_kind="flip")
-        assert TrainConfig(modality="tokens").strong_aug_kind == "contextual"
+        """``strong_aug_kind`` is retired: a file may still set it, but only
+        to its modality's strong operator."""
+        with pytest.raises(ConfigError, match="^line 2: retired key 'strong_aug_kind' is fixed "
+                                              "at gaussian_noise, got flip$"):
+            train_config_from_text("modality = signal\nstrong_aug_kind = flip\n")
+        assert (train_config_from_json({"modality": "tokens", "strong_aug_kind": "contextual"})
+                == TrainConfig(modality="tokens"))
+        with pytest.raises(ConfigError, match="^retired key 'strong_aug_kind' is fixed at "
+                                              "'contextual', got 'gaussian_noise'$"):
+            train_config_from_json({"modality": "tokens", "strong_aug_kind": "gaussian_noise"})
 
     def test_threshold_ranges(self):
         with pytest.raises(ConfigError):
@@ -540,21 +548,12 @@ KEY_INPUTS = [
     ("signal", "flip", "seed", st.integers(0, 9)),
     ("signal", "flip", "weak_aug_kind", st.sampled_from(["time_mask", "pitch_shift"])),
     ("signal", "flip", "weak_aug_on_unlabelled", st.just(False)),
-    ("signal", "flip", "flip_max_seconds", st.floats(1e-4, 1e-2)),
-    ("signal", "time_mask", "time_mask_max_frames", st.integers(1, 100)),
-    ("signal", "pitch_shift", "pitch_max_steps", st.integers(1, 8)),
     ("signal", "flip", "noise_scale", st.floats(0.01, 2.0)),
     ("signal", "flip", "signal_bins", st.integers(1, 8)),
     ("signal", "flip", "unlabelled_ratio", st.floats(0.5, 3.0)),
     ("tokens", "synonym", "seed", st.integers(0, 9)),
     ("tokens", "synonym", "weak_aug_kind", st.sampled_from(["swap", "delete"])),
     ("tokens", "synonym", "weak_aug_on_unlabelled", st.just(False)),
-    ("tokens", "swap", "swap_count", st.integers(0, 4)),
-    ("tokens", "delete", "delete_prob", st.floats(0.0, 1.0)),
-    ("tokens", "synonym", "synonym_prob", st.floats(0.0, 1.0)),
-    ("tokens", "synonym", "contextual_prob", st.floats(0.0, 1.0)),
-    ("tokens", "synonym", "contextual_neighbors", st.integers(1, 10)),
-    ("tokens", "synonym", "token_max_len", st.integers(1, 30)),
     ("tokens", "synonym", "unlabelled_ratio", st.floats(0.5, 3.0)),
 ]
 
